@@ -176,33 +176,15 @@ def build_a3_f2(model="flags"):
 # the A7 triple geometry
 
 
-@lru_cache(maxsize=None)
-def fano_planes_on_7():
-    """All 30 Fano plane structures on {1..7}, via the S7 orbit of one."""
-    std = frozenset(frozenset(t) for t in
-                    [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)])
-    transpositions = []
-    for a in range(1, 7):
-        m = {x: x for x in range(1, 8)}
-        m[a], m[a + 1] = a + 1, a
-        transpositions.append(m)
+def _points_img(g, points):
+    """Image of a tuple of 1-based points under a 0-based permutation, sorted."""
+    return tuple(sorted(g[x - 1] + 1 for x in points))
 
-    def act(plane, m):
-        return frozenset(frozenset(m[x] for x in t) for t in plane)
 
-    seen = {std}
-    frontier = [std]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for m in transpositions:
-                q = act(p, m)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert len(seen) == 30
-    return sorted(seen, key=lambda P: sorted(sorted(t) for t in P))
+def _plane_img(g, plane):
+    """Image of a set of lines under a 0-based point permutation, as the
+    sorted tuple of sorted lines."""
+    return tuple(sorted(_points_img(g, t) for t in plane))
 
 
 def _plane_key(plane):
@@ -210,33 +192,24 @@ def _plane_key(plane):
 
 
 @lru_cache(maxsize=None)
+def fano_planes_on_7():
+    """All 30 Fano plane structures on {1..7}, via the S7 orbit of one;
+    each is the sorted tuple of its sorted lines."""
+    std = _plane_key([(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)])
+    transpositions = [groups.perm_from_cycles(7, [(a, a + 1)]) for a in range(6)]
+    planes = groups.orbit(std, transpositions, _plane_img, 30)
+    assert len(planes) == 30
+    return sorted(planes)
+
+
+@lru_cache(maxsize=None)
 def a7_plane_orbit():
     """The Alt(7)-orbit of Fano structures containing the lexicographically
     least plane (15 of the 30)."""
-    planes = fano_planes_on_7()
-    start = planes[0]
-    evens = []
-    for a in range(1, 6):
-        m = {x: x for x in range(1, 8)}
-        m[a], m[a + 1], m[a + 2] = m[a + 1], m[a + 2], m[a]
-        evens.append(m)
-
-    def act(plane, m):
-        return frozenset(frozenset(m[x] for x in t) for t in plane)
-
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for m in evens:
-                q = act(p, m)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert len(seen) == 15
-    return sorted(seen, key=_plane_key)
+    three_cycles = [groups.perm_from_cycles(7, [(a, a + 1, a + 2)]) for a in range(5)]
+    planes = groups.orbit(fano_planes_on_7()[0], three_cycles, _plane_img, 15)
+    assert len(planes) == 15
+    return sorted(planes)
 
 
 @lru_cache(maxsize=None)
@@ -245,32 +218,20 @@ def build_neumaier_a7():
     lines, and one Alt(7)-orbit of Fano structures as planes.  Returns
     (system, coset spec under Alt(7))."""
     planes = a7_plane_orbit()
-    flags = []
-    for pl in planes:
-        pk = _plane_key(pl)
-        for t in sorted(pl, key=sorted):
-            tk = tuple(sorted(t))
-            for p in tk:
-                flags.append((p, tk, pk))
+    flags = [(p, t, pl) for pl in planes for t in pl for p in t]
     C = _flag_system(flags, 3)
     assert C.n == 315
 
     A7 = groups.alternating_group(7)
     p0, L0, pl0 = min(flags)
 
-    def line_img(g, tk):
-        return tuple(sorted(g[x - 1] + 1 for x in tk))
-
-    def plane_img(g, pk):
-        return tuple(sorted(line_img(g, t) for t in pk))
-
     def stab(point=None, line=None, plane=None):
         def pred(g):
             if point is not None and g[point - 1] + 1 != point:
                 return False
-            if line is not None and line_img(g, line) != line:
+            if line is not None and _points_img(g, line) != line:
                 return False
-            if plane is not None and plane_img(g, plane) != plane:
+            if plane is not None and _plane_img(g, plane) != plane:
                 return False
             return True
         return groups.stabilizer(A7, pred)
@@ -303,18 +264,14 @@ def a3_f2_label_action(g, label):
     """Apply a GL(4,2) point permutation (0-based vector indices) to a
     PG(3,2) flag label."""
     p, L, pl = label
-    return (g[p - 1] + 1,
-            tuple(sorted(g[x - 1] + 1 for x in L)),
-            tuple(sorted(g[x - 1] + 1 for x in pl)))
+    return g[p - 1] + 1, _points_img(g, L), _points_img(g, pl)
 
 
 def neumaier_label_action(g, label):
     """Apply an Alt(7) symbol permutation (0-based) to a triple-geometry
     flag label."""
     p, L, pl = label
-    return (g[p - 1] + 1,
-            tuple(sorted(g[x - 1] + 1 for x in L)),
-            tuple(sorted(tuple(sorted(g[x - 1] + 1 for x in t)) for t in pl)))
+    return g[p - 1] + 1, _points_img(g, L), _plane_img(g, pl)
 
 
 def singer_flag_automorphism(power=1):
@@ -346,7 +303,8 @@ def build_singer_quotient(subgroup_order=15, base=None):
     the projection would not be a 2-covering.  Order 5 gives the free
     63-chamber quotient.  Returns (base, quotient, projection map).
     """
-    assert 15 % subgroup_order == 0 and subgroup_order > 1
+    if subgroup_order <= 1 or 15 % subgroup_order:
+        raise ValueError(f"subgroup order {subgroup_order} is not a divisor > 1 of 15")
     if base is None:
         base = build_a3_f2()
     g = singer_flag_automorphism(15 // subgroup_order)

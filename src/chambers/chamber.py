@@ -90,10 +90,6 @@ class ChamberSystem:
             self._adj = [tuple(a) for a in adj]
         return self._adj
 
-    def adjacent_types(self, c, d):
-        """All types i for which c and d share an i-panel (c != d)."""
-        return [i for i in self.types if self._panel_idx[i][c] == self._panel_idx[i][d]]
-
     # --- residues -----------------------------------------------------
 
     def component_map(self, J):
@@ -228,7 +224,9 @@ class TypedGallery:
     types: tuple
 
     def __post_init__(self):
-        assert len(self.chambers) == len(self.types) + 1, "type word length mismatch"
+        if len(self.chambers) != len(self.types) + 1:
+            raise ValueError(f"{len(self.chambers)} chambers do not fit a type word of "
+                             f"length {len(self.types)}")
 
     @property
     def start(self):
@@ -242,7 +240,8 @@ class TypedGallery:
         return len(self.types)
 
     def concat(self, other):
-        assert self.end == other.start
+        if self.end != other.start:
+            raise ValueError(f"gallery ending at {self.end} cannot continue from {other.start}")
         return TypedGallery(self.chambers + other.chambers[1:], self.types + other.types)
 
     def normalized(self):
@@ -369,30 +368,12 @@ def _incidence_graph(C):
     return adj, multi
 
 
-def _graph_diameter(adj):
-    nodes = list(adj)
-    best = 0
-    for s in nodes:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if len(dist) != len(nodes):
-            return None  # disconnected
-        best = max(best, max(dist.values()))
-    return best
-
-
-def _graph_girth(adj):
-    nodes = list(adj)
-    best = None
-    for s in nodes:
+def _girth_and_diameter(adj):
+    """(girth, diameter) of a simple graph by one breadth-first search per
+    vertex; None for no cycle, respectively for a disconnected graph."""
+    girth = None
+    diameter = 0
+    for s in adj:
         dist = {s: 0}
         parent = {s: None}
         frontier = [s]
@@ -406,10 +387,14 @@ def _graph_girth(adj):
                         nxt.append(v)
                     elif parent[u] != v:
                         cyc = dist[u] + dist[v] + 1
-                        if best is None or cyc < best:
-                            best = cyc
+                        if girth is None or cyc < girth:
+                            girth = cyc
             frontier = nxt
-    return best
+        if len(dist) < len(adj):
+            diameter = None
+        elif diameter is not None:
+            diameter = max(diameter, max(dist.values()))
+    return girth, diameter
 
 
 def incidence_graph_stats(C):
@@ -418,8 +403,8 @@ def incidence_graph_stats(C):
     if C.rank != 2:
         raise WrongRank(f"rank-2 system required, got rank {C.rank}")
     adj, multi = _incidence_graph(C)
-    girth = 2 if multi else _graph_girth(adj)
-    return girth, _graph_diameter(adj)
+    girth, diameter = _girth_and_diameter(adj)
+    return (2 if multi else girth), diameter
 
 
 def polygon_parameter(C):
@@ -523,15 +508,6 @@ def is_simplicial(C, budget=2000):
 # quotients by free automorphism groups
 
 
-def is_type_preserving(C, a):
-    for i in C.types:
-        for panel in C.panels[i]:
-            image = frozenset(a[c] for c in panel)
-            if image != frozenset(C.panel_of(i, a[panel[0]])):
-                return False
-    return True
-
-
 def quotient(C, autos):
     """Quotient by a group of type-preserving automorphisms acting freely
     with no invariant rank-2 residues.  Returns (system, projection)."""
@@ -541,10 +517,8 @@ def quotient(C, autos):
         autos = [ident] + autos
     aset = set(autos)
     for a in autos:
-        if sorted(a) != list(range(C.n)):
-            raise ValueError("automorphism is not a chamber permutation")
-        if not is_type_preserving(C, a):
-            raise ValueError("automorphism is not type-preserving")
+        if not verify_isomorphism(C, C, a):
+            raise ValueError("automorphism is not a type-preserving chamber permutation")
     for a in autos:
         for b in autos:
             if tuple(a[b[c]] for c in range(C.n)) not in aset:

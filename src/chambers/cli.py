@@ -8,8 +8,8 @@ import argparse
 import json
 import sys
 
-from . import catalog, chamber, covers, coxeter, verify
-from .errors import ChambersError
+from . import catalog, chamber, covers, coxeter, groups, verify
+from .errors import ActionNotFree, CapExceeded, ChambersError
 
 
 def _load_json(path):
@@ -138,23 +138,16 @@ def cmd_cover(args):
 
 def cmd_quotient(args):
     C = chamber.system_from_json(_load_json(args.file))
-    gobj = _load_json(args.auto)
-    gens = [tuple(g) for g in gobj["generators"]]
-    autos = set()
-    frontier = [tuple(range(C.n))]
-    autos.add(frontier[0])
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = tuple(g[a[c]] for c in range(C.n))
-                if b not in autos:
-                    autos.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    gens = [tuple(g) for g in _load_json(args.auto)["generators"]]
+    if any(len(g) != C.n for g in gens):
+        raise ValueError(f"automorphism generators must have one entry per chamber ({C.n})")
     try:
-        Q, proj = chamber.quotient(C, sorted(autos))
+        autos = groups.group_from_generators(gens or [groups.identity(C.n)], cap=C.n)
+        Q, proj = chamber.quotient(C, autos.elements)
     except ChambersError as exc:
+        if isinstance(exc, CapExceeded):
+            # orbit-stabilizer: a group with more elements than chambers cannot act freely
+            exc = ActionNotFree(f"the automorphisms generate more than {C.n} elements")
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 1
     _emit({"quotient": chamber.system_to_json(Q), "projection": list(proj)}, args.out)

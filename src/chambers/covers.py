@@ -30,7 +30,9 @@ class CoveringMap:
     chamber_map: tuple
 
     def __post_init__(self):
-        assert len(self.chamber_map) == self.cover.n
+        if len(self.chamber_map) != self.cover.n:
+            raise ValueError(f"chamber map has {len(self.chamber_map)} entries for a cover "
+                             f"of {self.cover.n} chambers")
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,8 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     chamber_map = tuple(g.proj[r] for r in roots)
     p = CoveringMap(cover, C, chamber_map)
     ok, diag = is_covering(p)
-    assert ok, f"universal cover failed its own covering check: {diag}"
+    if not ok:
+        raise NotCovering(f"universal cover failed its own covering check: {diag}")
     root = dense[g.find(g.root0)]
     deck, regular = ((), False)
     if with_deck:

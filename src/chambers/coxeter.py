@@ -340,7 +340,8 @@ def reduced_words(M, w, budget=DEFAULT_BUDGET):
     else:
         word = canonical_word(M, w, budget=budget)
     cls, shorter = braid_class(M, word, budget=budget)
-    assert shorter is None, "canonical word was not reduced"
+    if shorter is not None:
+        raise ValueError(f"word {word} is not reduced")
     return cls
 
 

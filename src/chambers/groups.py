@@ -1,9 +1,9 @@
 """Finite permutation groups by full enumeration.
 
 Permutations are tuples of images on 0..d-1.  Groups are closed by
-breadth-first multiplication with a configurable cap; element order is
-always lexicographic on image tuples, so coset ids and chamber ids derived
-from them are reproducible across runs.
+`orbit`, the one breadth-first closure routine, with a configurable cap;
+element order is always lexicographic on image tuples, so coset ids and
+chamber ids derived from them are reproducible across runs.
 """
 
 from .errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
@@ -33,11 +33,13 @@ def is_perm(a):
 
 def perm_from_cycles(degree, cycles):
     """Build a permutation from disjoint cycles of 0-based points."""
+    points = [x for cyc in cycles for x in cyc]
+    if len(set(points)) != len(points) or not all(0 <= x < degree for x in points):
+        raise ValueError(f"cycles {cycles} are not disjoint cycles on 0..{degree - 1}")
     imgs = list(range(degree))
     for cyc in cycles:
         for s, t in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
             imgs[s] = t
-    assert is_perm(imgs)
     return tuple(imgs)
 
 
@@ -59,21 +61,29 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def close(degree, gens, cap):
-    seen = {identity(degree)}
-    frontier = [identity(degree)]
+def orbit(start, gens, act, cap):
+    """The images of `start` under all words in `gens`, found breadth-first,
+    where `act(g, x)` applies one generator; raises CapExceeded past `cap`."""
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in gens:
-                p = mul(h, g)
-                if p not in seen:
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in seen:
                     if len(seen) >= cap:
-                        raise CapExceeded(f"group closure exceeded cap {cap}")
-                    seen.add(p)
-                    nxt.append(p)
+                        raise CapExceeded(f"orbit exceeded cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
     return seen
+
+
+def close(degree, gens, cap):
+    """The elements of the group generated by `gens`: the orbit of the
+    identity under left multiplication."""
+    return orbit(identity(degree), gens, mul, cap)
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP):
@@ -185,7 +195,9 @@ def left_cosets(G, H):
         reps.append(g)
         for h in H.elements:
             coset_of[mul(g, h)] = cid
-    assert len(reps) * H.order == G.order
+    if len(reps) * H.order != G.order:
+        raise NotSubgroup(f"{len(reps)} cosets of {H.order} elements do not partition "
+                          f"a group of order {G.order}")
     return CosetTable(G, H, reps, coset_of)
 
 

@@ -5,7 +5,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import groups
-from .chamber import from_cosets, infer_type_matrix, is_simplicial, polygon_parameter, sub_system
+from .chamber import (
+    chamber_vertices,
+    from_cosets,
+    infer_type_matrix,
+    is_simplicial,
+    polygon_parameter,
+    sub_system,
+)
 from .coxeter import enumerate_group
 from .errors import (
     BudgetExceeded,
@@ -184,13 +191,9 @@ class IncidenceGeometry:
 
 
 def incidence_geometry(C):
-    full = frozenset(C.types)
-    maps = {i: C.component_map(full - {i}) for i in C.types}
-    chamber_vertices = tuple(
-        tuple((i, maps[i][c]) for i in C.types) for c in range(C.n))
+    vertices = tuple(tuple(zip(C.types, vs)) for vs in chamber_vertices(C))
     adjacency = {}
-    for c in range(C.n):
-        vs = chamber_vertices[c]
+    for vs in vertices:
         for u, v in combinations(vs, 2):
             adjacency.setdefault(u, set()).add(v)
             adjacency.setdefault(v, set()).add(u)
@@ -200,14 +203,14 @@ def incidence_geometry(C):
     if C.labels is not None and all(
             isinstance(x, tuple) and len(x) == C.rank for x in C.labels):
         for c in range(C.n):
-            for ti, v in enumerate(chamber_vertices[c]):
+            for ti, v in enumerate(vertices[c]):
                 lab = C.labels[c][ti]
                 if v in labels and labels[v] != lab:
                     labels[v] = None
                 else:
                     labels.setdefault(v, lab)
         labels = {v: lab for v, lab in labels.items() if lab is not None}
-    return IncidenceGeometry(C, chamber_vertices, adjacency, labels)
+    return IncidenceGeometry(C, vertices, adjacency, labels)
 
 
 def shadow(geom, v, t):

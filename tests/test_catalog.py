@@ -1,9 +1,21 @@
+import hashlib
 import json
 
 import pytest
 
-from chambers import catalog, chamber, groups, verify
+from chambers import catalog, chamber, cli, groups, verify
 from chambers.errors import ResidueCollision
+
+# sha256 of the bytes `chambers build <name> --out` writes; any change to a
+# builder, the chamber order or the JSON layout shows up here
+BUILD_DIGESTS = {
+    "fano": "4eb85809005d56d4bc10d2649b0b1dd6ded9f3ebf477d9f5e865a4f5ca894ac1",
+    "gq22": "b79e4386f6e64b3f479dea4d584293044f71bd746c586829b34eaf7dce33ac11",
+    "a3-f2": "62936f6d275433b1b2184ca540ac5395772430875b2400b6ea98cc9f537d890b",
+    "a3-f2-cosets": "831d41f473464db4340d8b2caaa7fe100946545e7491cae2dccdf05ca16bf6cc",
+    "neumaier-a7": "c3dd845a1c2e1656b070167297d1b80225e6fe771b7fbbc14100728a86018660",
+    "singer-quotient-z5": "ef2f90e11dcbae5a95634dbb60123e726cf683309b32fe77f5c6c254e3b430af",
+}
 
 
 def test_catalog_builds_and_validates():
@@ -16,6 +28,13 @@ def test_catalog_builds_and_validates():
         C = artifacts["system"]
         assert C.n == entry.expected["n"]
         assert C.rank == entry.expected["rank"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+def test_build_output_is_pinned(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert cli.main(["build", name, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[name]
 
 
 def test_builds_deterministic():
@@ -52,7 +71,7 @@ def test_singer_automorphism_properties():
     base = catalog.build_a3_f2()
     g = catalog.singer_flag_automorphism(1)
     assert sorted(g) == list(range(base.n))
-    assert chamber.is_type_preserving(base, g)
+    assert chamber.verify_isomorphism(base, base, g)
     # order 15 on chambers
     cur = tuple(range(base.n))
     for _ in range(15):

@@ -83,6 +83,10 @@ def test_gallery_normalize_concat():
     assert g.normalized().chambers == (0, 1)
     h = TypedGallery((1, 2), (2,))
     assert g.normalized().concat(h).chambers == (0, 1, 2)
+    with pytest.raises(ValueError):
+        TypedGallery((0, 1), ())
+    with pytest.raises(ValueError):
+        h.concat(g)
 
 
 def test_generalized_mgon():
@@ -94,6 +98,17 @@ def test_generalized_mgon():
     assert not chamber.is_generalized_mgon(fano, 4)
     with pytest.raises(WrongRank):
         chamber.is_generalized_mgon(catalog.build_a3_f2(), 3)
+
+
+def test_incidence_graph_stats_edge_cases():
+    # (girth, diameter); None is no cycle, respectively a disconnected graph
+    path = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0,), (1,)]})
+    assert chamber.incidence_graph_stats(path) == (None, 2)
+    two_edges = chamber.from_partitions(2, 2, {1: [(0,), (1,)], 2: [(0,), (1,)]})
+    assert chamber.incidence_graph_stats(two_edges) == (None, None)
+    double_edge = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0, 1)]})
+    assert chamber.incidence_graph_stats(double_edge) == (2, 1)
+    assert chamber.incidence_graph_stats(catalog.build_gq22()) == (8, 4)
 
 
 def test_infer_type_matrix():
@@ -157,6 +172,9 @@ def test_quotient_singer():
         catalog.build_singer_quotient(15)
     with pytest.raises(ResidueCollision):
         catalog.build_singer_quotient(3)
+    for order in (1, 4):
+        with pytest.raises(ValueError):
+            catalog.build_singer_quotient(order)
 
 
 def test_sub_system_requires_panel_closure():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from chambers import catalog, cli
 
@@ -102,6 +103,35 @@ def test_quotient_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "quotient", str(f), "--auto", str(afile))
     assert code == 1
     assert json.loads(out)["error"] == "ResidueCollision"
+    afile.write_text(json.dumps({"generators": []}))
+    code, out, _ = run(capsys, "quotient", str(f), "--auto", str(afile))
+    assert code == 0 and json.loads(out)["quotient"]["n"] == 315
+
+
+def test_quotient_cli_rejects_bad_generators(capsys, tmp_path):
+    f = tmp_path / "fano.json"
+    run(capsys, "build", "fano", "--out", str(f))
+    afile = tmp_path / "auto.json"
+    for gens in ([[1, 0, 2]], [list(range(22))]):
+        afile.write_text(json.dumps({"generators": gens}))
+        code, _, err = run(capsys, "quotient", str(f), "--auto", str(afile))
+        assert code == 2 and "input error" in err
+
+
+def test_quotient_cli_group_larger_than_chamber_set(capsys, tmp_path):
+    # GL(4,2), of order 20160, acting on the 315 flags of PG(3,2)
+    f = tmp_path / "a3.json"
+    run(capsys, "build", "a3-f2", "--out", str(f))
+    base = catalog.build_a3_f2()
+    index = {lab: c for c, lab in enumerate(base.labels)}
+    gens = [[index[catalog.a3_f2_label_action(g, lab)] for lab in base.labels]
+            for g in catalog.gl4_2().generators]
+    afile = tmp_path / "auto.json"
+    afile.write_text(json.dumps({"generators": gens}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "quotient", str(f), "--auto", str(afile))
+    assert code == 1 and json.loads(out)["error"] == "ActionNotFree"
+    assert time.perf_counter() - start < 2.0
 
 
 def test_report_dot(capsys, tmp_path):

@@ -46,6 +46,8 @@ def test_not_locally_injective():
     mp[3] = partner
     ok, diag = covers.is_covering(CoveringMap(thin, thin, tuple(mp)))
     assert not ok and diag
+    with pytest.raises(ValueError):
+        CoveringMap(thin, thin, tuple(mp[:-1]))
 
 
 def test_singer_projection_is_covering():
@@ -180,6 +182,12 @@ def test_universal_cover_preconditions():
     rank1 = chamber.from_partitions(2, 1, {1: [(0, 1)]})
     with pytest.raises(ValueError):
         covers.universal_cover(rank1, 0)
+
+
+def test_universal_cover_self_check_raises(monkeypatch):
+    monkeypatch.setattr(covers, "is_covering", lambda p: (False, "forced failure"))
+    with pytest.raises(NotCovering, match="forced failure"):
+        covers.universal_cover(catalog.build_fano_flags(), 0)
 
 
 def test_elementary_homotopy_single_moves():

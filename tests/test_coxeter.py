@@ -10,6 +10,7 @@ from chambers.coxeter import (
     C3,
     H3,
     CoxeterMatrix,
+    WElement,
     canonical,
     canonical_word,
     dihedral,
@@ -243,6 +244,8 @@ def test_reduced_words_counts():
         if canonical_word(A3, word) == w0.word:
             brute.add(word)
     assert brute == set(rws)
+    with pytest.raises(ValueError):
+        reduced_words(A3, WElement((1, 1)))
 
 
 def test_canonical_is_congruence():

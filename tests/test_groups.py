@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import chambers
 from chambers import catalog, groups
 from chambers.errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
 
@@ -9,6 +15,18 @@ def test_perm_helpers():
     assert a == (1, 2, 0, 3)
     assert groups.mul(a, groups.inv(a)) == groups.identity(4)
     assert groups.mul(a, a) == groups.perm_from_cycles(4, [(0, 2, 1)])
+    for cycles in ([(0, 1), (1, 2)], [(0, 1), (0, 1)], [(3, 4)]):
+        with pytest.raises(ValueError):
+            groups.perm_from_cycles(4, cycles)
+
+
+def test_orbit():
+    # the cyclic shift moves 0 through all of Z/5; the cap bounds the orbit
+    shift = groups.perm_from_cycles(5, [tuple(range(5))])
+    assert groups.orbit(0, [shift], lambda g, x: g[x], 5) == set(range(5))
+    assert groups.orbit(0, [], lambda g, x: g[x], 1) == {0}
+    with pytest.raises(CapExceeded):
+        groups.orbit(0, [shift], lambda g, x: g[x], 4)
 
 
 def test_group_from_generators():
@@ -59,6 +77,12 @@ def test_left_cosets_and_lagrange():
         cid = ct.coset_of[g]
         rep = ct.reps[cid]
         assert groups.mul(groups.inv(rep), g) in H.set
+    # a subset that is no subgroup does not split G into cosets of its size
+    S3 = groups.symmetric_group(3)
+    not_sub = groups.Subgroup(S3, [groups.identity(3), groups.perm_from_cycles(3, [(0, 1)]),
+                                   groups.perm_from_cycles(3, [(1, 2)])], check=False)
+    with pytest.raises(NotSubgroup):
+        groups.left_cosets(S3, not_sub)
 
 
 def test_gl42_borel_index():
@@ -117,3 +141,26 @@ def test_group_json_roundtrip():
     obj = groups.group_to_json(G)
     G2 = groups.group_from_json(obj)
     assert G2.elements == G.elements
+
+
+def test_input_checks_survive_optimized_mode():
+    # `python -O` strips asserts; the checks on caller input must not be asserts
+    script = textwrap.dedent("""
+        import sys
+        from chambers import groups
+        from chambers.chamber import TypedGallery
+        rejected = 0
+        for bad in (lambda: groups.perm_from_cycles(3, [(0, 1), (1, 2)]),
+                    lambda: TypedGallery((0, 1), ())):
+            try:
+                bad()
+            except ValueError:
+                rejected += 1
+        print(sys.flags.optimize, rejected)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chambers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["1", "2"]
