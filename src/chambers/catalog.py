@@ -307,14 +307,7 @@ def build_singer_quotient(subgroup_order=15, base=None):
         raise ValueError(f"subgroup order {subgroup_order} is not a divisor > 1 of 15")
     if base is None:
         base = build_a3_f2()
-    g = singer_flag_automorphism(15 // subgroup_order)
-    autos = []
-    cur = tuple(range(base.n))
-    for _ in range(subgroup_order):
-        autos.append(cur)
-        cur = tuple(g[c] for c in cur)
-    assert cur == autos[0]
-    quot, proj = quotient(base, autos)
+    quot, proj = quotient(base, [singer_flag_automorphism(15 // subgroup_order)])
     return base, quot, CoveringMap(base, quot, proj)
 
 

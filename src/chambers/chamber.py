@@ -13,6 +13,7 @@ from .coxeter import CoxeterMatrix
 from .errors import (
     ActionNotFree,
     BudgetExceeded,
+    CapExceeded,
     Disconnected,
     DuplicateChamber,
     InconsistentResidues,
@@ -295,7 +296,7 @@ class HomogeneousSpec:
     principal: object
     faces: dict
     vertex: dict = None
-    _vertex_cache: dict = field(default_factory=dict, repr=False)
+    _vertex_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = self.principal
@@ -508,21 +509,21 @@ def is_simplicial(C, budget=2000):
 # quotients by free automorphism groups
 
 
-def quotient(C, autos):
-    """Quotient by a group of type-preserving automorphisms acting freely
-    with no invariant rank-2 residues.  Returns (system, projection)."""
-    autos = [tuple(a) for a in autos]
-    ident = tuple(range(C.n))
-    if ident not in autos:
-        autos = [ident] + autos
-    aset = set(autos)
-    for a in autos:
-        if not verify_isomorphism(C, C, a):
-            raise ValueError("automorphism is not a type-preserving chamber permutation")
-    for a in autos:
-        for b in autos:
-            if tuple(a[b[c]] for c in range(C.n)) not in aset:
-                raise ValueError("automorphisms do not form a group")
+def quotient(C, gens):
+    """Quotient by the group generated by type-preserving automorphisms,
+    which must act freely with no invariant rank-2 residues.  Returns
+    (system, projection)."""
+    gens = [tuple(a) for a in gens]
+    if any(len(a) != C.n for a in gens):
+        raise ValueError(f"automorphism generators must have one entry per chamber ({C.n})")
+    ident = groups.identity(C.n)
+    try:
+        autos = groups.group_from_generators(gens or [ident], cap=C.n).elements
+    except CapExceeded:
+        # orbit-stabilizer: a group with more elements than chambers cannot act freely
+        raise ActionNotFree(f"the automorphisms generate more than {C.n} elements") from None
+    if not all(verify_isomorphism(C, C, a) for a in gens):
+        raise ValueError("automorphism is not a type-preserving chamber permutation")
     for a in autos:
         if a == ident:
             continue

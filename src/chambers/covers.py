@@ -75,13 +75,12 @@ def is_covering(p):
             if len(res.chambers) != len(target) or len(set(images)) != len(images):
                 return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
                                f"{res.chambers[0]} is not bijective onto its image")
+            # bijective on the residue, so t-panels map onto t-panels iff sizes agree
             for t in P:
-                for x, y in combinations(res.chambers, 2):
-                    same_cover = cover.panel_id(t, x) == cover.panel_id(t, y)
-                    same_base = base.panel_id(t, mp[x]) == base.panel_id(t, mp[y])
-                    if same_cover != same_base:
-                        return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
-                                       f"{res.chambers[0]} breaks type-{t} adjacency")
+                if any(len(cover.panel_of(t, x)) != len(base.panel_of(t, mp[x]))
+                       for x in res.chambers):
+                    return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
+                                   f"{res.chambers[0]} breaks type-{t} adjacency")
     return True, None
 
 

@@ -366,6 +366,9 @@ class CoxeterGroupTable:
         self.elements = elements              # tuple of canonical words
         self.right = right                    # right[e][i-1] = id of e * r_i
         self.index = {w: e for e, w in enumerate(elements)}
+        self.descents = tuple(    # right descents: the i with e * r_i shorter than e
+            frozenset(i for i, t in enumerate(r, 1) if len(elements[t]) < len(elements[e]))
+            for e, r in enumerate(right))
         self._rwsets = None
 
     @property
@@ -386,16 +389,10 @@ class CoxeterGroupTable:
         return WElement(self.elements[e])
 
     def mult_id(self, a, b):
-        e = a
-        for i in self.elements[b]:
-            e = self.right[e][i - 1]
-        return e
+        return self.canonical_id(self.elements[a] + self.elements[b])
 
     def inv_id(self, a):
-        e = 0
-        for i in reversed(self.elements[a]):
-            e = self.right[e][i - 1]
-        return e
+        return self.canonical_id(reversed(self.elements[a]))
 
     def longest_id(self):
         return max(range(self.order), key=lambda e: (len(self.elements[e]), self.elements[e]))
@@ -406,10 +403,6 @@ class CoxeterGroupTable:
             self._rwsets = [reduced_words(self.matrix, WElement(w), budget=budget)
                             for w in self.elements]
         return self._rwsets
-
-    def w_lookup(self, budget=DEFAULT_BUDGET):
-        """Map frozenset-of-reduced-words -> element id."""
-        return {s: e for e, s in enumerate(self.reduced_word_sets(budget=budget))}
 
 
 def enumerate_group(M, cap=10 ** 6, budget=DEFAULT_BUDGET):

@@ -6,6 +6,7 @@ import pytest
 from chambers import catalog, chamber, coxeter, groups
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import (
+    ActionNotFree,
     Disconnected,
     DuplicateChamber,
     InconsistentResidues,
@@ -47,6 +48,16 @@ def test_from_cosets_single_chamber():
     whole = groups.Subgroup(S3, S3.elements, check=False)
     C = chamber.from_cosets(HomogeneousSpec(S3, whole, {1: whole}))
     assert C.n == 1 and len(C.panels[1]) == 1
+
+
+def test_spec_equality_ignores_vertex_cache():
+    S3 = groups.symmetric_group(3)
+    triv = groups.Subgroup(S3, [groups.identity(3)])
+    faces = {i: groups.subgroup_generated(S3, [groups.perm_from_cycles(3, [(i - 1, i)])])
+             for i in (1, 2)}
+    a, b = HomogeneousSpec(S3, triv, faces), HomogeneousSpec(S3, triv, faces)
+    assert a.vertex_group(1).order == 2
+    assert a == b and "_vertex_cache" not in repr(a)
 
 
 def test_residues():
@@ -145,24 +156,39 @@ def test_is_simplicial():
     assert not ok and wit[0] == "duplicate-vertices"
 
 
+def _fano_auto(fano, M):
+    """The flag permutation induced by a GL(3,2) matrix (basis images)."""
+    perm = tuple(catalog.mat_apply(M, v) - 1 for v in range(1, 8))
+    index = {lab: c for c, lab in enumerate(fano.labels)}
+    return tuple(index[(perm[p - 1] + 1, tuple(sorted(perm[x - 1] + 1 for x in L)))]
+                 for p, L in fano.labels)
+
+
 def test_quotient_trivial_and_collisions():
     fano = catalog.build_fano_flags()
     Q, proj = chamber.quotient(fano, [tuple(range(fano.n))])
     assert Q.n == fano.n and chamber.is_isomorphic(Q, fano)
     # rank-2 systems admit no proper quotient: the whole system is one
-    # rank-2 residue
-    M = (2, 4, 3)
-    perm = tuple(catalog.mat_apply(M, v) - 1 for v in range(1, 8))
-    index = {lab: c for c, lab in enumerate(fano.labels)}
-    auto = tuple(index[(perm[p - 1] + 1, tuple(sorted(perm[x - 1] + 1 for x in L)))]
-                 for p, L in fano.labels)
-    autos = []
-    cur = tuple(range(fano.n))
-    for _ in range(7):
-        autos.append(cur)
-        cur = tuple(auto[c] for c in cur)
+    # rank-2 residue; the Singer cycle's generator is closed to its group
     with pytest.raises(ResidueCollision):
-        chamber.quotient(fano, autos)
+        chamber.quotient(fano, [_fano_auto(fano, (2, 4, 3))])
+
+
+def test_quotient_closes_generators():
+    table = coxeter.enumerate_group(coxeter.C3)
+    thin = coxeter.complex_from_table(table)
+    w0 = table.longest_id()
+    Q, proj = chamber.quotient(thin, [tuple(table.mult_id(w0, e) for e in range(48))])
+    assert Q.n == 24 and all(proj[e] == proj[table.mult_id(w0, e)] for e in range(48))
+    # a Singer cycle and a transvection generate all 168 elements of GL(3,2),
+    # more than the 21 flags: the action cannot be free
+    fano = catalog.build_fano_flags()
+    with pytest.raises(ActionNotFree):
+        chamber.quotient(fano, [_fano_auto(fano, (2, 4, 3)), _fano_auto(fano, (1, 3, 4))])
+    with pytest.raises(ValueError):
+        chamber.quotient(fano, [tuple(range(20))])
+    with pytest.raises(ValueError):
+        chamber.quotient(fano, [tuple(reversed(range(21)))])
 
 
 def test_quotient_singer():

@@ -152,3 +152,27 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and "input error" in err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.json"), "--building")
     assert code == 2
+
+
+
+def test_quotient_generators_not_a_list(capsys, tmp_path):
+    f = tmp_path / "fano.json"
+    run(capsys, "build", "fano", "--out", str(f))
+    auto = tmp_path / "auto.json"
+    auto.write_text(json.dumps({"generators": 5}))
+    code, _, err = run(capsys, "quotient", str(f), "--auto", str(auto))
+    assert code == 2 and "input error" in err
+
+
+def test_check_panels_not_a_list(capsys, tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"rank": 1, "n": 1, "panels": {"1": 5}}))
+    code, _, err = run(capsys, "check", str(system), "--building")
+    assert code == 2 and "input error" in err
+
+
+def test_coxeter_matrix_not_rows(capsys, tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"m": 3}))
+    code, _, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
+    assert code == 2 and "input error" in err

@@ -50,6 +50,16 @@ def test_not_locally_injective():
         CoveringMap(thin, thin, tuple(mp[:-1]))
 
 
+def test_split_panel_breaks_adjacency():
+    fano = catalog.build_fano_flags()
+    split = {i: list(fano.panels[i]) for i in fano.types}
+    a, *rest = split[1][0]
+    split[1][0:1] = [(a,), tuple(rest)]
+    cover = chamber.from_partitions(fano.n, 2, split)
+    ok, diag = covers.is_covering(CoveringMap(cover, fano, tuple(range(fano.n))))
+    assert not ok and diag == "{1,2}-residue at cover chamber 0 breaks type-1 adjacency"
+
+
 def test_singer_projection_is_covering():
     base, quot, proj = catalog.build_singer_quotient(5)
     ok, diag = covers.is_covering(proj)

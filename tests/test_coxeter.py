@@ -274,6 +274,13 @@ def test_length_alternation_and_exchange():
         assert table.canonical_word(f) == w
 
 
+def test_descents_are_last_letters_of_reduced_words():
+    for M in (A3, C3, H3):
+        table = enumerate_group(M)
+        for e, words in enumerate(table.reduced_word_sets()):
+            assert table.descents[e] == {w[-1] for w in words if w}
+
+
 def test_coxeter_complex():
     c1 = coxeter.coxeter_complex(coxeter.A1)
     assert c1.n == 2 and len(c1.panels[1]) == 1

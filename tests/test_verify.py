@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from chambers import catalog, chamber, coxeter, verify
-from chambers.errors import NoSuchW
+from chambers.errors import ChambersError, Disconnected, NoSuchW
 
 
 def test_w_distance_thin():
@@ -44,15 +46,112 @@ def test_w_distance_violation_carries_sets():
     assert hit
 
 
-def test_w_distance_report():
+def test_w_distance_every_pair():
     fano = catalog.build_fano_flags()
-    rep = verify.w_distance_report(fano, coxeter.A2)
-    assert len(rep) == 21 * 21
-    assert all(isinstance(v, coxeter.WElement) for v in rep.values())
+    assert all(isinstance(verify.w_distance(fano, coxeter.A2, x, y), coxeter.WElement)
+               for x in range(21) for y in range(21))
     neu, _ = catalog.build_neumaier_a7()
     small, _ = chamber.sub_system(neu, neu.residue((1, 2), 0).chambers, (1, 2))
-    rep = verify.w_distance_report(small, coxeter.A2)
-    assert all(isinstance(v, coxeter.WElement) for v in rep.values())
+    assert verify.is_building(small, coxeter.A2)[1]["pairs_checked"] == small.n ** 2
+    assert all(isinstance(verify.w_distance(small, coxeter.A2, x, y), coxeter.WElement)
+               for x in range(small.n) for y in range(small.n))
+    two = chamber.from_partitions(2, 2, {1: [(0,), (1,)], 2: [(0,), (1,)]})
+    with pytest.raises(Disconnected):
+        verify.w_distance(two, coxeter.A2, 0, 1)
+
+
+def _central_quotient(M):
+    table = coxeter.enumerate_group(M)
+    C = coxeter.complex_from_table(table)
+    w0 = table.longest_id()
+    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
+    return chamber.quotient(C, [auto])[0]
+
+
+def _random_system(rng):
+    """A random rank-2 or rank-3 system on at most 12 chambers, with panels
+    of one to three chambers, and a finite matrix: the inferred one where
+    there is one, else a random one of the same rank."""
+    rank = rng.choice((2, 3))
+    n = rng.randrange(1, 13)
+    partitions = {}
+    for i in range(1, rank + 1):
+        cs = rng.sample(range(n), n)
+        partitions[i] = []
+        while cs:
+            size = rng.choice((1, 2, 2, 3))
+            partitions[i].append(cs[:size])
+            cs = cs[size:]
+    C = chamber.from_partitions(n, rank, partitions)
+    try:
+        M = chamber.infer_type_matrix(C)
+        if coxeter.is_finite(M):
+            return C, M
+    except ChambersError:
+        pass
+    if rank == 2:
+        return C, rng.choice((coxeter.A1xA1, coxeter.A2, coxeter.C2, coxeter.dihedral(6)))
+    return C, rng.choice((coxeter.A3, coxeter.C3, coxeter.H3))
+
+
+def test_w_distance_propagation_matches_type_sets():
+    # second engine: read every row off the minimal-gallery type sets
+    systems = [(catalog.build(name)["system"], None) for name in
+               ("fano", "gq22", "a3-f2", "neumaier-a7", "singer-quotient-z5")]
+    systems += [(coxeter.coxeter_complex(M), M) for M in (coxeter.A3, coxeter.C3, coxeter.H3)]
+    systems += [(_central_quotient(M), M) for M in (coxeter.C3, coxeter.H3)]
+    rng = random.Random(4)
+    systems += [_random_system(rng) for _ in range(300)]
+    propagated = fell_back = 0
+    for C, M in systems:
+        table = verify.group_table(M or chamber.infer_type_matrix(C))
+        lookup = {s: e for e, s in enumerate(table.reduced_word_sets())}
+        for x in range(C.n):
+            row, tsets = verify._w_distances_from(C, table, x)
+            types = C.minimal_type_sets_from(x)
+            assert row == [None if t is None else lookup.get(t) for t in types], (C, M, x)
+            # propagation gives up exactly when some type set is no element's
+            assert (tsets is None) == all(e is not None for e, t in zip(row, types) if t)
+            propagated += tsets is None
+            fell_back += tsets is not None
+    assert propagated > 1000 and fell_back > 1000
+
+
+def test_building_verdict_builds_no_type_sets(monkeypatch):
+    def refuse(self, x, cap=10 ** 4):
+        raise AssertionError("type sets built for a building")
+
+    a3 = catalog.build_a3_f2()
+    monkeypatch.setattr(chamber.ChamberSystem, "minimal_type_sets_from", refuse)
+    ok, report = verify.is_building(a3, coxeter.A3)
+    assert ok and report["pairs_checked"] == 315 * 315
+    assert verify.w_distance(a3, coxeter.A3, 0, 314).length <= 6
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_failure_reports_pinned():
+    # sha256 of the reports taken before the W-distance was propagated, when
+    # every pair was looked up by its minimal-gallery type set
+    neu, _ = catalog.build_neumaier_a7()
+    z5 = catalog.build("singer-quotient-z5")["system"]
+    cases = [
+        (neu, chamber.infer_type_matrix(neu), 315,
+         "a55a1f2bdcad0754b678f41fcd8c012f0be47d3b36b2219b8003119926d85363"),
+        (z5, chamber.infer_type_matrix(z5), 126,
+         "2e79006e338f5a988db687f764be702ebd80b40c821b6148278f25cc4ba38f72"),
+        (_central_quotient(coxeter.C3), coxeter.C3, 120,
+         "570504c6fa0f9cedba42a034f6dab6ea9306f5ffdf6141279c230f8575eb3b68"),
+        (catalog.build_fano_flags(), coxeter.C2, 84,
+         "5923329fc92d97a3572613a09ec7f3ad8d35c5b64f528d2e192827cd9b26d624"),
+    ]
+    for C, M, pairs, digest in cases:
+        ok, report = verify.is_building(C, M)
+        assert not ok and report["truncated"]
+        assert len(report["violations"]) == 25 and report["pairs_checked"] == pairs
+        assert _digest(report) == digest
 
 
 def test_is_building_catalog():
@@ -194,8 +293,8 @@ def test_central_quotient_needs_gate_axiom():
     Q, proj = chamber.quotient(C, [tuple(range(48)), auto])
     assert Q.n == 24
 
-    wrep = verify.w_distance_report(Q, coxeter.C3)
-    assert all(isinstance(v, coxeter.WElement) for v in wrep.values())
+    assert all(isinstance(verify.w_distance(Q, coxeter.C3, x, y), coxeter.WElement)
+               for x in range(24) for y in range(24))
     ok, rep = verify.is_building(Q, coxeter.C3)
     assert not ok
     assert {v["kind"] for v in rep["violations"]} == {"no-gate"}
