@@ -25,6 +25,9 @@ from .errors import (
 )
 
 
+_TYPE_SET_CAP = 10 ** 4      # type words per chamber; past it, is_building's type-set-budget
+
+
 class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
         self.n = int(n)
@@ -171,7 +174,7 @@ class ChamberSystem:
             c = p
         return TypedGallery(tuple(reversed(chambers)), tuple(reversed(types)))
 
-    def minimal_type_sets_from(self, x, cap=10 ** 4):
+    def minimal_type_sets_from(self, x):
         """For every chamber y, the set of type words of minimal galleries
         x -> y.  Unreachable chambers get None."""
         adj = self.adjacency()
@@ -194,13 +197,14 @@ class ChamberSystem:
                 if dist.get(u) == dc - 1:
                     for w in tsets[u]:
                         words.add(w + (i,))
-                        if len(words) > cap:
-                            raise BudgetExceeded(f"minimal-gallery type set exceeded {cap}")
+                        if len(words) > _TYPE_SET_CAP:
+                            raise BudgetExceeded(
+                                f"minimal-gallery type set exceeded {_TYPE_SET_CAP}")
             tsets[c] = words
         return [frozenset(t) if t is not None else None for t in tsets]
 
-    def minimal_gallery_types(self, x, y, cap=10 ** 4):
-        tsets = self.minimal_type_sets_from(x, cap=cap)
+    def minimal_gallery_types(self, x, y):
+        tsets = self.minimal_type_sets_from(x)
         if tsets[y] is None:
             raise Disconnected(f"no gallery from {x} to {y}")
         return tsets[y]
@@ -256,12 +260,11 @@ class TypedGallery:
         return TypedGallery(tuple(chambers), tuple(types))
 
 
-def validate_gallery(C, gal, allow_stutter=True):
+def validate_gallery(C, gal):
+    """Every step stays inside a panel of its type; stutters are allowed."""
     for (c, d), i in zip(zip(gal.chambers, gal.chambers[1:]), gal.types):
         if C.panel_id(i, c) != C.panel_id(i, d):
             raise ValueError(f"step {c}->{d} is not inside a type-{i} panel")
-        if not allow_stutter and c == d:
-            raise ValueError("stuttering step")
     return True
 
 

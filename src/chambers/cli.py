@@ -152,7 +152,7 @@ def cmd_coxeter(args):
     M = coxeter.matrix_from_json(_load_json(args.matrix))
     if args.order:
         try:
-            table = verify.group_table(M)
+            table = coxeter.group_table(M)
         except ChambersError as exc:
             _emit({"error": type(exc).__name__, "detail": str(exc)})
             return 1

@@ -8,6 +8,7 @@ frontier chamber is lifted whole and closed up, merging gallery classes
 exactly when the covering axioms force it.
 """
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -229,6 +230,8 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     """Universal 2-cover of a connected system, chambers being homotopy
     classes of galleries from c0.  Truncation at max_chambers is reported,
     never silent."""
+    if not 0 <= c0 < C.n:
+        raise ValueError(f"base chamber {c0} outside 0..{C.n - 1}")
     if not C.is_connected():
         raise Disconnected("universal cover requires a connected base")
     if C.rank < 2:
@@ -237,13 +240,7 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     g.run()
     if g.truncated:
         return CoverResult(None, c0, True, (), False, -1)
-    nodes = range(len(g.proj))
-    rep_min = {}
-    for nd in nodes:
-        r = g.find(nd)
-        if r not in rep_min:
-            rep_min[r] = nd
-    roots = sorted(rep_min, key=lambda r: rep_min[r])
+    roots = list(dict.fromkeys(g.find(nd) for nd in range(len(g.proj))))  # by least member
     dense = {r: i for i, r in enumerate(roots)}
     n = len(roots)
     partitions = {}
@@ -260,11 +257,8 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     ok, diag = is_covering(p)
     if not ok:
         raise NotCovering(f"universal cover failed its own covering check: {diag}")
-    root = dense[g.find(g.root0)]
-    deck, regular = ((), False)
-    if with_deck:
-        deck, regular = deck_transformations(p)
-    return CoverResult(p, c0, False, tuple(deck), regular, root)
+    deck, regular = deck_transformations(p) if with_deck else ((), False)
+    return CoverResult(p, c0, False, tuple(deck), regular, dense[g.find(g.root0)])
 
 
 def deck_transformations(p):
@@ -279,8 +273,8 @@ def deck_transformations(p):
     fiber = [x for x in range(cover.n) if mp[x] == b0]
     autos = []
     for f in fiber:
-        phi = _extend_over_base(cover, mp, anchor, f)
-        if phi is not None:
+        phi = _extend_commuting(cover, mp, cover, mp, anchor, f)
+        if phi is not None and len(set(phi)) == cover.n:
             autos.append(phi)
     regular = len(autos) == len(fiber)
     return autos, regular
@@ -316,13 +310,6 @@ def _extend_commuting(A, mpA, B, mpB, a0, b0):
     if len(f) != A.n:
         return None
     return tuple(f[c] for c in range(A.n))
-
-
-def _extend_over_base(cover, mp, a0, b0):
-    phi = _extend_commuting(cover, mp, cover, mp, a0, b0)
-    if phi is None or len(set(phi)) != cover.n:
-        return None
-    return phi
 
 
 def covering_between(p, q):
@@ -381,23 +368,19 @@ def elementary_homotopic(C, g1, g2):
     return C.rank >= 2
 
 
-def _ucover_cached(C, c0, max_chambers):
-    cache = C.__dict__.setdefault("_ucover_cache", {})
-    hit = cache.get(c0)
-    if hit is None or hit.truncated:
-        hit = universal_cover(C, c0, max_chambers=max_chambers, with_deck=False)
-        cache[c0] = hit
-    return hit
+# per system, its complete universal cover at chamber 0 as (cover, chamber
+# map): nothing in an entry refers to its system, so the entry dies with it
+_COVERS = weakref.WeakKeyDictionary()
 
 
 def homotopic(C, g1, g2, budget=10 ** 5):
     """Whether two galleries with the same extremities are homotopic.
 
-    Decided by lifting both galleries into the universal cover based at
-    their common start: chambers of that cover are exactly the homotopy
-    classes, so the galleries are homotopic iff their lifts share an
-    endpoint.  Raises BudgetExceeded if the cover cannot be built within
-    `budget` chambers (undecided, distinct from False).
+    Decided by lifting both galleries from one cover chamber over their
+    common start: the universal cover is simply 2-connected, so the
+    galleries are homotopic iff their lifts share an endpoint.  The cover is
+    built once per system.  Raises BudgetExceeded if it cannot be built
+    within `budget` chambers (undecided, distinct from False).
     """
     validate_gallery(C, g1)
     validate_gallery(C, g2)
@@ -405,12 +388,16 @@ def homotopic(C, g1, g2, budget=10 ** 5):
     g2 = g2.normalized()
     if g1.start != g2.start or g1.end != g2.end:
         raise ValueError("homotopy is defined for galleries with equal extremities")
-    res = _ucover_cached(C, g1.start, budget)
-    if res.truncated:
-        raise BudgetExceeded(f"universal cover exceeded {budget} chambers; homotopy undecided")
-    lift1 = lift_gallery(res.covering, g1, res.root)
-    lift2 = lift_gallery(res.covering, g2, res.root)
-    return lift1.end == lift2.end
+    hit = _COVERS.get(C)
+    if hit is None:
+        res = universal_cover(C, max_chambers=budget, with_deck=False)
+        if res.truncated:
+            raise BudgetExceeded(f"universal cover exceeded {budget} chambers; homotopy undecided")
+        hit = _COVERS[C] = (res.covering.cover, res.covering.chamber_map)
+    cover, chamber_map = hit
+    p = CoveringMap(cover, C, chamber_map)
+    start = chamber_map.index(g1.start)
+    return lift_gallery(p, g1, start).end == lift_gallery(p, g2, start).end
 
 
 def _segment_galleries(C, u, v, P, max_len):
@@ -431,10 +418,11 @@ def _segment_galleries(C, u, v, P, max_len):
     return out
 
 
-def homotopic_bfs(C, g1, g2, budget=10 ** 5, max_extra=4):
+def homotopic_bfs(C, g1, g2, budget=10 ** 5):
     """Bounded breadth-first search over the elementary-homotopy graph of
-    galleries.  Exact on small systems; meant for cross-validation of
-    homotopic().  True / False-by-exhaustion / BudgetExceeded."""
+    galleries, at most 4 steps longer than the longer input.  Exact on small
+    systems; meant for cross-validation of homotopic().
+    True / False-by-exhaustion / BudgetExceeded."""
     validate_gallery(C, g1)
     validate_gallery(C, g2)
     g1 = g1.normalized()
@@ -443,7 +431,7 @@ def homotopic_bfs(C, g1, g2, budget=10 ** 5, max_extra=4):
         raise ValueError("homotopy is defined for galleries with equal extremities")
     if g1 == g2:
         return True
-    max_len = max(len(g1), len(g2)) + max_extra
+    max_len = max(len(g1), len(g2)) + 4
     seen = {g1}
     frontier = [g1]
     pairs = list(combinations(C.types, 2))
@@ -480,7 +468,7 @@ def homotopic_bfs(C, g1, g2, budget=10 ** 5, max_extra=4):
 # the subgroup-lift covering construction
 
 
-def cover_from_lift(spec, pi, phi, cap=10 ** 6):
+def cover_from_lift(spec, pi, phi):
     """Covering of the coset system of `spec` built from a direct product
     with `pi` and per-type homomorphisms phi[i]: face_i -> pi agreeing on
     the principal subgroup.  Returns (cover system, covering map, connected).
@@ -504,7 +492,7 @@ def cover_from_lift(spec, pi, phi, cap=10 ** 6):
         for h in H.elements:
             if phi[i][h] != phi[t0][h]:
                 raise IncompatibleOnH(f"phi[{i}] and phi[{t0}] disagree on the principal subgroup")
-    Ghat = groups.direct_product(G, pi, cap=cap)
+    Ghat = groups.direct_product(G, pi)
     hatH = groups.Subgroup(Ghat, [groups.pair_perm(h, phi[t0][h]) for h in H.elements],
                            check=False)
     hat_faces = {}

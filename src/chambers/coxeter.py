@@ -321,33 +321,30 @@ class WElement:
         return not self.word
 
 
-def canonical(M, word, budget=DEFAULT_BUDGET):
-    return WElement(canonical_word(M, word, budget=budget))
+def canonical(M, word):
+    return WElement(canonical_word(M, word))
 
 
-def multiply(M, u, v, budget=DEFAULT_BUDGET):
-    return WElement(canonical_word(M, u.word + v.word, budget=budget))
+def multiply(M, u, v):
+    return WElement(canonical_word(M, u.word + v.word))
 
 
-def inverse(M, u, budget=DEFAULT_BUDGET):
-    return WElement(canonical_word(M, tuple(reversed(u.word)), budget=budget))
+def inverse(M, u):
+    return WElement(canonical_word(M, tuple(reversed(u.word))))
 
 
-def reduced_words(M, w, budget=DEFAULT_BUDGET):
+def reduced_words(M, w):
     """All reduced words of w: the braid-move closure of its canonical word."""
-    if isinstance(w, WElement):
-        word = w.word
-    else:
-        word = canonical_word(M, w, budget=budget)
-    cls, shorter = braid_class(M, word, budget=budget)
+    word = w.word if isinstance(w, WElement) else canonical_word(M, w)
+    cls, shorter = braid_class(M, word)
     if shorter is not None:
         raise ValueError(f"word {word} is not reduced")
     return cls
 
 
-def is_reduced(M, word, budget=DEFAULT_BUDGET):
+def is_reduced(M, word):
     word = _check_word(M, word)
-    return len(canonical_word(M, word, budget=budget)) == len(word)
+    return len(canonical_word(M, word)) == len(word)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +394,14 @@ class CoxeterGroupTable:
     def longest_id(self):
         return max(range(self.order), key=lambda e: (len(self.elements[e]), self.elements[e]))
 
-    def reduced_word_sets(self, budget=DEFAULT_BUDGET):
+    def reduced_word_sets(self):
         """Per element, the frozenset of all its reduced words."""
         if self._rwsets is None:
-            self._rwsets = [reduced_words(self.matrix, WElement(w), budget=budget)
-                            for w in self.elements]
+            self._rwsets = [reduced_words(self.matrix, WElement(w)) for w in self.elements]
         return self._rwsets
 
 
-def enumerate_group(M, cap=10 ** 6, budget=DEFAULT_BUDGET):
+def enumerate_group(M, cap=10 ** 6):
     """Enumerate W(M) breadth-first by length.  Refuses infinite groups."""
     if not is_finite(M):
         raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
@@ -417,7 +413,7 @@ def enumerate_group(M, cap=10 ** 6, budget=DEFAULT_BUDGET):
         # braid class of a reduced word (no deletions can occur)
         cls = classcache.get(word)
         if cls is None:
-            cls, shorter = braid_class(M, word, budget=budget)
+            cls, shorter = braid_class(M, word)
             assert shorter is None
             classcache[word] = cls
         return cls
@@ -461,6 +457,17 @@ def enumerate_group(M, cap=10 ** 6, budget=DEFAULT_BUDGET):
     return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
 
 
+_TABLE_CACHE = {}
+
+
+def group_table(M):
+    """The table of W(M), enumerated once per matrix and shared by every caller."""
+    table = _TABLE_CACHE.get(M)
+    if table is None:
+        table = _TABLE_CACHE[M] = enumerate_group(M)
+    return table
+
+
 def complex_from_table(table):
     """Thin chamber system on an enumerated W(M); chamber ids equal table ids."""
     from .chamber import ChamberSystem
@@ -477,7 +484,7 @@ def complex_from_table(table):
     return ChamberSystem(n, M.rank, partitions, labels=table.elements)
 
 
-def coxeter_complex(M, cap=10 ** 6):
+def coxeter_complex(M):
     """The thin chamber system on W(M): chambers are elements, the i-panel
     of w is {w, w * r_i}."""
-    return complex_from_table(enumerate_group(M, cap=cap))
+    return complex_from_table(group_table(M))

@@ -105,9 +105,9 @@ def symmetric_group(n, cap=DEFAULT_CAP):
     return group_from_generators(gens, cap=cap)
 
 
-def alternating_group(n, cap=DEFAULT_CAP):
+def alternating_group(n):
     gens = [perm_from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)] or [identity(n)]
-    return group_from_generators(gens, cap=cap)
+    return group_from_generators(gens)
 
 
 class Subgroup:
@@ -142,9 +142,8 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-def subgroup_generated(parent, gens, cap=None):
-    cap = cap if cap is not None else parent.order
-    elems = close(parent.degree, [tuple(g) for g in gens], cap)
+def subgroup_generated(parent, gens):
+    elems = close(parent.degree, [tuple(g) for g in gens], parent.order)
     for g in elems:
         if g not in parent:
             raise NotSubgroup("generated subgroup escapes parent")
@@ -230,7 +229,7 @@ def is_free_action(H, points, action):
     return free
 
 
-def direct_product(G1, G2, cap=10 ** 6):
+def direct_product(G1, G2):
     """G1 x G2 acting on the disjoint union of the two domains."""
     d1, d2 = G1.degree, G2.degree
 
@@ -241,7 +240,7 @@ def direct_product(G1, G2, cap=10 ** 6):
         return tuple(range(d1)) + tuple(d1 + x for x in g)
 
     gens = [embed1(g) for g in G1.generators] + [embed2(g) for g in G2.generators]
-    G = group_from_generators(gens, cap=cap)
+    G = group_from_generators(gens, cap=10 ** 6)
     assert G.order == G1.order * G2.order
     return G
 
@@ -256,5 +255,5 @@ def group_to_json(G):
     return {"degree": G.degree, "generators": [list(g) for g in G.generators]}
 
 
-def group_from_json(obj, cap=DEFAULT_CAP):
-    return group_from_generators([tuple(g) for g in obj["generators"]], cap=cap)
+def group_from_json(obj):
+    return group_from_generators([tuple(g) for g in obj["generators"]])

@@ -4,7 +4,7 @@ checks: point/line axiom (LL), the isotropy-containment criterion, shadows."""
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import groups
+from . import coxeter, groups
 from .chamber import (
     chamber_vertices,
     from_cosets,
@@ -13,7 +13,6 @@ from .chamber import (
     polygon_parameter,
     sub_system,
 )
-from .coxeter import enumerate_group
 from .errors import (
     BudgetExceeded,
     Disconnected,
@@ -23,14 +22,10 @@ from .errors import (
     ResidueNotPolygon,
 )
 
-_TABLE_CACHE = {}
+# coxeter's table memo, under the name perfbench/workloads.py::clear_caches
+# uses to reset it between benchmark runs.
+_TABLE_CACHE = coxeter._TABLE_CACHE
 _MAX_VIOLATIONS = 25
-
-
-def group_table(M):
-    if M not in _TABLE_CACHE:
-        _TABLE_CACHE[M] = enumerate_group(M)
-    return _TABLE_CACHE[M]
 
 
 def _w_distances_from(C, table, x):
@@ -75,7 +70,7 @@ def _w_distances_from(C, table, x):
 def w_distance(C, M, x, y):
     """The W-element whose reduced words are exactly the minimal-gallery
     types from x to y; raises NoSuchW (with both sets) otherwise."""
-    table = group_table(M)
+    table = coxeter.group_table(M)
     delta, tsets = _w_distances_from(C, table, x)
     if delta[y] is not None:
         return table.element(delta[y])
@@ -135,7 +130,7 @@ def is_building(C, M=None, budget=2000):
                 add({"kind": "bad-residue", "types": [i, j], "chamber": res.chambers[0],
                      "expected": want, "got": m})
                 ok = False
-    table = group_table(M)
+    table = coxeter.group_table(M)
     lengths = [len(w) for w in table.elements]
     for x in range(C.n):
         if report["truncated"]:

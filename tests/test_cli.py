@@ -88,6 +88,14 @@ def test_cover_truncated(capsys, tmp_path):
     assert code == 1 and json.loads(out)["truncated"] is True
 
 
+def test_cover_base_chamber_out_of_range(capsys, tmp_path):
+    f = tmp_path / "fano.json"
+    run(capsys, "build", "fano", "--out", str(f))
+    for base in ("99", "-1"):
+        code, out, err = run(capsys, "cover", str(f), "--base-chamber", base)
+        assert code == 2 and out == "" and "input error" in err
+
+
 def test_quotient_cli(capsys, tmp_path):
     f = tmp_path / "a3.json"
     run(capsys, "build", "a3-f2", "--out", str(f))

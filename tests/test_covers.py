@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -383,12 +385,49 @@ def test_homotopic_distinguishes_classes():
 
 
 def test_homotopic_budget():
-    a3 = catalog.build_a3_f2()
-    a3.__dict__.pop("_ucover_cache", None)
+    # a freshly loaded system, so no cover is kept for it yet
+    a3 = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
     g = TypedGallery((0,), ())
     with pytest.raises(BudgetExceeded):
         covers.homotopic(a3, g, g, budget=10)
-    a3.__dict__.pop("_ucover_cache", None)
+
+
+def test_homotopic_one_cover_lifted_from_any_start(monkeypatch):
+    # one cover based at chamber 0 answers like a cover based at each start
+    quot = catalog.build("singer-quotient-z5")["system"]
+    C = chamber.system_from_json(chamber.system_to_json(quot))
+    rng = random.Random(14)
+    queries = []
+    for start in (5, 17, 33, 62):
+        res = covers.universal_cover(C, c0=start, with_deck=False)
+        for _ in range(20):
+            g1 = random_gallery(C, start, rng.randint(2, 12), rng)
+            g2 = C.min_gallery(start, g1.end)
+            ends = {covers.lift_gallery(res.covering, g, res.root).end for g in (g1, g2)}
+            queries.append((g1, g2, len(ends) == 1))
+    built = []
+    universal_cover = covers.universal_cover
+
+    def counting(system, *args, **kwargs):
+        built.append(system)
+        return universal_cover(system, *args, **kwargs)
+
+    monkeypatch.setattr(covers, "universal_cover", counting)
+    assert [covers.homotopic(C, g1, g2) for g1, g2, _ in queries] == [h for *_, h in queries]
+    assert any(not h for *_, h in queries)
+    assert built == [C]
+
+
+def test_homotopic_cover_dies_with_its_system():
+    C = chamber.system_from_json(chamber.system_to_json(catalog.build_fano_flags()))
+    g = TypedGallery((0,), ())
+    kept = len(covers._COVERS)
+    assert covers.homotopic(C, g, g)
+    assert len(covers._COVERS) == kept + 1
+    ref = weakref.ref(C)
+    del C
+    gc.collect()
+    assert ref() is None and len(covers._COVERS) == kept
 
 
 def test_homotopic_rejects_mismatched_extremities():

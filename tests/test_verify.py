@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chambers import catalog, chamber, coxeter, verify
+from chambers import catalog, chamber, cli, coxeter, verify
 from chambers.errors import ChambersError, Disconnected, NoSuchW
 
 
@@ -104,7 +104,7 @@ def test_w_distance_propagation_matches_type_sets():
     systems += [_random_system(rng) for _ in range(300)]
     propagated = fell_back = 0
     for C, M in systems:
-        table = verify.group_table(M or chamber.infer_type_matrix(C))
+        table = coxeter.group_table(M or chamber.infer_type_matrix(C))
         lookup = {s: e for e, s in enumerate(table.reduced_word_sets())}
         for x in range(C.n):
             row, tsets = verify._w_distances_from(C, table, x)
@@ -118,7 +118,7 @@ def test_w_distance_propagation_matches_type_sets():
 
 
 def test_building_verdict_builds_no_type_sets(monkeypatch):
-    def refuse(self, x, cap=10 ** 4):
+    def refuse(self, x):
         raise AssertionError("type sets built for a building")
 
     a3 = catalog.build_a3_f2()
@@ -126,6 +126,28 @@ def test_building_verdict_builds_no_type_sets(monkeypatch):
     ok, report = verify.is_building(a3, coxeter.A3)
     assert ok and report["pairs_checked"] == 315 * 315
     assert verify.w_distance(a3, coxeter.A3, 0, 314).length <= 6
+
+
+def test_one_table_per_matrix(monkeypatch, tmp_path, capsys):
+    # the benchmark resets the memo through verify's name for it
+    assert verify._TABLE_CACHE is coxeter._TABLE_CACHE
+    calls = []
+    enumerate_group = coxeter.enumerate_group
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        return enumerate_group(M, *args, **kwargs)
+
+    monkeypatch.setattr(coxeter, "_TABLE_CACHE", {})
+    monkeypatch.setattr(coxeter, "enumerate_group", counting)
+    C = coxeter.coxeter_complex(coxeter.H3)
+    ok, _ = verify.is_building(C, coxeter.H3)
+    assert ok and verify.w_distance(C, coxeter.H3, 0, C.n - 1).length == 15
+    mfile = tmp_path / "h3.json"
+    mfile.write_text(json.dumps(coxeter.matrix_to_json(coxeter.H3)))
+    assert cli.main(["coxeter", "--matrix", str(mfile), "--order"]) == 0
+    assert capsys.readouterr().out == "120\n"
+    assert calls == [coxeter.H3]
 
 
 def _digest(report):
