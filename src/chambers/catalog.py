@@ -154,7 +154,8 @@ def build_a3_f2(model="flags"):
         C = from_cosets(a3_f2_spec())
         assert C.n == 315
         return C
-    assert model == "flags"
+    if model != "flags":
+        raise ValueError(f"unknown model {model!r}; expected 'flags' or 'cosets'")
     pts = range(1, 16)
     lines = subspaces(4, 2)
     planes = subspaces(4, 3)

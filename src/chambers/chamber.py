@@ -32,6 +32,10 @@ class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
         self.n = int(n)
         self.rank = int(rank)
+        if self.n < 0 or self.rank < 0:
+            raise PartitionNotCovering(f"negative chamber count {self.n} or rank {self.rank}")
+        if not set(partitions) <= set(range(1, self.rank + 1)):
+            raise PartitionNotCovering(f"a partition type lies outside 1..{self.rank}")
         pans = {}
         for i in range(1, self.rank + 1):
             if i not in partitions:
@@ -484,28 +488,36 @@ def chamber_vertices(C):
     return [tuple(maps[t][c] for t in range(C.rank)) for c in range(C.n)]
 
 
-def is_simplicial(C, budget=2000):
+def is_simplicial(C):
     """Whether the system is a simplicial complex: chambers are determined
     by their vertex tuples, and any two chambers sharing vertex types S lie
-    in a common (I minus S)-residue.  Returns (bool, witness)."""
-    if C.n > budget:
-        raise BudgetExceeded(f"{C.n} chambers exceeds pair-scan budget {budget}")
+    in a common (I minus S)-residue.  Returns (bool, witness).
+
+    One pass per S with 2 <= |S| < rank groups the chambers by S-vertices.
+    A group spanning two (I minus S)-residues fails, and so do those pairs
+    for the exact types they share, whose residues are finer.  The witness
+    is the least failing pair.  |S| = 1 is vacuous: the type-t vertex is
+    the (I minus t)-residue."""
     verts = chamber_vertices(C)
     seen = {}
     for c, v in enumerate(verts):
         if v in seen:
             return False, ("duplicate-vertices", seen[v], c)
         seen[v] = c
-    full = frozenset(C.types)
-    for x, y in combinations(range(C.n), 2):
-        S = frozenset(i for t, i in enumerate(C.types) if verts[x][t] == verts[y][t])
-        if not S:
-            continue
-        J = full - S
-        comp = C.component_map(J)
-        if comp[x] != comp[y]:
-            return False, ("no-common-face", x, y, tuple(sorted(S)))
-    return True, None
+    fails = []
+    for k in range(2, C.rank):
+        for S in combinations(C.types, k):
+            comp = C.component_map(set(C.types) - set(S))
+            first = {}
+            for c, v in enumerate(verts):
+                x = first.setdefault(tuple(v[i - 1] for i in S), c)
+                if comp[x] != comp[c]:
+                    fails.append((x, c))
+    if not fails:
+        return True, None
+    x, y = min(fails)
+    S = tuple(i for i in C.types if verts[x][i - 1] == verts[y][i - 1])
+    return False, ("no-common-face", x, y, S)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ def cmd_build(args):
 
 def cmd_check(args):
     C = chamber.system_from_json(_load_json(args.file))
+    given = [t for t in (args.points, args.lines) if t is not None]
+    if args.ll and (len(set(given)) < len(given) or not set(given) <= set(C.types)):
+        print(f"--points/--lines must be two different types in 1..{C.rank}", file=sys.stderr)
+        return 2
     verdict = {}
     failed = False
     try:
@@ -100,12 +104,12 @@ def cmd_check(args):
             verdict["ll"] = {"holds": holds, "witness": witness}
             failed |= not holds
     if args.c3:
-        ok, report = verify.is_c3_geometry(C, budget=args.budget)
+        ok, report = verify.is_c3_geometry(C)
         verdict["c3"] = ok
         verdict["c3_report"] = {k: v for k, v in report.items() if k != "witness"}
         failed |= not ok
     if args.simplicial:
-        ok, witness = chamber.is_simplicial(C, budget=args.budget)
+        ok, witness = chamber.is_simplicial(C)
         verdict["simplicial"] = ok
         verdict["simplicial_witness"] = witness if witness is None else list(map(str, witness))
         failed |= not ok
@@ -205,7 +209,8 @@ def make_parser():
     p.add_argument("--simplicial", action="store_true")
     p.add_argument("--points", type=int, help="point type for --ll on non-C3 systems")
     p.add_argument("--lines", type=int, help="line type for --ll on non-C3 systems")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=int, default=2000,
+                   help="chamber count above which --building refuses")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("cover", help="universal 2-cover")

@@ -249,11 +249,3 @@ def pair_perm(g, p):
     """The element (g, p) of a direct product, as a concatenated permutation."""
     d1 = len(g)
     return tuple(g) + tuple(d1 + x for x in p)
-
-
-def group_to_json(G):
-    return {"degree": G.degree, "generators": [list(g) for g in G.generators]}
-
-
-def group_from_json(obj):
-    return group_from_generators([tuple(g) for g in obj["generators"]])

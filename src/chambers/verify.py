@@ -291,42 +291,15 @@ def check_star(spec, point_type, line_type, geom=None, system=None):
     return True, None
 
 
-def residually_connected(C, geom=None):
-    """Every vertex residue induces a connected incidence structure on the
-    vertices incident to it (checked through shared chambers)."""
-    if geom is None:
-        geom = incidence_geometry(C)
-    for v in geom.vertices:
-        nbrs = geom.adjacency[v]
-        if not nbrs:
-            if C.rank > 1:
-                return False
-            continue
-        edges = {}
-        for c in geom.chambers_of(v):
-            others = [u for u in geom.chamber_vertices[c] if u != v]
-            for a, b in combinations(others, 2):
-                edges.setdefault(a, set()).add(b)
-                edges.setdefault(b, set()).add(a)
-        if set(edges) != set(nbrs):
-            return False
-        start = next(iter(nbrs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in edges.get(u, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != set(nbrs):
-            return False
-    return True
+def is_c3_geometry(C):
+    """Rank-3, connected, inferred type C3 up to relabeling, and simplicial.
+    Returns (bool, report).
 
-
-def is_c3_geometry(C, budget=2000):
-    """Rank-3, connected, inferred type C3 up to relabeling, residually
-    connected, and simplicial.  Returns (bool, report)."""
+    Residual connectedness (Buekenhout-Cohen, Diagram Geometry, ch. 3)
+    needs no check: in rank 3 the chambers of a vertex residue are
+    connected, and two of them in a common i-panel share their vertex of the
+    third type, so the vertices incident to a vertex are connected through
+    its chambers."""
     report = {}
     if C.rank != 3:
         report["reason"] = f"rank {C.rank} != 3"
@@ -344,10 +317,7 @@ def is_c3_geometry(C, budget=2000):
     if offdiag != [2, 3, 4]:
         report["reason"] = f"type matrix is not C3 up to relabeling (gonalities {offdiag})"
         return False, report
-    if not residually_connected(C):
-        report["reason"] = "not residually connected"
-        return False, report
-    simp, wit = is_simplicial(C, budget=budget)
+    simp, wit = is_simplicial(C)
     if not simp:
         report["reason"] = "not simplicial"
         report["witness"] = wit

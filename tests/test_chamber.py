@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import random
 
@@ -154,6 +156,109 @@ def test_is_simplicial():
     q = chamber.from_partitions(3, 2, {1: [(0, 1, 2)], 2: [(0, 1, 2)]})
     ok, wit = chamber.is_simplicial(q)
     assert not ok and wit[0] == "duplicate-vertices"
+
+
+def _pair_scan(C):
+    """Simpliciality by the quadratic pair scan: the reference for the
+    grouping pass of chamber.is_simplicial."""
+    verts = chamber.chamber_vertices(C)
+    seen = {}
+    for c, v in enumerate(verts):
+        if v in seen:
+            return False, ("duplicate-vertices", seen[v], c)
+        seen[v] = c
+    full = frozenset(C.types)
+    for x, y in itertools.combinations(range(C.n), 2):
+        S = frozenset(i for t, i in enumerate(C.types) if verts[x][t] == verts[y][t])
+        if S and C.component_map(full - S)[x] != C.component_map(full - S)[y]:
+            return False, ("no-common-face", x, y, tuple(sorted(S)))
+    return True, None
+
+
+def _central_quotient(M):
+    """The thin complex of M modulo its central longest element."""
+    table = coxeter.group_table(M)
+    w0 = table.longest_id()
+    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
+    return chamber.quotient(coxeter.coxeter_complex(M), [auto])[0]
+
+
+def _random_partitions(rng, rank, n):
+    """Each type cuts a shuffled chamber list into panels of 1-3 chambers."""
+    partitions = {}
+    for i in range(1, rank + 1):
+        order = rng.sample(range(n), n)
+        cuts = [0]
+        while cuts[-1] < n:
+            cuts.append(cuts[-1] + rng.randint(1, 3))
+        partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    return chamber.from_partitions(n, rank, partitions)
+
+
+def _random_flags(rng, rank, n, size):
+    """Chambers are distinct random tuples over range(size); the type-i panel
+    collects the tuples equal away from position i."""
+    flags = sorted({tuple(rng.randrange(size) for _ in range(rank)) for _ in range(n)})
+    partitions = {}
+    for i in range(1, rank + 1):
+        buckets = {}
+        for c, f in enumerate(flags):
+            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
+        partitions[i] = list(buckets.values())
+    return chamber.from_partitions(len(flags), rank, partitions)
+
+
+def test_is_simplicial_matches_pair_scan():
+    systems = [catalog.build(name)["system"] for name in (
+        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
+    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3)]
+    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3)]
+    rng = random.Random(20121205)
+    for _ in range(3000):
+        systems.append(_random_partitions(rng, rng.randint(2, 4), rng.randint(1, 12)))
+        systems.append(_random_flags(rng, rng.randint(2, 4), rng.randint(1, 30),
+                                     rng.randint(2, 4)))
+    kinds = collections.Counter()
+    for C in systems:
+        got = chamber.is_simplicial(C)
+        assert got == _pair_scan(C), C.panels
+        kinds[got[1][0] if got[1] else "simplicial"] += 1
+    assert min(kinds[k] for k in ("simplicial", "duplicate-vertices", "no-common-face")) >= 50
+
+
+def test_is_simplicial_no_common_face():
+    # a hexagon of chambers 0-1-2-3-4-5-0 with edge types 1,2,3,1,3,2;
+    # chambers 2 and 5 share their type-2 and type-3 vertices but no 1-panel
+    C = chamber.from_partitions(6, 3, {1: [(0, 1), (3, 4), (2,), (5,)],
+                                       2: [(1, 2), (0, 5), (3,), (4,)],
+                                       3: [(2, 3), (4, 5), (0,), (1,)]})
+    assert chamber.chamber_vertices(C)[2][1:] == chamber.chamber_vertices(C)[5][1:]
+    assert chamber.is_simplicial(C) == (False, ("no-common-face", 2, 5, (2, 3)))
+    # rank 4: chambers 0 and 1 are joined by galleries of types 141, 242 and
+    # 343 and share their type-1, type-2 and type-3 vertices, but no 4-panel;
+    # every other pair passes, so only the three-type grouping finds it
+    C = chamber.from_partitions(8, 4, {1: [(0, 2), (1, 3), (4,), (5,), (6,), (7,)],
+                                       2: [(0, 4), (1, 5), (2,), (3,), (6,), (7,)],
+                                       3: [(0, 6), (1, 7), (2,), (3,), (4,), (5,)],
+                                       4: [(2, 3), (4, 5), (6, 7), (0,), (1,)]})
+    assert chamber.is_simplicial(C) == (False, ("no-common-face", 0, 1, (1, 2, 3)))
+    assert _pair_scan(C) == chamber.is_simplicial(C)
+
+
+def test_is_simplicial_answers_past_2000_chambers():
+    # the 9,765 maximal flags (p, L, P, S) of PG(4,2); type i varies the i-th member
+    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
+    flags = [(p, a, b, c) for c, S in enumerate(solids) for b, P in enumerate(planes) if P <= S
+             for a, L in enumerate(lines) if L <= P for p in sorted(L)]
+    partitions = {}
+    for i in range(1, 5):
+        buckets = {}
+        for c, f in enumerate(flags):
+            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
+        partitions[i] = list(buckets.values())
+    C = chamber.from_partitions(len(flags), 4, partitions)
+    assert C.n == 9765
+    assert chamber.is_simplicial(C) == (True, None)
 
 
 def _fano_auto(fano, M):

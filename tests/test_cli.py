@@ -184,3 +184,24 @@ def test_coxeter_matrix_not_rows(capsys, tmp_path):
     matrix.write_text(json.dumps({"m": 3}))
     code, _, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
     assert code == 2 and "input error" in err
+
+
+def test_check_rejects_bad_counts_and_types(capsys, tmp_path):
+    system = tmp_path / "system.json"
+    for obj in ({"rank": 2, "n": -1, "panels": {"1": [], "2": []}},
+                {"rank": -1, "n": 0, "panels": {}},
+                {"rank": 1, "n": 2, "panels": {"1": [[0, 1]], "2": [[0], [1]]}}):
+        system.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(system), "--building")
+        assert code == 2 and out == "" and "PartitionNotCovering" in err
+
+
+def test_check_ll_rejects_bad_point_and_line_types(capsys, tmp_path):
+    f = tmp_path / "a3.json"
+    run(capsys, "build", "a3-f2", "--out", str(f))
+    for types in (("7", "9"), ("0", "2"), ("2", "2")):
+        code, out, err = run(capsys, "check", str(f), "--ll", "--points", types[0],
+                             "--lines", types[1])
+        assert code == 2 and out == "" and "--points/--lines" in err
+    code, out, _ = run(capsys, "check", str(f), "--ll", "--points", "1", "--lines", "2")
+    assert code == 0 and json.loads(out)["ll"]["holds"] is True

@@ -294,12 +294,6 @@ def test_is_c3_geometry():
     assert not verify.is_c3_geometry(fano)[0]
 
 
-def test_residually_connected():
-    neu, _ = catalog.build_neumaier_a7()
-    assert verify.residually_connected(neu)
-    assert verify.residually_connected(catalog.build_a3_f2())
-
-
 def test_central_quotient_needs_gate_axiom():
     # Quotienting the thin C3 complex by its central longest element gives a
     # 24-chamber thin C3 geometry in which every single pair still matches a
