@@ -32,8 +32,10 @@ class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
         self.n = int(n)
         self.rank = int(rank)
-        if self.n < 0 or self.rank < 0:
-            raise PartitionNotCovering(f"negative chamber count {self.n} or rank {self.rank}")
+        if self.n <= 0:
+            raise PartitionNotCovering(f"empty system: chamber count {self.n} is not positive")
+        if self.rank < 0:
+            raise PartitionNotCovering(f"negative rank {self.rank}")
         if not set(partitions) <= set(range(1, self.rank + 1)):
             raise PartitionNotCovering(f"a partition type lies outside 1..{self.rank}")
         pans = {}

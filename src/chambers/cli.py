@@ -69,6 +69,14 @@ def cmd_check(args):
         verdict["type"] = None
         verdict["type_matrix"] = None
         verdict["type_error"] = f"{type(exc).__name__}: {exc}"
+    if args.ll and M is not None and M.rank == 3:
+        try:
+            roles = verify.c3_roles(M)[:2]
+        except ValueError:
+            roles = (args.points, args.lines)
+        if None in roles:
+            print("--ll needs --points/--lines when the type is not C3-shaped", file=sys.stderr)
+            return 2
     if args.building:
         if M is None:
             verdict["building"] = False
@@ -83,16 +91,8 @@ def cmd_check(args):
             verdict["ll"] = {"holds": False, "error": "no rank-3 type matrix"}
             failed = True
         else:
-            try:
-                q, r, _ = verify.c3_roles(M)
-            except ValueError:
-                q, r = args.points, args.lines
-            if q is None or r is None:
-                print("--ll needs --points/--lines when the type is not C3-shaped",
-                      file=sys.stderr)
-                return 2
             geom = verify.incidence_geometry(C)
-            holds, witness = verify.check_LL(geom, q, r)
+            holds, witness = verify.check_LL(geom, *roles)
             if witness is not None:
                 def describe(v):
                     lab = geom.label(v)

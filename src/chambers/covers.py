@@ -2,10 +2,14 @@
 
 A 2-covering is a type-preserving surjection of chamber systems that maps
 every rank-2 residue isomorphically onto a rank-2 residue.  The universal
-cover is built by incremental residue gluing with union-find: panels of the
-cover are full copies of base panels, and each rank-2 residue incident to a
-frontier chamber is lifted whole and closed up, merging gallery classes
-exactly when the covering axioms force it.
+cover is built by incremental residue gluing with union-find.  A cover
+panel is one dict from the base panel's chambers to nodes, opened once and
+shared by all its members; merging two nodes pairs up their panels by base
+chamber.  Closing a rank-2 residue walks the base residue from one node,
+placing one node per base chamber: a panel opened on the walk takes the
+nodes already placed, and two nodes placed over one base chamber are
+merged, exactly as the covering axioms force.  A walk that merged nothing
+closes the residue for every chamber it placed.
 """
 
 import weakref
@@ -119,9 +123,10 @@ class _Gluer:
         self.proj = []
         self.parent = []
         self.rank_ = []
-        self.panels = []            # root -> {type: {base chamber: node}}
+        self.panels = []            # root -> {type: {base chamber: node}}, shared by the panel
         self.done = []              # root -> set of closed pairs
         self.live = 0
+        self.unions = 0
         self.truncated = False
         self.tasks = deque()
         self.root0 = self._new_node(c0)
@@ -153,24 +158,25 @@ class _Gluer:
             rx, ry = self.find(x), self.find(y)
             if rx == ry:
                 continue
-            assert self.proj[rx] == self.proj[ry], "glued chambers over different base chambers"
+            if self.proj[rx] != self.proj[ry]:
+                raise NotCovering("gluing merged chambers over different base chambers")
             if self.rank_[rx] < self.rank_[ry]:
                 rx, ry = ry, rx
             elif self.rank_[rx] == self.rank_[ry]:
                 self.rank_[rx] += 1
             self.parent[ry] = rx
             self.live -= 1
+            self.unions += 1
+            # both panels of a type copy one base panel: pair them up by base
+            # chamber, and re-point the members of ry's panel to rx's
             for t, mp_y in self.panels[ry].items():
-                mp_x = self.panels[rx].get(t)
-                if mp_x is None:
-                    self.panels[rx][t] = mp_y
-                else:
-                    for bch, nd in mp_y.items():
-                        nd2 = mp_x.get(bch)
-                        if nd2 is None:
-                            mp_x[bch] = nd
-                        elif self.find(nd2) != self.find(nd):
-                            pend.append((nd2, nd))
+                mp_x = self.panels[rx].setdefault(t, mp_y)
+                if mp_x is mp_y:
+                    continue
+                for bch, nd in mp_y.items():
+                    self.panels[self.find(nd)][t] = mp_x
+                    if self.find(mp_x[bch]) != self.find(nd):
+                        pend.append((mp_x[bch], nd))
             self.panels[ry] = None
             merged = self.done[rx] & self.done[ry]
             self.done[rx] = merged
@@ -179,44 +185,41 @@ class _Gluer:
                 if P not in merged:
                     self.tasks.append((rx, P))
 
-    def get_panel(self, x, t):
+    def get_panel(self, x, t, slot):
+        """The type-t panel of x.  Opened on first use, it takes the walk's
+        `slot` chamber over each base chamber where that chamber has no
+        t-panel yet, and a new node elsewhere."""
         rx = self.find(x)
         mp = self.panels[rx].get(t)
         if mp is None:
-            b = self.proj[rx]
             mp = {}
-            for bch in self.base.panel_of(t, b):
-                mp[bch] = rx if bch == b else self._new_node(bch)
-            self.panels[self.find(rx)][t] = mp
+            for bch in self.base.panel_of(t, self.proj[rx]):
+                nd = slot.get(bch)
+                if nd is None or t in self.panels[self.find(nd)]:
+                    nd = self._new_node(bch)
+                mp[bch] = nd
+            for nd in mp.values():
+                self.panels[self.find(nd)][t] = mp
         return mp
 
     def close_residue(self, x, P):
         rx = self.find(x)
         if P in self.done[rx]:
             return
-        i, j = P
-        comp = self.base.component_map(P)
-        b0 = self.proj[rx]
-        slot = {b0: rx}
-        queue = [b0]
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi]
-            qi += 1
-            ny = slot[y]
-            for t in (i, j):
-                mp = self.get_panel(ny, t)
-                for z, nz in list(mp.items()):
-                    if z == y:
-                        continue
-                    assert comp[z] == comp[b0]
-                    if z in slot:
-                        if self.find(slot[z]) != self.find(nz):
-                            self.union(slot[z], nz)
-                    else:
+        unions = self.unions
+        slot = {self.proj[rx]: rx}
+        queue = [self.proj[rx]]
+        for y in queue:
+            for t in P:
+                for z, nz in self.get_panel(slot[y], t, slot).items():
+                    if z not in slot:
                         slot[z] = nz
                         queue.append(z)
-        self.done[self.find(rx)].add(P)
+                    elif self.find(slot[z]) != self.find(nz):
+                        self.union(slot[z], nz)
+        # a walk without unions found the residue closed, from any of its chambers
+        for nd in (slot.values() if self.unions == unions else (rx,)):
+            self.done[self.find(nd)].add(P)
 
     def run(self):
         while self.tasks:
@@ -248,7 +251,8 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
         panels = set()
         for r in roots:
             mp = g.panels[r].get(t)
-            assert mp is not None, "panel missing after closure"
+            if mp is None:
+                raise NotCovering(f"type-{t} panel missing after closure")
             panels.add(tuple(sorted({dense[g.find(nd)] for nd in mp.values()})))
         partitions[t] = sorted(panels)
     cover = ChamberSystem(n, C.rank, partitions)

@@ -205,3 +205,26 @@ def test_check_ll_rejects_bad_point_and_line_types(capsys, tmp_path):
         assert code == 2 and out == "" and "--points/--lines" in err
     code, out, _ = run(capsys, "check", str(f), "--ll", "--points", "1", "--lines", "2")
     assert code == 0 and json.loads(out)["ll"]["holds"] is True
+
+
+def test_check_ll_refused_before_any_check(capsys, tmp_path, monkeypatch):
+    # a3-f2 has rank-3 type A3, not C3-shaped: --ll needs --points/--lines,
+    # and the refusal comes before the building check runs
+    f = tmp_path / "a3.json"
+    run(capsys, "build", "a3-f2", "--out", str(f))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("is_building ran")
+
+    monkeypatch.setattr(cli.verify, "is_building", refuse)
+    code, out, err = run(capsys, "check", str(f), "--building", "--ll")
+    assert code == 2 and out == ""
+    assert err == "--ll needs --points/--lines when the type is not C3-shaped\n"
+
+
+def test_check_rejects_empty_system(capsys, tmp_path):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"rank": 3, "n": 0, "panels": {"1": [], "2": [], "3": []}}))
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2 and out == ""
+    assert "PartitionNotCovering" in err and "empty system" in err

@@ -1,4 +1,6 @@
+import collections
 import gc
+import itertools
 import random
 import weakref
 
@@ -249,6 +251,237 @@ def test_homotopy_invariance_of_lifting():
             assert l1.end == l2.end
         elif l1.end != l2.end:
             assert not hom
+
+
+# ---------------------------------------------------------------------------
+# the gluer against the panel-copying reference engine
+
+
+class _ReferenceGluer:
+    """The gluer as it was before panels were shared: each node opens its own
+    copy of every base panel it needs, and a residue walk closes its pair
+    only on the node it started from.  Same covers, many more nodes."""
+
+    def __init__(self, base, c0, max_chambers):
+        self.base = base
+        self.max = max_chambers
+        self.pairs = list(itertools.combinations(base.types, 2))
+        self.proj = []
+        self.parent = []
+        self.rank_ = []
+        self.panels = []
+        self.done = []
+        self.live = 0
+        self.truncated = False
+        self.tasks = collections.deque()
+        self.root0 = self._new_node(c0)
+
+    def _new_node(self, b):
+        nid = len(self.proj)
+        self.proj.append(b)
+        self.parent.append(nid)
+        self.rank_.append(0)
+        self.panels.append({})
+        self.done.append(set())
+        self.live += 1
+        if self.live > self.max:
+            self.truncated = True
+        for P in self.pairs:
+            self.tasks.append((nid, P))
+        return nid
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        pend = [(a, b)]
+        while pend:
+            x, y = pend.pop()
+            rx, ry = self.find(x), self.find(y)
+            if rx == ry:
+                continue
+            assert self.proj[rx] == self.proj[ry]
+            if self.rank_[rx] < self.rank_[ry]:
+                rx, ry = ry, rx
+            elif self.rank_[rx] == self.rank_[ry]:
+                self.rank_[rx] += 1
+            self.parent[ry] = rx
+            self.live -= 1
+            for t, mp_y in self.panels[ry].items():
+                mp_x = self.panels[rx].get(t)
+                if mp_x is None:
+                    self.panels[rx][t] = mp_y
+                else:
+                    for bch, nd in mp_y.items():
+                        nd2 = mp_x.get(bch)
+                        if nd2 is None:
+                            mp_x[bch] = nd
+                        elif self.find(nd2) != self.find(nd):
+                            pend.append((nd2, nd))
+            self.panels[ry] = None
+            merged = self.done[rx] & self.done[ry]
+            self.done[rx] = merged
+            self.done[ry] = None
+            for P in self.pairs:
+                if P not in merged:
+                    self.tasks.append((rx, P))
+
+    def get_panel(self, x, t):
+        rx = self.find(x)
+        mp = self.panels[rx].get(t)
+        if mp is None:
+            b = self.proj[rx]
+            mp = {}
+            for bch in self.base.panel_of(t, b):
+                mp[bch] = rx if bch == b else self._new_node(bch)
+            self.panels[self.find(rx)][t] = mp
+        return mp
+
+    def close_residue(self, x, P):
+        rx = self.find(x)
+        if P in self.done[rx]:
+            return
+        b0 = self.proj[rx]
+        slot = {b0: rx}
+        queue = [b0]
+        for y in queue:
+            for t in P:
+                for z, nz in list(self.get_panel(slot[y], t).items()):
+                    if z == y:
+                        continue
+                    if z in slot:
+                        if self.find(slot[z]) != self.find(nz):
+                            self.union(slot[z], nz)
+                    else:
+                        slot[z] = nz
+                        queue.append(z)
+        self.done[self.find(rx)].add(P)
+
+    def run(self):
+        while self.tasks:
+            if self.truncated:
+                return
+            x, P = self.tasks.popleft()
+            self.close_residue(x, P)
+
+
+_GLUER = covers._Gluer
+_A4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+_D4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+
+
+def _cover_by(monkeypatch, engine, C, c0, max_chambers=10 ** 6):
+    """Everything universal_cover answers with the given gluer engine, and
+    the gluer it ran."""
+    made = []
+
+    class Recorded(engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(covers, "_Gluer", Recorded)
+    res = covers.universal_cover(C, c0, max_chambers=max_chambers)
+    p = res.covering
+    answer = (res.truncated, res.root, res.deck, res.regular,
+              p and (p.chamber_map, p.cover.panels))
+    return answer, made[0]
+
+
+def _panels_shared(g):
+    """Each root's type-t panel holds the root over its own base chamber,
+    and the class of every member of the panel holds that same panel."""
+    roots = {g.find(x) for x in range(len(g.proj))}
+    return all(g.find(mp[g.proj[r]]) == r
+               and all(g.panels[g.find(nd)][t] is mp for nd in mp.values())
+               for r in roots for t, mp in g.panels[r].items())
+
+
+def _central_quotient(M):
+    """The thin complex of M modulo its central longest element."""
+    table = coxeter.group_table(M)
+    w0 = table.longest_id()
+    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
+    return chamber.quotient(coxeter.coxeter_complex(M), [auto])[0]
+
+
+def _flag_system(flags):
+    """Chambers are the given distinct tuples, in order; the type-i panel
+    collects the tuples equal away from position i."""
+    rank = len(flags[0])
+    partitions = {}
+    for i in range(1, rank + 1):
+        buckets = {}
+        for c, f in enumerate(flags):
+            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
+        partitions[i] = list(buckets.values())
+    return chamber.from_partitions(len(flags), rank, partitions)
+
+
+def _random_connected_system(rng):
+    """A connected system of rank 2-4: random partitions into panels of one
+    to three chambers, or a flag system on random tuples."""
+    while True:
+        rank = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            n = rng.randint(1, 5)
+            partitions = {}
+            for i in range(1, rank + 1):
+                order = rng.sample(range(n), n)
+                cuts = [0]
+                while cuts[-1] < n:
+                    cuts.append(cuts[-1] + rng.randint(1, 3))
+                partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+            C = chamber.from_partitions(n, rank, partitions)
+        else:
+            size = rng.randint(2, 3)
+            C = _flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
+                                     for _ in range(rng.randint(1, 12))}))
+        if C.is_connected():
+            return C
+
+
+def test_gluer_matches_reference_on_named_systems(monkeypatch):
+    systems = [catalog.build(name)["system"] for name in (
+        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
+    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3, _A4, _D4)]
+    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3, _D4)]
+    for C in systems:
+        for c0 in sorted({0, C.n // 2, C.n - 1}):
+            old, old_gluer = _cover_by(monkeypatch, _ReferenceGluer, C, c0)
+            new, gluer = _cover_by(monkeypatch, _GLUER, C, c0)
+            assert new == old and not new[0]
+            assert len(gluer.proj) < len(old_gluer.proj) and _panels_shared(gluer)
+
+
+def test_gluer_matches_reference_on_random_systems(monkeypatch):
+    rng = random.Random(20121205)
+    truncated = collections.Counter()
+    for _ in range(1000):
+        C = _random_connected_system(rng)
+        c0 = rng.randrange(C.n)
+        old, _ = _cover_by(monkeypatch, _ReferenceGluer, C, c0, max_chambers=2000)
+        new, gluer = _cover_by(monkeypatch, _GLUER, C, c0, max_chambers=2000)
+        assert new == old and _panels_shared(gluer), (C.panels, c0)
+        truncated[new[0]] += 1
+    assert truncated[True] >= 10 and truncated[False] >= 10
+
+
+def test_universal_cover_pg42(monkeypatch):
+    # the 9,765 maximal flags of PG(4,2), a building of type A4: simply
+    # 2-connected, so it is its own universal cover
+    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
+    C = _flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
+                      for L in lines if L <= P for p in sorted(L)])
+    (truncated, _, deck, regular, (chamber_map, _)), gluer = _cover_by(
+        monkeypatch, _GLUER, C, 0)
+    assert not truncated and len(chamber_map) == C.n == 9765
+    assert sorted(chamber_map) == list(range(C.n))
+    assert len(deck) == 1 and regular
+    assert len(gluer.proj) <= 2 * C.n
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,12 @@ def test_direct_product():
 
 def test_input_checks_survive_optimized_mode():
     # `python -O` strips asserts; the checks on caller input must not be asserts
+    # and the gluer's invariants raise NotCovering instead of asserting
     script = textwrap.dedent("""
         import sys
-        from chambers import catalog, groups
+        from chambers import catalog, covers, groups
         from chambers.chamber import TypedGallery
+        from chambers.errors import NotCovering
         rejected = 0
         for bad in (lambda: groups.perm_from_cycles(3, [(0, 1), (1, 2)]),
                     lambda: TypedGallery((0, 1), ()),
@@ -150,11 +152,22 @@ def test_input_checks_survive_optimized_mode():
                 bad()
             except ValueError:
                 rejected += 1
-        print(sys.flags.optimize, rejected)
+        fano = catalog.build_fano_flags()
+        cover = covers.universal_cover(fano).covering.cover
+        gluer = covers._Gluer(fano, 0, 100)
+        over_1 = gluer._new_node(1)
+        covers._Gluer.run = lambda self: None
+        for bad in (lambda: gluer.union(gluer.root0, over_1),
+                    lambda: covers.universal_cover(fano)):
+            try:
+                bad()
+            except NotCovering:
+                rejected += 1
+        print(sys.flags.optimize, rejected, cover.n)
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(chambers.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.split() == ["1", "3"]
+    assert out.split() == ["1", "5", "21"]
