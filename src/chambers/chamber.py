@@ -73,6 +73,7 @@ class ChamberSystem:
             self._panel_idx[i] = tuple(idx)
         self._adj = None
         self._comp_cache = {}
+        self._gon_cache = {}
 
     # --- basic queries ------------------------------------------------
 
@@ -103,11 +104,15 @@ class ChamberSystem:
     # --- residues -----------------------------------------------------
 
     def component_map(self, J):
-        """Component id per chamber under adjacency restricted to types J."""
+        """Component id per chamber under adjacency restricted to types J,
+        numbered in order of least member."""
         J = frozenset(J)
         cached = self._comp_cache.get(J)
         if cached is not None:
             return cached
+        for j in J:
+            if j not in self._panel_idx:
+                raise ValueError(f"type {j} out of range")
         comp = [None] * self.n
         cid = 0
         for start in range(self.n):
@@ -130,9 +135,6 @@ class ChamberSystem:
     def residue(self, J, c):
         """The J-residue through chamber c."""
         J = frozenset(int(j) for j in J)
-        for j in J:
-            if j not in self.types:
-                raise ValueError(f"type {j} out of range")
         comp = self.component_map(J)
         members = tuple(d for d in range(self.n) if comp[d] == comp[c])
         return Residue(J, members)
@@ -141,10 +143,20 @@ class ChamberSystem:
         """All J-residues, ordered by least member."""
         J = frozenset(J)
         comp = self.component_map(J)
-        buckets = {}
-        for c in range(self.n):
-            buckets.setdefault(comp[c], []).append(c)
-        return [Residue(J, tuple(v)) for _, v in sorted(buckets.items(), key=lambda kv: kv[1][0])]
+        buckets = [[] for _ in range(max(comp) + 1)]
+        for c, k in enumerate(comp):
+            buckets[k].append(c)
+        return [Residue(J, tuple(v)) for v in buckets]
+
+    def _residue_gonalities(self, i, j):
+        """Per {i,j}-residue, ordered by least member, (least chamber, m)
+        with the residue a generalized m-gon, or m None.  Cached."""
+        J = frozenset((i, j))
+        if J not in self._gon_cache:
+            self._gon_cache[J] = tuple(
+                (res.chambers[0], _gonality(*_panel_graph(self, res.chambers, i, j)))
+                for res in self.residues(J))
+        return self._gon_cache[J]
 
     def is_connected(self):
         if self.n == 0:
@@ -360,51 +372,57 @@ def from_cosets(spec):
 # rank-2 residues as generalized polygons
 
 
-def _incidence_graph(C):
-    """Bipartite panel graph of a rank-2 system: vertices are panels of the
-    two types, one edge per chamber.  Returns (adjacency dict, multi_edge)."""
-    assert C.rank == 2
-    adj = {}
-    seen_pairs = set()
-    multi = False
-    for c in range(C.n):
-        u = (1, C.panel_id(1, c))
-        v = (2, C.panel_id(2, c))
-        if (u, v) in seen_pairs:
+def _panel_graph(C, chambers, i, j):
+    """Integer adjacency lists of the type-i/type-j panel graph of a panel-closed
+    chamber set, an edge per chamber, and whether it has a multi-edge (kept once)."""
+    pi, pj = C._panel_idx[i], C._panel_idx[j]
+    vi, vj, adj, multi = {}, {}, [], False
+    for c in chambers:
+        u = vi.setdefault(pi[c], len(adj))
+        if u == len(adj):
+            adj.append([])
+        v = vj.setdefault(pj[c], len(adj))
+        if v == len(adj):
+            adj.append([])
+        if v in adj[u]:
             multi = True
-        seen_pairs.add((u, v))
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        else:
+            adj[u].append(v)
+            adj[v].append(u)
     return adj, multi
 
 
 def _girth_and_diameter(adj):
-    """(girth, diameter) of a simple graph by one breadth-first search per
-    vertex; None for no cycle, respectively for a disconnected graph."""
-    girth = None
-    diameter = 0
-    for s in adj:
-        dist = {s: 0}
-        parent = {s: None}
-        frontier = [s]
+    """(girth, diameter) of a bipartite graph, None for no cycle resp. a
+    disconnected graph, by one breadth-first search per vertex: a vertex
+    reached twice at level d closes a cycle of length at most 2d, exactly
+    the girth when the search starts on a shortest cycle."""
+    n = len(adj)
+    girth, diameter = None, 0
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        frontier, level = [s], 0
         while frontier:
+            level += 1
             nxt = []
             for u in frontier:
                 for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
+                    if dist[v] < 0:
+                        dist[v] = level
                         nxt.append(v)
-                    elif parent[u] != v:
-                        cyc = dist[u] + dist[v] + 1
-                        if girth is None or cyc < girth:
-                            girth = cyc
+                    elif dist[v] == level and (girth is None or 2 * level < girth):
+                        girth = 2 * level
             frontier = nxt
-        if len(dist) < len(adj):
-            diameter = None
-        elif diameter is not None:
-            diameter = max(diameter, max(dist.values()))
+        diameter = None if diameter is None or -1 in dist else max(diameter, level - 1)
     return girth, diameter
+
+
+def _gonality(adj, multi):
+    """The m for a panel graph of girth 2m and diameter m >= 2, else None;
+    a multi-edge gives None at once."""
+    girth, diameter = (None, None) if multi else _girth_and_diameter(adj)
+    return diameter if diameter is not None and diameter >= 2 and girth == 2 * diameter else None
 
 
 def incidence_graph_stats(C):
@@ -412,24 +430,19 @@ def incidence_graph_stats(C):
     girth 2 encodes a multi-edge, None encodes no cycle / disconnected."""
     if C.rank != 2:
         raise WrongRank(f"rank-2 system required, got rank {C.rank}")
-    adj, multi = _incidence_graph(C)
+    adj, multi = _panel_graph(C, range(C.n), 1, 2)
     girth, diameter = _girth_and_diameter(adj)
     return (2 if multi else girth), diameter
 
 
 def polygon_parameter(C):
     """The m for which a rank-2 system is a generalized m-gon, else None."""
-    girth, diam = incidence_graph_stats(C)
-    if diam is None or girth is None:
-        return None
-    if diam >= 2 and girth == 2 * diam:
-        return diam
-    return None
+    if C.rank != 2:
+        raise WrongRank(f"rank-2 system required, got rank {C.rank}")
+    return _gonality(*_panel_graph(C, range(C.n), 1, 2))
 
 
 def is_generalized_mgon(C, m):
-    if C.rank != 2:
-        raise WrongRank(f"rank-2 system required, got rank {C.rank}")
     return polygon_parameter(C) == m
 
 
@@ -463,12 +476,10 @@ def infer_type_matrix(C):
     entries = [[1 if i == j else None for j in range(k)] for i in range(k)]
     for i, j in combinations(C.types, 2):
         m_seen = None
-        for res in C.residues((i, j)):
-            sub, _ = sub_system(C, res.chambers, (i, j))
-            m = polygon_parameter(sub)
+        for least, m in C._residue_gonalities(i, j):
             if m is None:
                 raise ResidueNotPolygon(
-                    f"{{{i},{j}}}-residue at chamber {res.chambers[0]} is not a generalized m-gon")
+                    f"{{{i},{j}}}-residue at chamber {least} is not a generalized m-gon")
             if m_seen is None:
                 m_seen = m
             elif m_seen != m:

@@ -235,6 +235,8 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     never silent."""
     if not 0 <= c0 < C.n:
         raise ValueError(f"base chamber {c0} outside 0..{C.n - 1}")
+    if max_chambers < 1:
+        raise ValueError(f"chamber budget {max_chambers} is not positive")
     if not C.is_connected():
         raise Disconnected("universal cover requires a connected base")
     if C.rank < 2:

@@ -241,7 +241,8 @@ def direct_product(G1, G2):
 
     gens = [embed1(g) for g in G1.generators] + [embed2(g) for g in G2.generators]
     G = group_from_generators(gens, cap=10 ** 6)
-    assert G.order == G1.order * G2.order
+    if G.order != G1.order * G2.order:
+        raise ValueError(f"direct product has order {G.order}, not {G1.order} * {G2.order}")
     return G
 
 

@@ -10,8 +10,6 @@ from .chamber import (
     from_cosets,
     infer_type_matrix,
     is_simplicial,
-    polygon_parameter,
-    sub_system,
 )
 from .errors import (
     BudgetExceeded,
@@ -123,11 +121,9 @@ def is_building(C, M=None, budget=2000):
                 ok = False
     for i, j in combinations(C.types, 2):
         want = M.order(i, j)
-        for res in C.residues((i, j)):
-            sub, _ = sub_system(C, res.chambers, (i, j))
-            m = polygon_parameter(sub)
+        for least, m in C._residue_gonalities(i, j):
             if m != want:
-                add({"kind": "bad-residue", "types": [i, j], "chamber": res.chambers[0],
+                add({"kind": "bad-residue", "types": [i, j], "chamber": least,
                      "expected": want, "got": m})
                 ok = False
     table = coxeter.group_table(M)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from chambers import catalog, chamber, coxeter, groups
+from chambers import catalog, chamber, cli, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import (
     ActionNotFree,
@@ -70,6 +70,11 @@ def test_residues():
     assert len(a3.residue((1, 3), 0).chambers) == 9
     rs = a3.residues((1, 2))
     assert len(rs) == 15 and sum(len(r.chambers) for r in rs) == 315
+    # a type outside 1..rank is a ValueError, not a bare KeyError
+    for bad in (lambda: a3.residues((5,)), lambda: a3.component_map((1, 0)),
+                lambda: a3.residue((4,), 0), lambda: a3._residue_gonalities(1, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            bad()
 
 
 def test_min_gallery():
@@ -196,9 +201,15 @@ def _random_partitions(rng, rank, n):
 
 
 def _random_flags(rng, rank, n, size):
-    """Chambers are distinct random tuples over range(size); the type-i panel
+    """Chambers are distinct random tuples over range(size)."""
+    return _flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
+                                for _ in range(n)}))
+
+
+def _flag_system(flags):
+    """Chambers are the given distinct tuples, in order; the type-i panel
     collects the tuples equal away from position i."""
-    flags = sorted({tuple(rng.randrange(size) for _ in range(rank)) for _ in range(n)})
+    rank = len(flags[0])
     partitions = {}
     for i in range(1, rank + 1):
         buckets = {}
@@ -351,3 +362,212 @@ def test_component_maps_deterministic():
         m1 = a3.component_map(J)
         m2 = a3.component_map(frozenset(J))
         assert m1 == m2
+
+
+# ---------------------------------------------------------------------------
+# the cached rank-2 residue pass against the per-residue sub_system route
+
+
+def _reference_stats(C):
+    """(girth, diameter) of a rank-2 system's panel incidence graph on dict
+    adjacency sets, as computed before the residue pass: the reference for
+    chamber.incidence_graph_stats."""
+    adj = {}
+    pairs = set()
+    multi = False
+    for c in range(C.n):
+        u, v = (1, C.panel_id(1, c)), (2, C.panel_id(2, c))
+        multi |= (u, v) in pairs
+        pairs.add((u, v))
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    girth, diameter = None, 0
+    for s in adj:
+        dist, parent, frontier = {s: 0}, {s: None}, [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v], parent[v] = dist[u] + 1, u
+                        nxt.append(v)
+                    elif parent[u] != v and (girth is None or dist[u] + dist[v] + 1 < girth):
+                        girth = dist[u] + dist[v] + 1
+            frontier = nxt
+        if len(dist) < len(adj):
+            diameter = None
+        elif diameter is not None:
+            diameter = max(diameter, max(dist.values()))
+    return (2 if multi else girth), diameter
+
+
+def _reference_polygon(C):
+    girth, diameter = _reference_stats(C)
+    if diameter is not None and girth is not None and diameter >= 2 and girth == 2 * diameter:
+        return diameter
+    return None
+
+
+def _reference_type_matrix(C):
+    """infer_type_matrix by one sub_system per residue, as (rows, None) or
+    (None, the exception's type and text)."""
+    k = C.rank
+    entries = [[1 if i == j else None for j in range(k)] for i in range(k)]
+    for i, j in itertools.combinations(C.types, 2):
+        m_seen = None
+        for res in C.residues((i, j)):
+            m = _reference_polygon(chamber.sub_system(C, res.chambers, (i, j))[0])
+            if m is None:
+                return None, ("ResidueNotPolygon", f"{{{i},{j}}}-residue at chamber "
+                              f"{res.chambers[0]} is not a generalized m-gon")
+            if m_seen is None:
+                m_seen = m
+            elif m_seen != m:
+                return None, ("InconsistentResidues",
+                              f"{{{i},{j}}}-residues demand both m={m_seen} and m={m}")
+        entries[i - 1][j - 1] = entries[j - 1][i - 1] = m_seen
+    return coxeter.CoxeterMatrix(entries).rows, None
+
+
+def _assert_residue_pass_matches_reference(C, ms):
+    """The pass's (least chamber, m) lists and infer_type_matrix against the
+    sub_system route, and the public rank-2 functions against the reference
+    kernel on every residue; counts each m (None included) into ms and
+    returns the reference type matrix or error."""
+    try:
+        got = chamber.infer_type_matrix(C).rows, None
+    except (ResidueNotPolygon, InconsistentResidues) as exc:
+        got = None, (type(exc).__name__, str(exc))
+    want_matrix = _reference_type_matrix(C)
+    assert got == want_matrix, C.panels
+    for i, j in itertools.combinations(C.types, 2):
+        want = []
+        for res in C.residues((i, j)):
+            sub, _ = chamber.sub_system(C, res.chambers, (i, j))
+            m = _reference_polygon(sub)
+            assert chamber.incidence_graph_stats(sub) == _reference_stats(sub), C.panels
+            assert chamber.polygon_parameter(sub) == m
+            want.append((res.chambers[0], m))
+            ms[m] += 1
+        assert list(C._residue_gonalities(i, j)) == want, (C.panels, i, j)
+    if C.rank == 2:
+        assert chamber.incidence_graph_stats(C) == _reference_stats(C), C.panels
+    return want_matrix
+
+
+_A4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+_D4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+
+
+def test_residue_pass_matches_sub_system_route_on_named_systems():
+    systems = [catalog.build(name)["system"] for name in (
+        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
+    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3, _A4, _D4)]
+    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3, _D4)]
+    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
+    systems.append(_flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
+                                 for L in lines if L <= P for p in sorted(L)]))
+    ms = collections.Counter()
+    for C in systems:
+        _assert_residue_pass_matches_reference(C, ms)
+    assert systems[-1].n == 9765 and chamber.infer_type_matrix(systems[-1]) == _A4
+    assert None not in ms and sum(ms.values()) > 4650
+
+
+def _digon(a, b):
+    """The generalized digon on an a x b grid: rows are the type-1 panels,
+    columns the type-2 panels; a star, no digon, when a or b is 1."""
+    return chamber.from_partitions(a * b, 2, {1: [range(r * b, r * b + b) for r in range(a)],
+                                              2: [range(c, a * b, b) for c in range(b)]})
+
+
+def _random_polygon_system(rng, pool):
+    """A rank 2-4 system made of one or two blocks, chamber ids shuffled.
+    A block is a random partition system; or a polygon or digon from the
+    pool on two random types, the other types cut into panels of 1-3
+    chambers; or a thin Coxeter complex of the rank with its types permuted."""
+    rank = rng.randint(2, 4)
+    blocks = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.random()
+        if kind < 0.25:
+            block = _random_partitions(rng, rank, rng.randint(1, 6))
+            blocks.append((block.n, block.panels))
+        elif kind < 0.85:
+            poly = rng.choice(pool[2])
+            i, j = rng.sample(range(1, rank + 1), 2)
+            cut = _random_partitions(rng, rank, poly.n)
+            blocks.append((poly.n, {**cut.panels, i: poly.panels[1], j: poly.panels[2]}))
+        else:
+            thin = rng.choice(pool[rank])
+            sigma = dict(zip(thin.types, rng.sample(thin.types, rank)))
+            blocks.append((thin.n, {sigma[t]: thin.panels[t] for t in thin.types}))
+    n = sum(b for b, _ in blocks)
+    ids = rng.sample(range(n), n)
+    partitions = {i: [] for i in range(1, rank + 1)}
+    offset = 0
+    for size, panels in blocks:
+        for i in partitions:
+            partitions[i] += [[ids[offset + c] for c in p] for p in panels[i]]
+        offset += size
+    return chamber.from_partitions(n, rank, partitions)
+
+
+def test_residue_pass_matches_sub_system_route_on_random_systems():
+    A1xA2 = coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
+    A1x3 = coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+    A1x4 = coxeter.CoxeterMatrix([[1 if i == j else 2 for j in range(4)] for i in range(4)])
+    A1xA3 = coxeter.CoxeterMatrix([[1, 2, 2, 2], [2, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+    thin = {r: [coxeter.coxeter_complex(M) for M in Ms] for r, Ms in (
+        (3, (coxeter.A3, coxeter.C3, A1xA2, A1x3)), (4, (A1x4, A1xA3)))}
+    thin[2] = [coxeter.coxeter_complex(coxeter.CoxeterMatrix([[1, m], [m, 1]]))
+               for m in range(2, 7)]
+    pool = dict(thin)
+    pool[2] = thin[2] + [catalog.build_fano_flags(), catalog.build_gq22()] + [
+        _digon(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    rng = random.Random(1205)
+    ms = collections.Counter()
+    outcomes = collections.Counter()
+    for _ in range(1000):
+        _, error = _assert_residue_pass_matches_reference(_random_polygon_system(rng, pool), ms)
+        outcomes[error and error[0]] += 1
+    assert ms[None] >= 50 and sum(v for m, v in ms.items() if m is not None) >= 50
+    assert min(ms[m] for m in (2, 3, 4, 5, 6)) >= 10
+    assert min(outcomes[k] for k in (None, "ResidueNotPolygon", "InconsistentResidues")) >= 20
+
+
+def test_check_computes_each_pair_once(capsys, monkeypatch, tmp_path):
+    # chambers check --building --c3 --ll --simplicial: type inference, the
+    # building check and the C3 check read one residue pass per type pair
+    # (A3 is not C3-shaped, so --ll takes the point and line types)
+    f = tmp_path / "a3.json"
+    f.write_text(json.dumps(chamber.system_to_json(catalog.build_a3_f2())))
+    calls = collections.Counter()
+    kernel, graph = chamber._girth_and_diameter, chamber._panel_graph
+
+    def counted_graph(C, chambers, i, j):
+        calls["graph", i, j, min(chambers)] += 1
+        return graph(C, chambers, i, j)
+
+    def counted_kernel(adj):
+        calls["kernel"] += 1
+        return kernel(adj)
+
+    def refused(*args):
+        raise AssertionError("sub_system called")
+
+    monkeypatch.setattr(chamber, "_panel_graph", counted_graph)
+    monkeypatch.setattr(chamber, "_girth_and_diameter", counted_kernel)
+    monkeypatch.setattr(chamber, "sub_system", refused)
+    assert not hasattr(verify, "sub_system")
+    code = cli.main(["check", str(f), "--building", "--c3", "--ll", "--simplicial",
+                     "--points", "1", "--lines", "2"])
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 1 and verdict["type"] == "A3" and verdict["building"] and verdict["ll"]["holds"]
+    assert verdict["c3"] is False and verdict["c3_report"]["type_matrix"] == verdict["type_matrix"]
+    a3 = catalog.build_a3_f2()
+    residues = sum(len(a3.residues(p)) for p in itertools.combinations(a3.types, 2))
+    assert residues == 15 + 35 + 15
+    assert calls["kernel"] == residues
+    # each residue's graph built once
+    assert len(calls) - 1 == residues and set(calls.values()) == {1, residues}

@@ -96,6 +96,14 @@ def test_cover_base_chamber_out_of_range(capsys, tmp_path):
         assert code == 2 and out == "" and "input error" in err
 
 
+def test_cover_rejects_nonpositive_budget(capsys, tmp_path):
+    f = tmp_path / "fano.json"
+    run(capsys, "build", "fano", "--out", str(f))
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "cover", str(f), "--max-chambers", budget)
+        assert code == 2 and out == "" and "input error" in err
+
+
 def test_quotient_cli(capsys, tmp_path):
     f = tmp_path / "a3.json"
     run(capsys, "build", "a3-f2", "--out", str(f))
