@@ -509,12 +509,8 @@ def cover_from_lift(spec, pi, phi):
     hat_spec = HomogeneousSpec(Ghat, hatH, hat_faces)
     cover = from_cosets(hat_spec)
     base = from_cosets(spec)
-    base_ct = groups.left_cosets(G, H)
-    d1 = G.degree
-    chamber_map = []
-    for rep in cover.labels:
-        g_part = tuple(rep[x] for x in range(d1))
-        chamber_map.append(base_ct.coset_of[g_part])
-    covering = CoveringMap(cover, base, tuple(chamber_map))
-    connected = groups.generates(Ghat, list(hat_faces.values()))
-    return cover, covering, connected
+    # a coset's least element has the least element of its G-coset as G-part
+    base_id = {rep: c for c, rep in enumerate(base.labels)}
+    chamber_map = tuple(base_id[rep[:G.degree]] for rep in cover.labels)
+    # a coset system is connected iff its faces generate the group
+    return cover, CoveringMap(cover, base, chamber_map), cover.is_connected()

@@ -362,7 +362,6 @@ class CoxeterGroupTable:
         self.matrix = matrix
         self.elements = elements              # tuple of canonical words
         self.right = right                    # right[e][i-1] = id of e * r_i
-        self.index = {w: e for e, w in enumerate(elements)}
         self.descents = tuple(    # right descents: the i with e * r_i shorter than e
             frozenset(i for i, t in enumerate(r, 1) if len(elements[t]) < len(elements[e]))
             for e, r in enumerate(right))
@@ -395,55 +394,41 @@ class CoxeterGroupTable:
         return max(range(self.order), key=lambda e: (len(self.elements[e]), self.elements[e]))
 
     def reduced_word_sets(self):
-        """Per element, the frozenset of all its reduced words."""
+        """Per element, the frozenset of all its reduced words.  By the
+        exchange condition, those ending in i are the reduced words of
+        e * r_i followed by i, over the right descents i of e; e * r_i is
+        shorter, so it has a smaller id."""
         if self._rwsets is None:
-            self._rwsets = [reduced_words(self.matrix, WElement(w)) for w in self.elements]
+            rw = [frozenset({()})]
+            for e in range(1, self.order):
+                rw.append(frozenset(w + (i,) for i in self.descents[e]
+                                    for w in rw[self.right[e][i - 1]]))
+            self._rwsets = rw
         return self._rwsets
 
 
 def enumerate_group(M, cap=10 ** 6):
-    """Enumerate W(M) breadth-first by length.  Refuses infinite groups."""
+    """Enumerate W(M) breadth-first by length.  Refuses infinite groups.
+
+    Placing a level sets every edge from it to the level below, so an entry
+    still unset when its element's level is scanned is a non-descent: w * r_i
+    is one letter longer, and the least word of its braid class names it."""
     if not is_finite(M):
         raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
     k = M.rank
-    pats = _patterns(M)
-    classcache = {}
-
-    def wclass(word):
-        # braid class of a reduced word (no deletions can occur)
-        cls = classcache.get(word)
-        if cls is None:
-            cls, shorter = braid_class(M, word)
-            assert shorter is None
-            classcache[word] = cls
-        return cls
-
     elements = [()]
     index = {(): 0}
     right = [[None] * k]
     level = [()]
     while level:
         pending = []
-        discovered = set()
         for w in level:
             e = index[w]
-            cls = wclass(w)
-            descents = {cw[-1] for cw in cls} if w else set()
             for i in range(1, k + 1):
-                if right[e][i - 1] is not None:
-                    continue
-                if i in descents:
-                    cw = next(c for c in cls if c[-1] == i)
-                    target = min(wclass(cw[:-1]))
-                    t = index[target]
-                    right[e][i - 1] = t
-                    right[t][i - 1] = e
-                else:
-                    target = min(wclass(w + (i,)))
-                    discovered.add(target)
-                    pending.append((e, i, target))
-        new_words = sorted(discovered)
-        for word in new_words:
+                if right[e][i - 1] is None:
+                    pending.append((e, i, min(braid_class(M, w + (i,))[0])))
+        level = sorted({target for _, _, target in pending})
+        for word in level:
             if len(elements) >= cap:
                 raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
             index[word] = len(elements)
@@ -453,7 +438,6 @@ def enumerate_group(M, cap=10 ** 6):
             t = index[target]
             right[e][i - 1] = t
             right[t][i - 1] = e
-        level = new_words
     return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
 
 

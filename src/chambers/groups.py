@@ -177,9 +177,6 @@ class CosetTable:
         self.coset_of = coset_of               # dict element -> coset id
         self.index = len(self.reps)
 
-    def coset_id(self, g):
-        return self.coset_of[g]
-
 
 def left_cosets(G, H):
     if H.parent is not G:

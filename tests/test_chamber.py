@@ -334,6 +334,38 @@ def test_isomorphism_negative():
     assert chamber.isomorphism(thin, disc) is None
 
 
+def _shuffled_union(rng, *systems):
+    """The disjoint union of systems of one rank, chamber ids shuffled."""
+    n = sum(C.n for C in systems)
+    ids = rng.sample(range(n), n)
+    parts, offset = {i: [] for i in systems[0].types}, 0
+    for C in systems:
+        for i in C.types:
+            parts[i] += [[ids[offset + c] for c in p] for p in C.panels[i]]
+        offset += C.n
+    return chamber.from_partitions(n, systems[0].rank, parts)
+
+
+def test_isomorphism_of_disconnected_systems():
+    # the search maps the component of chamber 0, then restarts on the
+    # least unmatched chamber
+    rng = random.Random(7)
+    hexagon = coxeter.coxeter_complex(coxeter.A2)
+    fano = catalog.build_fano_flags()
+    A = _shuffled_union(rng, hexagon, fano)
+    B = _shuffled_union(rng, fano, hexagon)
+    iso = chamber.isomorphism(A, B)
+    assert iso is not None and len(iso) == A.n
+    assert chamber.verify_isomorphism(A, B, tuple(iso[c] for c in range(A.n)))
+    # same counts and panel sizes, but the second hexagon has no partner:
+    # a digon and a two-chamber loop are left
+    two_hexagons = _shuffled_union(rng, hexagon, hexagon)
+    digon = coxeter.coxeter_complex(coxeter.A1xA1)
+    loop = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0, 1)]})
+    assert chamber.isomorphism(two_hexagons, _shuffled_union(rng, hexagon, digon, loop)) is None
+    assert chamber.is_isomorphic(two_hexagons, _shuffled_union(rng, hexagon, hexagon))
+
+
 def test_verify_isomorphism():
     fano = catalog.build_fano_flags()
     assert chamber.verify_isomorphism(fano, fano, tuple(range(fano.n)))

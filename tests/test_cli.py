@@ -26,9 +26,11 @@ def test_coxeter_order(capsys, tmp_path):
 def test_coxeter_infinite(capsys, tmp_path):
     mfile = tmp_path / "aff.json"
     mfile.write_text(json.dumps({"rank": 2, "m": [[1, 0], [0, 1]]}))
-    code, out, _ = run(capsys, "coxeter", "--matrix", str(mfile), "--order")
-    assert code == 1
-    assert json.loads(out)["error"] == "InfiniteGroup"
+    for mode in ("--order", "--complex"):
+        code, out, _ = run(capsys, "coxeter", "--matrix", str(mfile), mode)
+        assert code == 1
+        assert json.loads(out) == {"error": "InfiniteGroup",
+                                   "detail": "W(M) is infinite; enumerate requires finite type"}
 
 
 def test_coxeter_complex(capsys, tmp_path):
@@ -236,3 +238,20 @@ def test_check_rejects_empty_system(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(f))
     assert code == 2 and out == ""
     assert "PartitionNotCovering" in err and "empty system" in err
+
+
+def test_check_all_on_non_polygonal_residue(capsys, tmp_path):
+    # the {1,2}-residue is one 1-panel, a path and not a polygon: there is
+    # no type matrix, so the building and (LL) verdicts fail unchecked
+    f = tmp_path / "np.json"
+    f.write_text(json.dumps({"rank": 3, "n": 2,
+                             "panels": {"1": [[0, 1]], "2": [[0], [1]], "3": [[0], [1]]}}))
+    code, out, err = run(capsys, "check", str(f), "--building", "--ll", "--c3", "--simplicial")
+    assert code == 1 and err == ""
+    verdict = json.loads(out)
+    assert verdict["type"] is None and verdict["type_matrix"] is None
+    assert verdict["type_error"] == ("ResidueNotPolygon: {1,2}-residue at chamber 0 "
+                                     "is not a generalized m-gon")
+    assert verdict["building"] is False and "violations" not in verdict
+    assert verdict["ll"] == {"holds": False, "error": "no rank-3 type matrix"}
+    assert verdict["c3"] is False

@@ -764,3 +764,26 @@ def test_cover_from_lift_errors():
         hom2[g] = z if g in (a, ab) else e2
     with pytest.raises(IncompatibleOnH):
         covers.cover_from_lift(spec2, pi, {1: hom1, 2: hom2})
+
+
+def test_cover_from_lift_reads_connectivity_off_the_cover(monkeypatch):
+    # the Neumaier A7 spec lifted into Z1, Z2 and Z3 by trivial maps: |pi|
+    # disjoint copies of the base, connected only for Z1, decided without
+    # a generation test
+    _, spec = catalog.build_neumaier_a7()
+    base_ct = groups.left_cosets(spec.group, spec.principal)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("generates called")
+    monkeypatch.setattr(groups, "generates", refuse)
+    for k in (1, 2, 3):
+        pi = groups.group_from_generators([groups.perm_from_cycles(k, [tuple(range(k))])])
+        e = groups.identity(k)
+        phi = {i: {g: e for g in F.elements} for i, F in spec.faces.items()}
+        cover, cmap, connected = covers.cover_from_lift(spec, pi, phi)
+        assert cover.n == 315 * k
+        assert connected is (k == 1)
+        assert len(set(cover.component_map(cover.types))) == k
+        assert cmap.chamber_map == tuple(base_ct.coset_of[rep[:7]] for rep in cover.labels)
+        ok, diag = covers.is_covering(cmap)
+        assert ok, diag

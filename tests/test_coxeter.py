@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -279,6 +280,105 @@ def test_descents_are_last_letters_of_reduced_words():
         table = enumerate_group(M)
         for e, words in enumerate(table.reduced_word_sets()):
             assert table.descents[e] == {w[-1] for w in words if w}
+
+
+def _reference_enumerate_group(M, cap=10 ** 6):
+    """The earlier engine: breadth-first by length, reading each element's
+    descents off its cached braid class and each down-edge off a reduced
+    word ending in that descent."""
+    if not coxeter.is_finite(M):
+        raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
+    k = M.rank
+    classcache = {}
+
+    def wclass(word):
+        cls = classcache.get(word)
+        if cls is None:
+            cls, shorter = coxeter.braid_class(M, word)
+            assert shorter is None
+            classcache[word] = cls
+        return cls
+
+    elements = [()]
+    index = {(): 0}
+    right = [[None] * k]
+    level = [()]
+    while level:
+        pending = []
+        discovered = set()
+        for w in level:
+            e = index[w]
+            cls = wclass(w)
+            descents = {cw[-1] for cw in cls} if w else set()
+            for i in range(1, k + 1):
+                if right[e][i - 1] is not None:
+                    continue
+                if i in descents:
+                    cw = next(c for c in cls if c[-1] == i)
+                    t = index[min(wclass(cw[:-1]))]
+                    right[e][i - 1] = t
+                    right[t][i - 1] = e
+                else:
+                    target = min(wclass(w + (i,)))
+                    discovered.add(target)
+                    pending.append((e, i, target))
+        new_words = sorted(discovered)
+        for word in new_words:
+            if len(elements) >= cap:
+                raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
+            index[word] = len(elements)
+            elements.append(word)
+            right.append([None] * k)
+        for e, i, target in pending:
+            t = index[target]
+            right[e][i - 1] = t
+            right[t][i - 1] = e
+        level = new_words
+    return coxeter.CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
+
+
+_A4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+_D4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+_A1xA3 = CoxeterMatrix([[1, 2, 2, 2], [2, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+_A2xA2 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]])
+
+
+def _relabelled(M, perm):
+    """M with type perm[a] in the place of type a + 1."""
+    return CoxeterMatrix([[M.order(perm[a], perm[b]) for b in range(M.rank)]
+                          for a in range(M.rank)])
+
+
+def _cross_check_matrices():
+    named = [coxeter.A1, A2, A3, C3, H3, _A4, _D4, _A1xA3, _A2xA2]
+    named += [dihedral(m) for m in range(2, 13)]
+    relabelled = [_relabelled(M, p) for M in (A3, C3, H3) for p in permutations((1, 2, 3))]
+    relabelled += [_relabelled(M, p) for M in (_A4, _D4, _A1xA3)
+                   for p in ((2, 1, 3, 4), (3, 1, 4, 2))]
+    return named + relabelled
+
+
+def test_enumerate_matches_reference_engine():
+    for M in _cross_check_matrices():
+        new, ref = enumerate_group(M), _reference_enumerate_group(M)
+        assert new.elements == ref.elements, M
+        assert new.right == ref.right, M
+        assert new.descents == ref.descents, M
+    for engine in (enumerate_group, _reference_enumerate_group):
+        with pytest.raises(BudgetExceeded):
+            engine(H3, cap=50)
+
+
+def test_reduced_word_sets_match_braid_closures():
+    checked = 0
+    for M in _cross_check_matrices():
+        table = coxeter.group_table(M)
+        rwsets = table.reduced_word_sets()
+        assert len(rwsets) == table.order
+        for e, words in enumerate(rwsets):
+            assert words == reduced_words(M, table.element(e)), (M, e)
+        checked += table.order
+    assert checked > 2000
 
 
 def test_coxeter_complex():

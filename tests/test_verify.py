@@ -190,6 +190,26 @@ def test_is_building_catalog():
     assert any(v["kind"] == "no-such-w" for v in repn["violations"])
 
 
+def test_is_building_thin_panels_and_inferred_type():
+    # a gallery of three chambers: one singleton panel per type, and its
+    # one rank-2 residue is a path, not a hexagon
+    path = chamber.from_partitions(3, 2, {1: [(0, 1), (2,)], 2: [(0,), (1, 2)]})
+    ok, report = verify.is_building(path, coxeter.A2)
+    assert not ok
+    assert report["violations"] == [
+        {"kind": "thin-panel", "type": 1, "panel": [2]},
+        {"kind": "thin-panel", "type": 2, "panel": [0]},
+        {"kind": "bad-residue", "types": [1, 2], "chamber": 0, "expected": 3, "got": None}]
+    # M left out: inferred from the residues
+    single = chamber.from_partitions(1, 1, {1: [(0,)]})
+    ok, report = verify.is_building(single)
+    assert not ok and report["type_matrix"] == [[1]]
+    assert report["violations"] == [{"kind": "thin-panel", "type": 1, "panel": [0]}]
+    fano = catalog.build_fano_flags()
+    assert verify.is_building(fano) == verify.is_building(fano, coxeter.A2)
+    assert verify.is_building(fano)[1]["type_matrix"] == [[1, 3], [3, 1]]
+
+
 def test_building_locality():
     # residues of a building are buildings of the restricted type
     a3 = catalog.build_a3_f2()
