@@ -349,23 +349,36 @@ class HomogeneousSpec:
 
 def from_cosets(spec):
     """Coset chamber system of a HomogeneousSpec.  Chamber ids follow the
-    deterministic coset order of the principal subgroup."""
+    deterministic coset order of the principal subgroup H, whose
+    representatives are the labels.  The type-i panel of gH is {g f H} over
+    a transversal f of H in face[i], read from its least chamber; a face
+    that is not a union of H-cosets, or whose panels overlap, raises."""
     G = spec.group
     H = spec.principal
     types = spec.types
     if types != tuple(range(1, len(types) + 1)):
         raise ValueError("face types must be 1..k")
-    ct_H = groups.left_cosets(G, H)
-    n = ct_H.index
+    ct = groups.left_cosets(G, H)
+    n, coset_of = ct.index, ct.coset_of
     partitions = {}
     for i in types:
         Gi = spec.faces[i]
-        ct_i = groups.left_cosets(G, Gi)
-        buckets = {}
-        for cid, rep in enumerate(ct_H.reps):
-            buckets.setdefault(ct_i.coset_of[rep], []).append(cid)
-        partitions[i] = sorted(tuple(sorted(v)) for v in buckets.values())
-    return ChamberSystem(n, len(types), partitions, labels=ct_H.reps)
+        transversal = {coset_of.get(f): f for f in Gi.elements}
+        if None in transversal or len(transversal) * H.order != Gi.order:
+            raise NotSubgroup(f"face group {i} is not a union of principal cosets in the group")
+        compiled = [groups._right_mul(f) for f in transversal.values()]
+        placed = [False] * n
+        partitions[i] = []
+        for c, g in enumerate(ct.reps):
+            if not placed[c]:
+                panel = [coset_of[f(g)] for f in compiled]
+                for d in panel:
+                    placed[d] = True
+                partitions[i].append(panel)
+        # each chamber lies in its own panel: overlaps show in the count
+        if len(partitions[i]) * len(compiled) != n:
+            raise NotSubgroup(f"translates of face group {i} overlap")
+    return ChamberSystem(n, len(types), partitions, labels=ct.reps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,20 @@
 Permutations are tuples of images on 0..d-1.  Groups are closed by
 `orbit`, the one breadth-first closure routine, with a configurable cap;
 element order is always lexicographic on image tuples, so coset ids and
-chamber ids derived from them are reproducible across runs.
+chamber ids derived from them are reproducible across runs.  Products run
+in C: x -> x*g is `operator.itemgetter(*g)`, compiled once per g where one
+g multiplies many x.
 """
 
+from operator import itemgetter
+
 from .errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
+
+try:
+    from operator import call as _apply
+except ImportError:         # Python < 3.11
+    def _apply(f, x):
+        return f(x)
 
 DEFAULT_CAP = 10 ** 5
 
@@ -17,7 +27,17 @@ def identity(degree):
 
 def mul(a, b):
     """Composition a after b: (a*b)(x) = a(b(x))."""
+    if len(b) > 1:
+        return itemgetter(*b)(a)
     return tuple(a[x] for x in b)
+
+
+def _right_mul(g):
+    """x -> x*g as one compiled call; itemgetter returns a tuple only for
+    two or more indices, so degrees 0 and 1 take the tuple path."""
+    if len(g) > 1:
+        return itemgetter(*g)
+    return lambda x: tuple(x[i] for i in g)
 
 
 def inv(a):
@@ -82,8 +102,8 @@ def orbit(start, gens, act, cap):
 
 def close(degree, gens, cap):
     """The elements of the group generated by `gens`: the orbit of the
-    identity under left multiplication."""
-    return orbit(identity(degree), gens, mul, cap)
+    identity under right multiplication, the same set as under left."""
+    return orbit(identity(degree), [_right_mul(g) for g in gens], _apply, cap)
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP):
@@ -184,13 +204,14 @@ def left_cosets(G, H):
             raise NotSubgroup("H is not a subgroup of G")
     coset_of = {}
     reps = []
+    hs = [_right_mul(h) for h in H.elements]
     for g in G.elements:
         if g in coset_of:
             continue
         cid = len(reps)
         reps.append(g)
-        for h in H.elements:
-            coset_of[mul(g, h)] = cid
+        for h in hs:
+            coset_of[h(g)] = cid
     if len(reps) * H.order != G.order:
         raise NotSubgroup(f"{len(reps)} cosets of {H.order} elements do not partition "
                           f"a group of order {G.order}")

@@ -251,15 +251,20 @@ def check_star(spec, point_type, line_type, geom=None, system=None):
     """The isotropy containment criterion on a coset chamber system: for
     every line vertex x and distinct points q != q' incident to x, the
     stabilizer of {q, q'} inside the vertex groups must fix the flags xq
-    and xq'.  Returns (bool, witness)."""
+    and xq'.  Chamber c is the coset of system.labels[c] (from_cosets sets
+    the representatives as labels), so a type-j vertex through c has
+    stabilizer labels[c] G_j labels[c]^-1.  Returns (bool, witness)."""
     if not spec.faces:
         raise MissingVertexGroups("spec carries no face groups")
     G = spec.group
     if system is None:
         system = from_cosets(spec)
+    elif system.labels is None:
+        raise ValueError("system has no labels to read coset representatives from")
+    elif any(g not in G for g in system.labels):
+        raise ValueError("a system label is not an element of the group")
     if geom is None:
         geom = incidence_geometry(system)
-    ct = groups.left_cosets(G, spec.principal)
 
     stab_cache = {}
 
@@ -267,11 +272,10 @@ def check_star(spec, point_type, line_type, geom=None, system=None):
         got = stab_cache.get(v)
         if got is None:
             t, _ = v
-            c = min(geom.chambers_of(v))
-            rep = ct.reps[c]
-            rep_inv = groups.inv(rep)
-            Gj = spec.vertex_group(t)
-            got = frozenset(groups.mul(groups.mul(rep, h), rep_inv) for h in Gj.elements)
+            rep = system.labels[min(geom.chambers_of(v))]
+            # rep h rep^-1 sends rep[x] to rep[h[x]]
+            back = groups._right_mul(groups.inv(rep))
+            got = frozenset(back(groups.mul(rep, h)) for h in spec.vertex_group(t).elements)
             stab_cache[v] = got
         return got
 

@@ -12,6 +12,7 @@ from chambers.errors import (
     Disconnected,
     DuplicateChamber,
     InconsistentResidues,
+    NotSubgroup,
     PartitionNotCovering,
     ResidueCollision,
     ResidueNotPolygon,
@@ -60,6 +61,103 @@ def test_spec_equality_ignores_vertex_cache():
     a, b = HomogeneousSpec(S3, triv, faces), HomogeneousSpec(S3, triv, faces)
     assert a.vertex_group(1).order == 2
     assert a == b and "_vertex_cache" not in repr(a)
+
+
+def _reference_from_cosets(spec):
+    """Partitions and labels of the coset system built with one coset table
+    per face group: the type-i panels bucket the principal cosets by the
+    face-group coset of their representative."""
+    G = spec.group
+    ct_H = groups.left_cosets(G, spec.principal)
+    partitions = {}
+    for i in spec.types:
+        ct_i = groups.left_cosets(G, spec.faces[i])
+        buckets = {}
+        for cid, rep in enumerate(ct_H.reps):
+            buckets.setdefault(ct_i.coset_of[rep], []).append(cid)
+        partitions[i] = tuple(sorted(tuple(sorted(v)) for v in buckets.values()))
+    return partitions, ct_H.reps
+
+
+def _assert_from_cosets_matches_reference(spec):
+    C = chamber.from_cosets(spec)
+    assert (C.panels, C.labels) == _reference_from_cosets(spec)
+
+
+_SPEC_POOL = ("S4", "S5", "A5", "A6", "A7")
+
+
+def _pool_group(name):
+    n = int(name[1:])
+    return groups.symmetric_group(n) if name[0] == "S" else groups.alternating_group(n)
+
+
+def test_from_cosets_matches_reference_on_named_specs():
+    _assert_from_cosets_matches_reference(catalog.a3_f2_spec())
+    _assert_from_cosets_matches_reference(catalog.build_neumaier_a7()[1])
+    # the rank-2 truncations of PG(3,2): a minimal parabolic as principal
+    # subgroup, the two maximal parabolics over it as faces
+    G, _, faces, vertex = catalog.gl4_2_parabolics()
+    for j in (1, 2, 3):
+        over = {t: vertex[k] for t, k in enumerate((k for k in (1, 2, 3) if k != j), start=1)}
+        _assert_from_cosets_matches_reference(HomogeneousSpec(G, faces[j], over))
+
+
+def test_from_cosets_matches_reference_on_random_specs():
+    rng = random.Random(1021)
+    ranks = set()
+    for t in range(40):
+        G = _pool_group(_SPEC_POOL[t % len(_SPEC_POOL)])
+        hgens = rng.sample(G.elements, rng.randint(0, 1))
+        H = groups.subgroup_generated(G, hgens or [groups.identity(G.degree)])
+        if G.order // H.order > 1000:
+            continue
+        faces = {i: groups.subgroup_generated(G, hgens + rng.sample(G.elements, rng.randint(1, 2)))
+                 for i in range(1, rng.choice((2, 3)) + 1)}
+        _assert_from_cosets_matches_reference(HomogeneousSpec(G, H, faces))
+        ranks.add(len(faces))
+    assert ranks == {2, 3}
+
+
+def test_from_cosets_refuses_malformed_faces_like_reference():
+    # faces that are subsets containing H: every face the reference refuses
+    # is refused, and an accepted face gives the reference's system.  Faces
+    # that are unions of H-cosets get the same verdict both ways; any other
+    # subset (so no subgroup) is always refused, where the reference may
+    # still accept one whose translates happen to tile G.
+    S3 = groups.symmetric_group(3)
+    triv = groups.Subgroup(S3, [groups.identity(3)])
+    not_sub = groups.Subgroup(S3, [groups.identity(3), groups.perm_from_cycles(3, [(0, 1)]),
+                                   groups.perm_from_cycles(3, [(1, 2)])], check=False)
+    with pytest.raises(NotSubgroup):
+        chamber.from_cosets(HomogeneousSpec(S3, triv, {1: not_sub}))
+    rng = random.Random(1022)
+    seen = collections.Counter()
+    for t in range(300):
+        G = _pool_group(_SPEC_POOL[t % 3])
+        H = groups.subgroup_generated(G, rng.sample(G.elements, 1))
+        subset = set(H.elements) | set(rng.sample(G.elements, rng.randint(1, 4)))
+        if t % 2:
+            subset = {groups.mul(s, h) for s in subset for h in H.elements}
+        face = groups.Subgroup(G, subset, check=False)
+        ct = groups.left_cosets(G, H)
+        union = len({ct.coset_of[g] for g in subset}) * H.order == len(subset)
+        spec = HomogeneousSpec(G, H, {1: face, 2: groups.Subgroup(G, G.elements, check=False)})
+        try:
+            want = _reference_from_cosets(spec)
+        except NotSubgroup:
+            want = None
+        try:
+            C = chamber.from_cosets(spec)
+            got = (C.panels, C.labels)
+        except NotSubgroup:
+            got = None
+        if union:
+            assert got == want
+        else:
+            assert got is None
+        seen[union, want is None, got is None] += 1
+    assert seen[True, True, True] and seen[True, False, False] and seen[False, True, True]
 
 
 def test_residues():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -83,6 +84,72 @@ def test_left_cosets_and_lagrange():
                                    groups.perm_from_cycles(3, [(1, 2)])], check=False)
     with pytest.raises(NotSubgroup):
         groups.left_cosets(S3, not_sub)
+
+
+def _random_perm(rng, degree):
+    p = list(range(degree))
+    rng.shuffle(p)
+    return tuple(p)
+
+
+def test_closure_kernel_matches_left_multiplication_orbit():
+    # the right-multiplication closure against the orbit of the identity
+    # under left multiplication, on seeded generator sets of degree 0..9:
+    # the same element set, and CapExceeded at the same caps
+    rng = random.Random(1018)
+
+    def left_orbit(degree, gens, cap):
+        return groups.orbit(groups.identity(degree), gens,
+                            lambda g, x: tuple(g[i] for i in x), cap)
+
+    sizes = set()
+    for trial in range(120):
+        degree = trial % 10
+        gens = [_random_perm(rng, degree) for _ in range(rng.randint(0, 3))]
+        if degree >= 2 and rng.randrange(3) == 0:
+            a, b = rng.sample(range(degree), 2)
+            gens = [groups.perm_from_cycles(degree, [(a, b)])]
+        for cap in (1, 2, 24, 720, 5040):
+            try:
+                want = left_orbit(degree, gens, cap)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    groups.close(degree, gens, cap)
+                continue
+            assert groups.close(degree, gens, cap) == want
+            sizes.add(len(want))
+            if gens:
+                G = groups.group_from_generators(gens, cap=cap)
+                assert G.elements == tuple(sorted(want)) and G.degree == degree
+    assert {1, 2}.issubset(sizes) and max(sizes) > 100
+
+
+def test_products_inverses_and_cosets_match_their_definitions():
+    rng = random.Random(1019)
+    for degree in range(10):
+        for _ in range(20):
+            a, b = _random_perm(rng, degree), _random_perm(rng, degree)
+            ab = groups.mul(a, b)
+            assert type(ab) is tuple and ab == tuple(a[b[x]] for x in range(degree))
+            assert groups.mul(a, groups.inv(a)) == groups.identity(degree)
+            assert groups.mul(groups.inv(a), a) == groups.identity(degree)
+    for G in (groups.group_from_generators([()]), groups.group_from_generators([(0,)]),
+              groups.symmetric_group(3), groups.symmetric_group(4),
+              groups.alternating_group(5)):
+        subgroups = [groups.Subgroup(G, [groups.identity(G.degree)]),
+                     groups.Subgroup(G, G.elements, check=False)]
+        for _ in range(4):
+            subgroups.append(groups.subgroup_generated(G, rng.sample(G.elements, 1)))
+        for H in subgroups:
+            ct = groups.left_cosets(G, H)
+            # coset ids in first-appearance order over the sorted elements
+            reps, coset_of = [], {}
+            for g in G.elements:
+                if g not in coset_of:
+                    coset_of.update({tuple(g[x] for x in h): len(reps) for h in H.elements})
+                    reps.append(g)
+            assert ct.reps == tuple(reps) and ct.coset_of == coset_of
+            assert ct.index * H.order == G.order
 
 
 def test_gl42_borel_index():

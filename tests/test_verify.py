@@ -301,6 +301,38 @@ def test_check_star():
     assert not ok and wit is not None
 
 
+def _renumbered(C, rng):
+    """C with its chambers renumbered at random, labels moved along."""
+    new = list(range(C.n))
+    rng.shuffle(new)
+    partitions = {i: [tuple(new[c] for c in p) for p in C.panels[i]] for i in C.types}
+    labels = [None] * C.n
+    for c, lab in enumerate(C.labels):
+        labels[new[c]] = lab
+    return chamber.from_partitions(C.n, C.rank, partitions, labels=labels)
+
+
+def test_check_star_on_renumbered_coset_system():
+    # the criterion reads each chamber's coset representative from the
+    # labels, so renumbering the chambers keeps the verdict
+    spec = catalog.a3_f2_spec()
+    C = chamber.from_cosets(spec)
+    rng = random.Random(1020)
+    for _ in range(5):
+        assert verify.check_star(spec, 1, 2, system=_renumbered(C, rng)) == (True, None)
+    _, nspec = catalog.build_neumaier_a7()
+    ok, _ = verify.check_star(nspec, 1, 2, system=_renumbered(chamber.from_cosets(nspec), rng))
+    assert not ok
+    unlabelled = chamber.from_partitions(C.n, C.rank, C.panels)
+    with pytest.raises(ValueError, match="no labels"):
+        verify.check_star(spec, 1, 2, system=unlabelled)
+    foreign = list(C.labels)
+    foreign[7] = tuple(range(15))[::-1]       # reverses the 15 points: not in GL(4,2)
+    with pytest.raises(ValueError, match="not an element"):
+        verify.check_star(spec, 1, 2, system=chamber.from_partitions(
+            C.n, C.rank, C.panels, labels=foreign))
+
+
 def test_is_c3_geometry():
     cc3 = coxeter.coxeter_complex(coxeter.C3)
     assert verify.is_c3_geometry(cc3)[0]
