@@ -215,8 +215,12 @@ def make_parser():
 
     p = sub.add_parser("cover", help="universal 2-cover")
     p.add_argument("file")
-    p.add_argument("--base-chamber", type=int, default=0)
-    p.add_argument("--max-chambers", type=int, default=10 ** 6)
+    p.add_argument("--base-chamber", type=int, default=0,
+                   help="chamber in 0..n-1 the cover is based at (default 0)")
+    p.add_argument("--max-chambers", type=int, default=10 ** 6,
+                   help="budget on the gluer's live union-find nodes (default 1000000), "
+                        "which can exceed the cover's chambers: neumaier-a7 needs 2835 "
+                        "for 315; over budget prints {\"truncated\":true} and exits 1")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cover)
 

@@ -232,7 +232,12 @@ class _Gluer:
 def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     """Universal 2-cover of a connected system, chambers being homotopy
     classes of galleries from c0.  Truncation at max_chambers is reported,
-    never silent."""
+    never silent.
+
+    max_chambers bounds the gluer's live union-find nodes, not the cover's
+    chambers.  The nodes opened for panels are live until residue walks
+    merge them, so the peak can exceed the answer: the 315-chamber cover of
+    neumaier-a7 truncates at 2,834 and finishes at 2,835."""
     if not 0 <= c0 < C.n:
         raise ValueError(f"base chamber {c0} outside 0..{C.n - 1}")
     if max_chambers < 1:

@@ -1,0 +1,175 @@
+"""The shared inputs of the cross-engine tests: named systems and seeded
+generators, each defined once.
+
+Named systems are built once per session and shared by every test that
+iterates them.  A shared system carries warm caches (component maps,
+residue gonalities, the cover `homotopic` keeps for it), so a test that
+counts work builds its own object instead.  The generators draw everything
+from the rng they are given; each test fixes its own seed.
+"""
+
+from functools import lru_cache
+
+from chambers import catalog, chamber, coxeter
+from chambers.chamber import TypedGallery
+from chambers.coxeter import A3, C3, H3, CoxeterMatrix
+from chambers.errors import ChambersError
+
+A4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+D4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
+A1xA3 = CoxeterMatrix([[1, 2, 2, 2], [2, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
+A2xA2 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]])
+A1x3 = CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+A1xA2 = CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
+
+CATALOG = ("fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")
+THIN = (A3, C3, H3, A4, D4)
+# the quotient of the cube complex A1x3 is not simply 2-connected
+QUOTIENTS = (C3, H3, D4, A1x3)
+
+
+@lru_cache(maxsize=None)
+def thin(M):
+    """The thin Coxeter complex of M."""
+    return coxeter.coxeter_complex(M)
+
+
+@lru_cache(maxsize=None)
+def central_quotient(M):
+    """The thin complex of M modulo its central longest element."""
+    table = coxeter.group_table(M)
+    w0 = table.longest_id()
+    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
+    return chamber.quotient(thin(M), [auto])[0]
+
+
+def named_systems(names=CATALOG, thin_types=THIN, quotient_types=QUOTIENTS):
+    """The catalog entries (their builders cache them), thin complexes and
+    central quotients named."""
+    return ([catalog.build(name)["system"] for name in names] + [thin(M) for M in thin_types]
+            + [central_quotient(M) for M in quotient_types])
+
+
+@lru_cache(maxsize=None)
+def pg42():
+    """The 9,765 maximal flags (p, L, P, S) of PG(4,2), a building of type
+    A4; type i varies the i-th member."""
+    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
+    return flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
+                        for L in lines if L <= P for p in sorted(L)])
+
+
+def flag_system(flags):
+    """Chambers are the given distinct tuples, in order; the type-i panel
+    collects the tuples equal away from position i."""
+    rank = len(flags[0])
+    partitions = {}
+    for i in range(1, rank + 1):
+        buckets = {}
+        for c, f in enumerate(flags):
+            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
+        partitions[i] = list(buckets.values())
+    return chamber.from_partitions(len(flags), rank, partitions)
+
+
+def shuffled_union(rng, *systems):
+    """The disjoint union of systems of one rank, chamber ids shuffled."""
+    n = sum(C.n for C in systems)
+    ids = rng.sample(range(n), n)
+    parts, offset = {i: [] for i in systems[0].types}, 0
+    for C in systems:
+        for i in C.types:
+            parts[i] += [[ids[offset + c] for c in p] for p in C.panels[i]]
+        offset += C.n
+    return chamber.from_partitions(n, systems[0].rank, parts)
+
+
+# ---------------------------------------------------------------------------
+# seeded generators
+
+
+def random_gallery(C, start, steps, rng):
+    """A gallery of the given length from start, each step to a random
+    adjacent chamber."""
+    adj = C.adjacency()
+    ch, ty = [start], []
+    for _ in range(steps):
+        i, d = rng.choice(adj[ch[-1]])
+        ch.append(d)
+        ty.append(i)
+    return TypedGallery(tuple(ch), tuple(ty))
+
+
+def random_partitions(rng, rank, n, sizes=(1, 2, 3)):
+    """Each type cuts a shuffled chamber list into panels whose sizes are
+    drawn from sizes."""
+    partitions = {}
+    for i in range(1, rank + 1):
+        order = rng.sample(range(n), n)
+        cuts = [0]
+        while cuts[-1] < n:
+            cuts.append(cuts[-1] + rng.choice(sizes))
+        partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    return chamber.from_partitions(n, rank, partitions)
+
+
+def random_flags(rng, rank, n, size):
+    """Chambers are distinct random tuples over range(size)."""
+    return flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
+                               for _ in range(n)}))
+
+
+def random_connected_system(rng):
+    """A connected system of rank 2-4: random partitions into panels of one
+    to three chambers, or a flag system on random tuples."""
+    while True:
+        rank = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            C = random_partitions(rng, rank, rng.randint(1, 5))
+        else:
+            size = rng.randint(2, 3)
+            C = random_flags(rng, rank, rng.randint(1, 12), size)
+        if C.is_connected():
+            return C
+
+
+def random_system(rng):
+    """A random rank-2 or rank-3 system on at most 12 chambers, with panels
+    of one to three chambers, and a finite matrix: the inferred one where
+    there is one, else a random one of the same rank."""
+    rank = rng.choice((2, 3))
+    C = random_partitions(rng, rank, rng.randrange(1, 13), sizes=(1, 2, 2, 3))
+    try:
+        M = chamber.infer_type_matrix(C)
+        if coxeter.is_finite(M):
+            return C, M
+    except ChambersError:
+        pass
+    if rank == 2:
+        return C, rng.choice((coxeter.A1xA1, coxeter.A2, coxeter.C2, coxeter.dihedral(6)))
+    return C, rng.choice((A3, C3, H3))
+
+
+def random_polygon_system(rng, pool):
+    """A rank 2-4 system made of one or two blocks, chamber ids shuffled.
+    A block is a random partition system; or a polygon or digon from the
+    pool on two random types, the other types cut into panels of 1-3
+    chambers; or a thin Coxeter complex of the rank with its types permuted."""
+    rank = rng.randint(2, 4)
+    blocks = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.random()
+        if kind < 0.25:
+            blocks.append(random_partitions(rng, rank, rng.randint(1, 6)))
+        elif kind < 0.85:
+            poly = rng.choice(pool[2])
+            i, j = rng.sample(range(1, rank + 1), 2)
+            cut = random_partitions(rng, rank, poly.n)
+            blocks.append(chamber.from_partitions(
+                poly.n, rank, {**cut.panels, i: poly.panels[1], j: poly.panels[2]}))
+        else:
+            C = rng.choice(pool[rank])
+            sigma = dict(zip(C.types, rng.sample(C.types, rank)))
+            blocks.append(chamber.from_partitions(
+                C.n, rank, {sigma[t]: C.panels[t] for t in C.types}))
+    return shuffled_union(rng, *blocks)

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import corpus
 from chambers import catalog, chamber, covers, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import ResidueCollision
@@ -22,16 +23,6 @@ from chambers.errors import ResidueCollision
 
 def _report(num, ok, detail=""):
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def random_gallery(C, start, steps, rng):
-    adj = C.adjacency()
-    ch, ty = [start], []
-    for _ in range(steps):
-        i, d = rng.choice(adj[ch[-1]])
-        ch.append(d)
-        ty.append(i)
-    return TypedGallery(tuple(ch), tuple(ty))
 
 
 def test_criterion_1_coxeter_orders():
@@ -67,8 +58,8 @@ def test_criterion_2_polar_admissibility():
 THIN_CASES = [
     coxeter.A1,
     *[coxeter.dihedral(m) for m in range(2, 9)],
-    coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]]),      # A1^3
-    coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]]),      # A1 x A2
+    corpus.A1x3,
+    corpus.A1xA2,
     coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 4], [2, 4, 1]]),      # A1 x C2
     coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 6], [2, 6, 1]]),      # A1 x G2
     coxeter.A3,
@@ -305,7 +296,7 @@ def test_criterion_10_lifting_suite():
     for c, b in enumerate(proj.chamber_map):
         fibers.setdefault(b, []).append(c)
     for _ in range(1000):
-        g = random_gallery(quot, rng.randrange(quot.n), rng.randint(0, 10), rng)
+        g = corpus.random_gallery(quot, rng.randrange(quot.n), rng.randint(0, 10), rng)
         start = rng.choice(fibers[g.start])
         lifted = covers.lift_gallery(proj, g, start)
         projected = TypedGallery(tuple(proj.chamber_map[c] for c in lifted.chambers),
@@ -316,7 +307,7 @@ def test_criterion_10_lifting_suite():
     # homotopic base galleries lift to equal endpoints
     checked = 0
     for _ in range(100):
-        g1 = random_gallery(quot, 0, rng.randint(0, 8), rng)
+        g1 = corpus.random_gallery(quot, 0, rng.randint(0, 8), rng)
         g2 = quot.min_gallery(0, g1.end)
         if covers.homotopic(quot, g1, g2, budget=10 ** 5):
             l1 = covers.lift_gallery(proj, g1, 0)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import corpus
 from chambers import catalog, chamber, cli, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import (
@@ -278,55 +279,13 @@ def _pair_scan(C):
     return True, None
 
 
-def _central_quotient(M):
-    """The thin complex of M modulo its central longest element."""
-    table = coxeter.group_table(M)
-    w0 = table.longest_id()
-    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
-    return chamber.quotient(coxeter.coxeter_complex(M), [auto])[0]
-
-
-def _random_partitions(rng, rank, n):
-    """Each type cuts a shuffled chamber list into panels of 1-3 chambers."""
-    partitions = {}
-    for i in range(1, rank + 1):
-        order = rng.sample(range(n), n)
-        cuts = [0]
-        while cuts[-1] < n:
-            cuts.append(cuts[-1] + rng.randint(1, 3))
-        partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-    return chamber.from_partitions(n, rank, partitions)
-
-
-def _random_flags(rng, rank, n, size):
-    """Chambers are distinct random tuples over range(size)."""
-    return _flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
-                                for _ in range(n)}))
-
-
-def _flag_system(flags):
-    """Chambers are the given distinct tuples, in order; the type-i panel
-    collects the tuples equal away from position i."""
-    rank = len(flags[0])
-    partitions = {}
-    for i in range(1, rank + 1):
-        buckets = {}
-        for c, f in enumerate(flags):
-            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
-        partitions[i] = list(buckets.values())
-    return chamber.from_partitions(len(flags), rank, partitions)
-
-
 def test_is_simplicial_matches_pair_scan():
-    systems = [catalog.build(name)["system"] for name in (
-        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
-    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3)]
-    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3)]
+    systems = corpus.named_systems()
     rng = random.Random(20121205)
     for _ in range(3000):
-        systems.append(_random_partitions(rng, rng.randint(2, 4), rng.randint(1, 12)))
-        systems.append(_random_flags(rng, rng.randint(2, 4), rng.randint(1, 30),
-                                     rng.randint(2, 4)))
+        systems.append(corpus.random_partitions(rng, rng.randint(2, 4), rng.randint(1, 12)))
+        systems.append(corpus.random_flags(rng, rng.randint(2, 4), rng.randint(1, 30),
+                                           rng.randint(2, 4)))
     kinds = collections.Counter()
     for C in systems:
         got = chamber.is_simplicial(C)
@@ -355,17 +314,7 @@ def test_is_simplicial_no_common_face():
 
 
 def test_is_simplicial_answers_past_2000_chambers():
-    # the 9,765 maximal flags (p, L, P, S) of PG(4,2); type i varies the i-th member
-    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
-    flags = [(p, a, b, c) for c, S in enumerate(solids) for b, P in enumerate(planes) if P <= S
-             for a, L in enumerate(lines) if L <= P for p in sorted(L)]
-    partitions = {}
-    for i in range(1, 5):
-        buckets = {}
-        for c, f in enumerate(flags):
-            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
-        partitions[i] = list(buckets.values())
-    C = chamber.from_partitions(len(flags), 4, partitions)
+    C = corpus.pg42()
     assert C.n == 9765
     assert chamber.is_simplicial(C) == (True, None)
 
@@ -432,36 +381,25 @@ def test_isomorphism_negative():
     assert chamber.isomorphism(thin, disc) is None
 
 
-def _shuffled_union(rng, *systems):
-    """The disjoint union of systems of one rank, chamber ids shuffled."""
-    n = sum(C.n for C in systems)
-    ids = rng.sample(range(n), n)
-    parts, offset = {i: [] for i in systems[0].types}, 0
-    for C in systems:
-        for i in C.types:
-            parts[i] += [[ids[offset + c] for c in p] for p in C.panels[i]]
-        offset += C.n
-    return chamber.from_partitions(n, systems[0].rank, parts)
-
-
 def test_isomorphism_of_disconnected_systems():
     # the search maps the component of chamber 0, then restarts on the
     # least unmatched chamber
     rng = random.Random(7)
     hexagon = coxeter.coxeter_complex(coxeter.A2)
     fano = catalog.build_fano_flags()
-    A = _shuffled_union(rng, hexagon, fano)
-    B = _shuffled_union(rng, fano, hexagon)
+    A = corpus.shuffled_union(rng, hexagon, fano)
+    B = corpus.shuffled_union(rng, fano, hexagon)
     iso = chamber.isomorphism(A, B)
     assert iso is not None and len(iso) == A.n
     assert chamber.verify_isomorphism(A, B, tuple(iso[c] for c in range(A.n)))
     # same counts and panel sizes, but the second hexagon has no partner:
     # a digon and a two-chamber loop are left
-    two_hexagons = _shuffled_union(rng, hexagon, hexagon)
+    two_hexagons = corpus.shuffled_union(rng, hexagon, hexagon)
     digon = coxeter.coxeter_complex(coxeter.A1xA1)
     loop = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0, 1)]})
-    assert chamber.isomorphism(two_hexagons, _shuffled_union(rng, hexagon, digon, loop)) is None
-    assert chamber.is_isomorphic(two_hexagons, _shuffled_union(rng, hexagon, hexagon))
+    assert chamber.isomorphism(two_hexagons,
+                               corpus.shuffled_union(rng, hexagon, digon, loop)) is None
+    assert chamber.is_isomorphic(two_hexagons, corpus.shuffled_union(rng, hexagon, hexagon))
 
 
 def test_verify_isomorphism():
@@ -585,22 +523,12 @@ def _assert_residue_pass_matches_reference(C, ms):
     return want_matrix
 
 
-_A4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
-_D4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
-
-
 def test_residue_pass_matches_sub_system_route_on_named_systems():
-    systems = [catalog.build(name)["system"] for name in (
-        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
-    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3, _A4, _D4)]
-    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3, _D4)]
-    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
-    systems.append(_flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
-                                 for L in lines if L <= P for p in sorted(L)]))
+    systems = corpus.named_systems() + [corpus.pg42()]
     ms = collections.Counter()
     for C in systems:
         _assert_residue_pass_matches_reference(C, ms)
-    assert systems[-1].n == 9765 and chamber.infer_type_matrix(systems[-1]) == _A4
+    assert systems[-1].n == 9765 and chamber.infer_type_matrix(systems[-1]) == corpus.A4
     assert None not in ms and sum(ms.values()) > 4650
 
 
@@ -611,45 +539,10 @@ def _digon(a, b):
                                               2: [range(c, a * b, b) for c in range(b)]})
 
 
-def _random_polygon_system(rng, pool):
-    """A rank 2-4 system made of one or two blocks, chamber ids shuffled.
-    A block is a random partition system; or a polygon or digon from the
-    pool on two random types, the other types cut into panels of 1-3
-    chambers; or a thin Coxeter complex of the rank with its types permuted."""
-    rank = rng.randint(2, 4)
-    blocks = []
-    for _ in range(rng.randint(1, 2)):
-        kind = rng.random()
-        if kind < 0.25:
-            block = _random_partitions(rng, rank, rng.randint(1, 6))
-            blocks.append((block.n, block.panels))
-        elif kind < 0.85:
-            poly = rng.choice(pool[2])
-            i, j = rng.sample(range(1, rank + 1), 2)
-            cut = _random_partitions(rng, rank, poly.n)
-            blocks.append((poly.n, {**cut.panels, i: poly.panels[1], j: poly.panels[2]}))
-        else:
-            thin = rng.choice(pool[rank])
-            sigma = dict(zip(thin.types, rng.sample(thin.types, rank)))
-            blocks.append((thin.n, {sigma[t]: thin.panels[t] for t in thin.types}))
-    n = sum(b for b, _ in blocks)
-    ids = rng.sample(range(n), n)
-    partitions = {i: [] for i in range(1, rank + 1)}
-    offset = 0
-    for size, panels in blocks:
-        for i in partitions:
-            partitions[i] += [[ids[offset + c] for c in p] for p in panels[i]]
-        offset += size
-    return chamber.from_partitions(n, rank, partitions)
-
-
 def test_residue_pass_matches_sub_system_route_on_random_systems():
-    A1xA2 = coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
-    A1x3 = coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
     A1x4 = coxeter.CoxeterMatrix([[1 if i == j else 2 for j in range(4)] for i in range(4)])
-    A1xA3 = coxeter.CoxeterMatrix([[1, 2, 2, 2], [2, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
-    thin = {r: [coxeter.coxeter_complex(M) for M in Ms] for r, Ms in (
-        (3, (coxeter.A3, coxeter.C3, A1xA2, A1x3)), (4, (A1x4, A1xA3)))}
+    thin = {r: [corpus.thin(M) for M in Ms] for r, Ms in (
+        (3, (coxeter.A3, coxeter.C3, corpus.A1xA2, corpus.A1x3)), (4, (A1x4, corpus.A1xA3)))}
     thin[2] = [coxeter.coxeter_complex(coxeter.CoxeterMatrix([[1, m], [m, 1]]))
                for m in range(2, 7)]
     pool = dict(thin)
@@ -659,7 +552,8 @@ def test_residue_pass_matches_sub_system_route_on_random_systems():
     ms = collections.Counter()
     outcomes = collections.Counter()
     for _ in range(1000):
-        _, error = _assert_residue_pass_matches_reference(_random_polygon_system(rng, pool), ms)
+        _, error = _assert_residue_pass_matches_reference(
+            corpus.random_polygon_system(rng, pool), ms)
         outcomes[error and error[0]] += 1
     assert ms[None] >= 50 and sum(v for m, v in ms.items() if m is not None) >= 50
     assert min(ms[m] for m in (2, 3, 4, 5, 6)) >= 10

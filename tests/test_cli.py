@@ -90,6 +90,17 @@ def test_cover_truncated(capsys, tmp_path):
     assert code == 1 and json.loads(out)["truncated"] is True
 
 
+def test_cover_budget_counts_gluer_nodes(capsys, tmp_path):
+    # --max-chambers bounds the gluer's live nodes: 2,835 of them for the
+    # 315 chambers of neumaier-a7, as --help says
+    f = tmp_path / "neu.json"
+    run(capsys, "build", "neumaier-a7", "--out", str(f))
+    code, out, _ = run(capsys, "cover", str(f), "--max-chambers", "2834")
+    assert code == 1 and json.loads(out) == {"truncated": True}
+    code, out, _ = run(capsys, "cover", str(f), "--max-chambers", "2835")
+    assert code == 0 and json.loads(out)["chambers"] == 315
+
+
 def test_cover_base_chamber_out_of_range(capsys, tmp_path):
     f = tmp_path / "fano.json"
     run(capsys, "build", "fano", "--out", str(f))

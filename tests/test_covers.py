@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+import corpus
 from chambers import catalog, chamber, covers, coxeter, groups
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.covers import CoveringMap
@@ -14,22 +15,11 @@ from chambers.errors import (
     IncompatibleOnH,
     NotCovering,
     NotHomomorphism,
-    ResidueCollision,
 )
 
 
 def identity_cover(C):
     return CoveringMap(C, C, tuple(range(C.n)))
-
-
-def random_gallery(C, start, steps, rng):
-    adj = C.adjacency()
-    ch, ty = [start], []
-    for _ in range(steps):
-        i, d = rng.choice(adj[ch[-1]])
-        ch.append(d)
-        ty.append(i)
-    return TypedGallery(tuple(ch), tuple(ty))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +70,7 @@ def test_lift_gallery_basics():
     empty = TypedGallery((0,), ())
     assert covers.lift_gallery(p, empty, 0).chambers == (0,)
     rng = random.Random(5)
-    g = random_gallery(fano, 0, 5, rng)
+    g = corpus.random_gallery(fano, 0, 5, rng)
     assert covers.lift_gallery(p, g, 0) == g
 
 
@@ -89,7 +79,7 @@ def test_lift_project_roundtrip():
     rng = random.Random(6)
     for _ in range(100):
         start_cover = rng.randrange(base.n)
-        g = random_gallery(quot, proj.chamber_map[start_cover], rng.randint(0, 8), rng)
+        g = corpus.random_gallery(quot, proj.chamber_map[start_cover], rng.randint(0, 8), rng)
         lifted = covers.lift_gallery(proj, g, start_cover)
         projected = TypedGallery(tuple(proj.chamber_map[c] for c in lifted.chambers),
                                  lifted.types)
@@ -101,8 +91,8 @@ def test_lift_concat_functorial():
     rng = random.Random(7)
     for _ in range(30):
         c0 = rng.randrange(base.n)
-        g1 = random_gallery(quot, proj.chamber_map[c0], 4, rng)
-        g2 = random_gallery(quot, g1.end, 4, rng)
+        g1 = corpus.random_gallery(quot, proj.chamber_map[c0], 4, rng)
+        g2 = corpus.random_gallery(quot, g1.end, 4, rng)
         both = covers.lift_gallery(proj, g1.concat(g2), c0)
         first = covers.lift_gallery(proj, g1, c0)
         second = covers.lift_gallery(proj, g2, first.end)
@@ -115,7 +105,7 @@ def test_lift_nontrivial_class_changes_fiber_point():
     rng = random.Random(8)
     moved = False
     for _ in range(400):
-        g = random_gallery(quot, 0, 10, rng)
+        g = corpus.random_gallery(quot, 0, 10, rng)
         if g.end != 0:
             continue
         lifted = covers.lift_gallery(res.covering, g, res.root)
@@ -212,7 +202,7 @@ def test_elementary_homotopy_single_moves():
     pairs = [(1, 2), (1, 3), (2, 3)]
     hits = 0
     for _ in range(40):
-        g = random_gallery(cc3, rng.randrange(cc3.n), rng.randint(1, 5), rng)
+        g = corpus.random_gallery(cc3, rng.randrange(cc3.n), rng.randint(1, 5), rng)
         s = rng.randint(0, len(g))
         e = rng.randint(s, len(g))
         fitting = [Q for Q in pairs if set(g.types[s:e]) <= set(Q)]
@@ -242,7 +232,7 @@ def test_homotopy_invariance_of_lifting():
     base, quot, proj = catalog.build_singer_quotient(5)
     rng = random.Random(10)
     for _ in range(40):
-        g1 = random_gallery(quot, 0, rng.randint(0, 6), rng)
+        g1 = corpus.random_gallery(quot, 0, rng.randint(0, 6), rng)
         g2 = quot.min_gallery(0, g1.end)
         hom = covers.homotopic(quot, g1, g2, budget=10 ** 5)
         l1 = covers.lift_gallery(proj, g1, 0)
@@ -369,8 +359,6 @@ class _ReferenceGluer:
 
 
 _GLUER = covers._Gluer
-_A4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
-_D4 = coxeter.CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
 
 
 def _cover_by(monkeypatch, engine, C, c0, max_chambers=10 ** 6):
@@ -400,56 +388,8 @@ def _panels_shared(g):
                for r in roots for t, mp in g.panels[r].items())
 
 
-def _central_quotient(M):
-    """The thin complex of M modulo its central longest element."""
-    table = coxeter.group_table(M)
-    w0 = table.longest_id()
-    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
-    return chamber.quotient(coxeter.coxeter_complex(M), [auto])[0]
-
-
-def _flag_system(flags):
-    """Chambers are the given distinct tuples, in order; the type-i panel
-    collects the tuples equal away from position i."""
-    rank = len(flags[0])
-    partitions = {}
-    for i in range(1, rank + 1):
-        buckets = {}
-        for c, f in enumerate(flags):
-            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
-        partitions[i] = list(buckets.values())
-    return chamber.from_partitions(len(flags), rank, partitions)
-
-
-def _random_connected_system(rng):
-    """A connected system of rank 2-4: random partitions into panels of one
-    to three chambers, or a flag system on random tuples."""
-    while True:
-        rank = rng.randint(2, 4)
-        if rng.random() < 0.5:
-            n = rng.randint(1, 5)
-            partitions = {}
-            for i in range(1, rank + 1):
-                order = rng.sample(range(n), n)
-                cuts = [0]
-                while cuts[-1] < n:
-                    cuts.append(cuts[-1] + rng.randint(1, 3))
-                partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-            C = chamber.from_partitions(n, rank, partitions)
-        else:
-            size = rng.randint(2, 3)
-            C = _flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
-                                     for _ in range(rng.randint(1, 12))}))
-        if C.is_connected():
-            return C
-
-
 def test_gluer_matches_reference_on_named_systems(monkeypatch):
-    systems = [catalog.build(name)["system"] for name in (
-        "fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")]
-    systems += [coxeter.coxeter_complex(M) for M in (coxeter.A3, coxeter.C3, coxeter.H3, _A4, _D4)]
-    systems += [_central_quotient(M) for M in (coxeter.C3, coxeter.H3, _D4)]
-    for C in systems:
+    for C in corpus.named_systems():
         for c0 in sorted({0, C.n // 2, C.n - 1}):
             old, old_gluer = _cover_by(monkeypatch, _ReferenceGluer, C, c0)
             new, gluer = _cover_by(monkeypatch, _GLUER, C, c0)
@@ -461,7 +401,7 @@ def test_gluer_matches_reference_on_random_systems(monkeypatch):
     rng = random.Random(20121205)
     truncated = collections.Counter()
     for _ in range(1000):
-        C = _random_connected_system(rng)
+        C = corpus.random_connected_system(rng)
         c0 = rng.randrange(C.n)
         old, _ = _cover_by(monkeypatch, _ReferenceGluer, C, c0, max_chambers=2000)
         new, gluer = _cover_by(monkeypatch, _GLUER, C, c0, max_chambers=2000)
@@ -473,9 +413,7 @@ def test_gluer_matches_reference_on_random_systems(monkeypatch):
 def test_universal_cover_pg42(monkeypatch):
     # the 9,765 maximal flags of PG(4,2), a building of type A4: simply
     # 2-connected, so it is its own universal cover
-    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
-    C = _flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
-                      for L in lines if L <= P for p in sorted(L)])
+    C = corpus.pg42()
     (truncated, _, deck, regular, (chamber_map, _)), gluer = _cover_by(
         monkeypatch, _GLUER, C, 0)
     assert not truncated and len(chamber_map) == C.n == 9765
@@ -581,8 +519,8 @@ def test_homotopic_matches_bfs_on_thin_a2():
     a2 = coxeter.coxeter_complex(coxeter.A2)
     rng = random.Random(11)
     for _ in range(25):
-        g1 = random_gallery(a2, 0, rng.randint(0, 4), rng)
-        g2 = random_gallery(a2, 0, rng.randint(0, 4), rng)
+        g1 = corpus.random_gallery(a2, 0, rng.randint(0, 4), rng)
+        g2 = corpus.random_gallery(a2, 0, rng.randint(0, 4), rng)
         if g1.end != g2.end:
             continue
         fast = covers.homotopic(a2, g1, g2)
@@ -591,11 +529,38 @@ def test_homotopic_matches_bfs_on_thin_a2():
         assert fast  # rank-2 systems are simply 2-connected
 
 
+def test_homotopic_matches_bfs_off_simply_connected():
+    # the cube complex A1x3 modulo its centre: the loop of types 1, 2, 3
+    # closes here but not in the cube, its universal cover
+    q = corpus.central_quotient(corpus.A1x3)
+    loop = chamber.gallery_from_types(q, 0, (1, 2, 3))
+    trivial = TypedGallery((0,), ())
+    assert q.n == 4 and loop.end == 0
+    fast = covers.homotopic(q, loop, trivial)
+    slow = covers.homotopic_bfs(q, loop, trivial, budget=2000)
+    assert (fast, slow) == (False, False)
+    with pytest.raises(BudgetExceeded):
+        covers.homotopic_bfs(q, loop, trivial, budget=500)
+    # W(A1x3) is abelian: a type word and any reordering of it are homotopic
+    rng = random.Random(16)
+    reordered = 0
+    for _ in range(10):
+        c = rng.randrange(q.n)
+        word = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        g1 = chamber.gallery_from_types(q, c, word)
+        g2 = chamber.gallery_from_types(q, c, rng.sample(word, len(word)))
+        fast = covers.homotopic(q, g1, g2)
+        slow = covers.homotopic_bfs(q, g1, g2, budget=2000)
+        assert (fast, slow) == (True, True), (c, g1.types, g2.types)
+        reordered += g1 != g2
+    assert reordered >= 3
+
+
 def test_homotopic_in_buildings():
     a3 = catalog.build_a3_f2()
     rng = random.Random(12)
     for _ in range(15):
-        g1 = random_gallery(a3, 0, rng.randint(0, 6), rng)
+        g1 = corpus.random_gallery(a3, 0, rng.randint(0, 6), rng)
         g2 = a3.min_gallery(0, g1.end)
         assert covers.homotopic(a3, g1, g2, budget=10 ** 5)
 
@@ -607,7 +572,7 @@ def test_homotopic_distinguishes_classes():
     trivial = TypedGallery((0,), ())
     seen_nontrivial = False
     for _ in range(300):
-        g = random_gallery(quot, 0, 10, rng)
+        g = corpus.random_gallery(quot, 0, 10, rng)
         if g.end != 0:
             continue
         hom = covers.homotopic(quot, g, trivial, budget=10 ** 5)
@@ -634,7 +599,7 @@ def test_homotopic_one_cover_lifted_from_any_start(monkeypatch):
     for start in (5, 17, 33, 62):
         res = covers.universal_cover(C, c0=start, with_deck=False)
         for _ in range(20):
-            g1 = random_gallery(C, start, rng.randint(2, 12), rng)
+            g1 = corpus.random_gallery(C, start, rng.randint(2, 12), rng)
             g2 = C.min_gallery(start, g1.end)
             ends = {covers.lift_gallery(res.covering, g, res.root).end for g in (g1, g2)}
             queries.append((g1, g2, len(ends) == 1))
@@ -729,9 +694,7 @@ def test_cover_from_lift_connected_double():
     assert cover.n == 8 and connected
     ok, diag = covers.is_covering(cmap)
     assert ok, diag
-    thin = coxeter.coxeter_complex(
-        coxeter.CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
-    assert chamber.is_isomorphic(cover, thin)
+    assert chamber.is_isomorphic(cover, corpus.thin(corpus.A1x3))
     deck, regular = covers.deck_transformations(cmap)
     assert len(deck) == 2 and regular
     # consistent with the universal cover of the base

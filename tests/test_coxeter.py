@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import corpus
 from chambers import coxeter, groups
 from chambers.coxeter import (
     A1xA1,
@@ -73,8 +74,7 @@ FINITE = [
     A2, A3, C3, H3, A1xA1, dihedral(5), dihedral(8),
     # B4
     CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]]),
-    # D4: node 2 central
-    CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]),
+    corpus.D4,  # node 2 central
     # F4
     CoxeterMatrix([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]),
     # H4
@@ -337,12 +337,6 @@ def _reference_enumerate_group(M, cap=10 ** 6):
     return coxeter.CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
 
 
-_A4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
-_D4 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]])
-_A1xA3 = CoxeterMatrix([[1, 2, 2, 2], [2, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]])
-_A2xA2 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]])
-
-
 def _relabelled(M, perm):
     """M with type perm[a] in the place of type a + 1."""
     return CoxeterMatrix([[M.order(perm[a], perm[b]) for b in range(M.rank)]
@@ -350,10 +344,10 @@ def _relabelled(M, perm):
 
 
 def _cross_check_matrices():
-    named = [coxeter.A1, A2, A3, C3, H3, _A4, _D4, _A1xA3, _A2xA2]
+    named = [coxeter.A1, A2, A3, C3, H3, corpus.A4, corpus.D4, corpus.A1xA3, corpus.A2xA2]
     named += [dihedral(m) for m in range(2, 13)]
     relabelled = [_relabelled(M, p) for M in (A3, C3, H3) for p in permutations((1, 2, 3))]
-    relabelled += [_relabelled(M, p) for M in (_A4, _D4, _A1xA3)
+    relabelled += [_relabelled(M, p) for M in (corpus.A4, corpus.D4, corpus.A1xA3)
                    for p in ((2, 1, 3, 4), (3, 1, 4, 2))]
     return named + relabelled
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import corpus
 from chambers import catalog, chamber, cli, coxeter, verify
-from chambers.errors import ChambersError, Disconnected, NoSuchW
+from chambers.errors import Disconnected, NoSuchW
 
 
 def test_w_distance_thin():
@@ -60,48 +61,14 @@ def test_w_distance_every_pair():
         verify.w_distance(two, coxeter.A2, 0, 1)
 
 
-def _central_quotient(M):
-    table = coxeter.enumerate_group(M)
-    C = coxeter.complex_from_table(table)
-    w0 = table.longest_id()
-    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
-    return chamber.quotient(C, [auto])[0]
-
-
-def _random_system(rng):
-    """A random rank-2 or rank-3 system on at most 12 chambers, with panels
-    of one to three chambers, and a finite matrix: the inferred one where
-    there is one, else a random one of the same rank."""
-    rank = rng.choice((2, 3))
-    n = rng.randrange(1, 13)
-    partitions = {}
-    for i in range(1, rank + 1):
-        cs = rng.sample(range(n), n)
-        partitions[i] = []
-        while cs:
-            size = rng.choice((1, 2, 2, 3))
-            partitions[i].append(cs[:size])
-            cs = cs[size:]
-    C = chamber.from_partitions(n, rank, partitions)
-    try:
-        M = chamber.infer_type_matrix(C)
-        if coxeter.is_finite(M):
-            return C, M
-    except ChambersError:
-        pass
-    if rank == 2:
-        return C, rng.choice((coxeter.A1xA1, coxeter.A2, coxeter.C2, coxeter.dihedral(6)))
-    return C, rng.choice((coxeter.A3, coxeter.C3, coxeter.H3))
-
-
 def test_w_distance_propagation_matches_type_sets():
     # second engine: read every row off the minimal-gallery type sets
-    systems = [(catalog.build(name)["system"], None) for name in
-               ("fano", "gq22", "a3-f2", "neumaier-a7", "singer-quotient-z5")]
-    systems += [(coxeter.coxeter_complex(M), M) for M in (coxeter.A3, coxeter.C3, coxeter.H3)]
-    systems += [(_central_quotient(M), M) for M in (coxeter.C3, coxeter.H3)]
+    # a3-f2-cosets has a3-f2's panels, and thin D4's type sets take seconds
+    systems = [(C, None) for C in corpus.named_systems(
+        names=[name for name in corpus.CATALOG if name != "a3-f2-cosets"],
+        thin_types=corpus.THIN[:-1])]
     rng = random.Random(4)
-    systems += [_random_system(rng) for _ in range(300)]
+    systems += [corpus.random_system(rng) for _ in range(300)]
     propagated = fell_back = 0
     for C, M in systems:
         table = coxeter.group_table(M or chamber.infer_type_matrix(C))
@@ -121,7 +88,8 @@ def test_building_verdict_builds_no_type_sets(monkeypatch):
     def refuse(self, x):
         raise AssertionError("type sets built for a building")
 
-    a3 = catalog.build_a3_f2()
+    # a freshly loaded system, so no cache of a shared one answers
+    a3 = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
     monkeypatch.setattr(chamber.ChamberSystem, "minimal_type_sets_from", refuse)
     ok, report = verify.is_building(a3, coxeter.A3)
     assert ok and report["pairs_checked"] == 315 * 315
@@ -164,7 +132,7 @@ def test_failure_reports_pinned():
          "a55a1f2bdcad0754b678f41fcd8c012f0be47d3b36b2219b8003119926d85363"),
         (z5, chamber.infer_type_matrix(z5), 126,
          "2e79006e338f5a988db687f764be702ebd80b40c821b6148278f25cc4ba38f72"),
-        (_central_quotient(coxeter.C3), coxeter.C3, 120,
+        (corpus.central_quotient(coxeter.C3), coxeter.C3, 120,
          "570504c6fa0f9cedba42a034f6dab6ea9306f5ffdf6141279c230f8575eb3b68"),
         (catalog.build_fano_flags(), coxeter.C2, 84,
          "5923329fc92d97a3572613a09ec7f3ad8d35c5b64f528d2e192827cd9b26d624"),
@@ -354,11 +322,7 @@ def test_central_quotient_needs_gate_axiom():
     # part of the W-metric axioms that detects it.
     from chambers import covers
 
-    table = coxeter.enumerate_group(coxeter.C3)
-    C = coxeter.complex_from_table(table)
-    w0 = table.longest_id()
-    auto = tuple(table.mult_id(w0, e) for e in range(table.order))
-    Q, proj = chamber.quotient(C, [tuple(range(48)), auto])
+    C, Q = corpus.thin(coxeter.C3), corpus.central_quotient(coxeter.C3)
     assert Q.n == 24
 
     assert all(isinstance(verify.w_distance(Q, coxeter.C3, x, y), coxeter.WElement)
