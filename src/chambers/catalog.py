@@ -13,6 +13,15 @@ from itertools import combinations
 from . import groups
 from .chamber import ChamberSystem, HomogeneousSpec, from_cosets, quotient
 from .covers import CoveringMap
+from .errors import CatalogMismatch
+
+
+def _expect(what, got, want):
+    """Raise CatalogMismatch unless a construction gave its known count;
+    a raise, not an assert, so the check survives `python -O`."""
+    if got != want:
+        raise CatalogMismatch(f"{what}: got {got}, expected {want}")
+
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on bitmask vectors
@@ -61,7 +70,7 @@ def gl4_2():
     tv = (1, 3, 4, 8)        # transvection e2 -> e1 + e2
     gens = [tuple(mat_apply(M, v) - 1 for v in range(1, 16)) for M in (cyc, tv)]
     G = groups.group_from_generators(gens, cap=30000)
-    assert G.order == 20160
+    _expect("|GL(4,2)|", G.order, 20160)
     return G
 
 
@@ -82,11 +91,11 @@ def gl4_2_parabolics():
         return groups.stabilizer(G, lambda g: all(_setwise(g, s) == s for s in sets))
 
     borel = stab(p0, L0, pl0)
-    assert borel.order == 64
+    _expect("|Borel|", borel.order, 64)
     faces = {1: stab(L0, pl0), 2: stab(p0, pl0), 3: stab(p0, L0)}
-    assert all(F.order == 192 for F in faces.values())
+    _expect("minimal parabolic orders", [faces[j].order for j in (1, 2, 3)], [192] * 3)
     vertex = {1: stab(p0), 2: stab(L0), 3: stab(pl0)}
-    assert vertex[1].order == 1344 and vertex[2].order == 576 and vertex[3].order == 1344
+    _expect("maximal parabolic orders", [vertex[j].order for j in (1, 2, 3)], [1344, 576, 1344])
     return G, borel, faces, vertex
 
 
@@ -121,7 +130,7 @@ def build_fano_flags():
     lines = subspaces(3, 2)
     flags = [(p, tuple(sorted(L))) for L in lines for p in sorted(L)]
     C = _flag_system(flags, 2)
-    assert C.n == 21
+    _expect("Fano flags", C.n, 21)
     return C
 
 
@@ -139,10 +148,10 @@ def build_gq22():
         a, b, _ = sorted(L)
         if form(a, b) == 0:
             lines.append(L)
-    assert len(lines) == 15
+    _expect("GQ(2,2) lines", len(lines), 15)
     flags = [(p, tuple(sorted(L))) for L in lines for p in sorted(L)]
     C = _flag_system(flags, 2)
-    assert C.n == 45
+    _expect("GQ(2,2) flags", C.n, 45)
     return C
 
 
@@ -152,14 +161,14 @@ def build_a3_f2(model="flags"):
     or as the coset system of GL(4,2) with its Borel and minimal parabolics."""
     if model == "cosets":
         C = from_cosets(a3_f2_spec())
-        assert C.n == 315
+        _expect("PG(3,2) Borel cosets", C.n, 315)
         return C
     if model != "flags":
         raise ValueError(f"unknown model {model!r}; expected 'flags' or 'cosets'")
     pts = range(1, 16)
     lines = subspaces(4, 2)
     planes = subspaces(4, 3)
-    assert len(lines) == 35 and len(planes) == 15
+    _expect("PG(3,2) lines and planes", (len(lines), len(planes)), (35, 15))
     flags = []
     for pl in planes:
         pl_key = tuple(sorted(pl))
@@ -169,7 +178,7 @@ def build_a3_f2(model="flags"):
                 for p in sorted(L):
                     flags.append((p, L_key, pl_key))
     C = _flag_system(flags, 3)
-    assert C.n == 315
+    _expect("PG(3,2) flags", C.n, 315)
     return C
 
 
@@ -199,7 +208,7 @@ def fano_planes_on_7():
     std = _plane_key([(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)])
     transpositions = [groups.perm_from_cycles(7, [(a, a + 1)]) for a in range(6)]
     planes = groups.orbit(std, transpositions, _plane_img, 30)
-    assert len(planes) == 30
+    _expect("Fano planes on 7 points", len(planes), 30)
     return sorted(planes)
 
 
@@ -209,7 +218,7 @@ def a7_plane_orbit():
     least plane (15 of the 30)."""
     three_cycles = [groups.perm_from_cycles(7, [(a, a + 1, a + 2)]) for a in range(5)]
     planes = groups.orbit(fano_planes_on_7()[0], three_cycles, _plane_img, 15)
-    assert len(planes) == 15
+    _expect("Alt(7)-orbit of Fano planes", len(planes), 15)
     return sorted(planes)
 
 
@@ -221,7 +230,7 @@ def build_neumaier_a7():
     planes = a7_plane_orbit()
     flags = [(p, t, pl) for pl in planes for t in pl for p in t]
     C = _flag_system(flags, 3)
-    assert C.n == 315
+    _expect("triple geometry flags", C.n, 315)
 
     A7 = groups.alternating_group(7)
     p0, L0, pl0 = min(flags)
@@ -238,11 +247,12 @@ def build_neumaier_a7():
         return groups.stabilizer(A7, pred)
 
     H = stab(point=p0, line=L0, plane=pl0)
-    assert H.order == 8
+    _expect("|flag stabilizer|", H.order, 8)
     faces = {1: stab(line=L0, plane=pl0), 2: stab(point=p0, plane=pl0), 3: stab(point=p0, line=L0)}
-    assert all(F.order == 24 for F in faces.values())
+    _expect("panel stabilizer orders", [faces[j].order for j in (1, 2, 3)], [24] * 3)
     vertex = {1: stab(point=p0), 2: stab(line=L0), 3: stab(plane=pl0)}
-    assert vertex[1].order == 360 and vertex[2].order == 72 and vertex[3].order == 168
+    _expect("point, line and plane stabilizer orders", [vertex[j].order for j in (1, 2, 3)],
+            [360, 72, 168])
     spec = HomogeneousSpec(A7, H, faces, vertex=vertex)
     return C, spec
 
@@ -392,12 +402,11 @@ def build(name):
     C = artifacts["system"]
     exp = entry.expected
     if C.n != exp["n"] or C.rank != exp["rank"]:
-        raise AssertionError(
-            f"catalog {name}: got n={C.n} rank={C.rank}, expected {exp}")
+        raise CatalogMismatch(f"catalog {name}: got n={C.n} rank={C.rank}, expected {exp}")
     if "girth" in exp:
         from .chamber import incidence_graph_stats
         girth, diam = incidence_graph_stats(C)
         if (girth, diam) != (exp["girth"], exp["diameter"]):
-            raise AssertionError(
+            raise CatalogMismatch(
                 f"catalog {name}: incidence graph ({girth},{diam}) != expected")
     return artifacts

@@ -351,8 +351,10 @@ def from_cosets(spec):
     """Coset chamber system of a HomogeneousSpec.  Chamber ids follow the
     deterministic coset order of the principal subgroup H, whose
     representatives are the labels.  The type-i panel of gH is {g f H} over
-    a transversal f of H in face[i], read from its least chamber; a face
-    that is not a union of H-cosets, or whose panels overlap, raises."""
+    a transversal f of H in face[i], read from its least chamber.  A face
+    that is not a union of H-cosets, is not closed under products (checked
+    as S*f in S over the transversal, |S|^2/|H| products), or whose panels
+    overlap, raises NotSubgroup."""
     G = spec.group
     H = spec.principal
     types = spec.types
@@ -367,6 +369,10 @@ def from_cosets(spec):
         if None in transversal or len(transversal) * H.order != Gi.order:
             raise NotSubgroup(f"face group {i} is not a union of principal cosets in the group")
         compiled = [groups._right_mul(f) for f in transversal.values()]
+        # a union of H-cosets S is a subgroup iff S*t lies in S for every
+        # t of its transversal, since then S*S = (S*T)*H lies in S*H = S
+        if not all(Gi.set.issuperset(map(m, Gi.elements)) for m in compiled):
+            raise NotSubgroup(f"face group {i} is not closed under products")
         placed = [False] * n
         partitions[i] = []
         for c, g in enumerate(ct.reps):

@@ -109,3 +109,10 @@ class NoSuchW(ChambersError):
 
 class MissingVertexGroups(ChambersError):
     pass
+
+
+# --- catalog ---
+
+class CatalogMismatch(ChambersError):
+    """A catalog construction gave a count other than the one it is known
+    to have: a group or stabilizer order, a number of flags or subspaces."""

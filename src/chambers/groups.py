@@ -6,8 +6,14 @@ element order is always lexicographic on image tuples, so coset ids and
 chamber ids derived from them are reproducible across runs.  Products run
 in C: x -> x*g is `operator.itemgetter(*g)`, compiled once per g where one
 g multiplies many x.
+
+`stabilizer` sieves cosets instead of testing every element: its predicate
+runs about [G:H] + |H| times, and `close` runs once more each time the
+subgroup found so far grows.  It requires a predicate that cuts out a
+subgroup, and catches one that does not only on the elements it tests.
 """
 
+from itertools import filterfalse, repeat
 from operator import itemgetter
 
 from .errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
@@ -171,18 +177,59 @@ def subgroup_generated(parent, gens):
 
 
 def stabilizer(parent, predicate):
-    """Subgroup of all elements satisfying a closure-stable predicate.
+    """The subgroup H of the elements of `parent` satisfying `predicate`,
+    by coset sieving.
 
-    The predicate must cut out a subgroup (stabilizers do); only the cheap
-    identity/inverse checks are run here.
+    The elements are scanned in lex order, skipping those already in the
+    subgroup K <= H found so far and those ruled out.  A passing element
+    joins K's generators and K is closed again; a failing f rules out its
+    whole coset fK, which misses H when K <= H.  The predicate therefore
+    runs about [G:H] + |H| times, not |G|: once per ruled-out coset, once
+    per generator, and once more on every element of the final K, which
+    must all pass.
+
+    Precondition: the predicate cuts out a subgroup (stabilizers do).  A
+    predicate that rejects the identity, or accepts an element but not its
+    inverse, or is not closed under products, raises NotSubgroup, but only
+    when the failing element is one that was tested; elements in ruled-out
+    cosets are never tested.
     """
-    elems = [g for g in parent.elements if predicate(g)]
-    H = Subgroup(parent, elems, check=False)
-    if identity(parent.degree) not in H.set:
+    e = identity(parent.degree)
+    if not predicate(e):
         raise NotSubgroup("predicate rejects the identity")
-    for g in H.elements:
-        if inv(g) not in H.set:
-            raise NotSubgroup("predicate not inverse-closed")
+    elements, index = parent.elements, parent.index
+    gens, K = [], {e}
+    right = [_right_mul(e)]          # x -> x*k for k in K
+    # one element per ruled-out coset of K; the ids of K and of those cosets
+    fails, seen = [], {index[e]}
+
+    def rule_out(f):
+        fails.append(f)
+        seen.update(map(index.__getitem__, map(_apply, right, repeat(f))))
+
+    for i in filterfalse(seen.__contains__, range(parent.order)):
+        g = elements[i]
+        if not predicate(g):
+            rule_out(g)
+            continue
+        gens.append(g)
+        K = close(parent.degree, gens, parent.order)
+        if not K <= index.keys():
+            raise NotSubgroup("generated subgroup escapes parent")
+        right = [_right_mul(k) for k in K]
+        old, fails = fails, []
+        seen.clear()                 # in place: the scan's filter holds this set
+        seen.update(map(index.__getitem__, K))
+        for f in old:
+            if index[f] not in seen:
+                rule_out(f)
+    # the parent's own tuples, so that the copies `close` made can be freed
+    H = Subgroup(parent, [elements[index[k]] for k in K], check=False)
+    for k in H.elements:
+        if not predicate(k):
+            if predicate(inv(k)):
+                raise NotSubgroup("predicate not inverse-closed")
+            raise NotSubgroup("predicate not closed under products")
     return H
 
 
@@ -248,20 +295,22 @@ def is_free_action(H, points, action):
 
 
 def direct_product(G1, G2):
-    """G1 x G2 acting on the disjoint union of the two domains."""
-    d1, d2 = G1.degree, G2.degree
-
-    def embed1(g):
-        return tuple(g) + tuple(d1 + x for x in range(d2))
-
-    def embed2(g):
-        return tuple(range(d1)) + tuple(d1 + x for x in g)
-
-    gens = [embed1(g) for g in G1.generators] + [embed2(g) for g in G2.generators]
-    G = group_from_generators(gens, cap=10 ** 6)
-    if G.order != G1.order * G2.order:
-        raise ValueError(f"direct product has order {G.order}, not {G1.order} * {G2.order}")
-    return G
+    """G1 x G2 acting on the disjoint union of the two domains.  Each factor
+    is closed from its own generators and the pairs (g, h) are listed
+    g-major, which is lex order; a factor whose generators do not give its
+    claimed order raises ValueError, a product past 10**6 CapExceeded."""
+    d1, d2, cap = G1.degree, G2.degree, 10 ** 6
+    E1 = sorted(close(d1, G1.generators, cap))
+    E2 = sorted(close(d2, G2.generators, cap))
+    if len(E1) * len(E2) > cap:
+        raise CapExceeded(f"direct product of order {len(E1) * len(E2)} exceeds cap {cap}")
+    if len(E1) * len(E2) != G1.order * G2.order:
+        raise ValueError(f"direct product has order {len(E1) * len(E2)}, "
+                         f"not {G1.order} * {G2.order}")
+    shifted = [tuple(d1 + x for x in h) for h in E2]
+    gens = ([pair_perm(g, identity(d2)) for g in G1.generators]
+            + [pair_perm(identity(d1), h) for h in G2.generators])
+    return PermGroup(d1 + d2, gens, [g + h for g in E1 for h in shifted])
 
 
 def pair_perm(g, p):

@@ -10,7 +10,7 @@ from the rng they are given; each test fixes its own seed.
 
 from functools import lru_cache
 
-from chambers import catalog, chamber, coxeter
+from chambers import catalog, chamber, coxeter, groups
 from chambers.chamber import TypedGallery
 from chambers.coxeter import A3, C3, H3, CoxeterMatrix
 from chambers.errors import ChambersError
@@ -23,6 +23,7 @@ A1x3 = CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
 A1xA2 = CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
 
 CATALOG = ("fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")
+GROUP_POOL = ("S4", "S5", "A5", "A6", "A7")
 THIN = (A3, C3, H3, A4, D4)
 # the quotient of the cube complex A1x3 is not simply 2-connected
 QUOTIENTS = (C3, H3, D4, A1x3)
@@ -32,6 +33,15 @@ QUOTIENTS = (C3, H3, D4, A1x3)
 def thin(M):
     """The thin Coxeter complex of M."""
     return coxeter.coxeter_complex(M)
+
+
+@lru_cache(maxsize=None)
+def pool_group(name):
+    """A group of GROUP_POOL by name, or GL(4,2) on its 15 points."""
+    if name == "GL(4,2)":
+        return catalog.gl4_2()
+    n = int(name[1:])
+    return groups.symmetric_group(n) if name[0] == "S" else groups.alternating_group(n)
 
 
 @lru_cache(maxsize=None)
@@ -148,6 +158,29 @@ def random_system(rng):
     if rank == 2:
         return C, rng.choice((coxeter.A1xA1, coxeter.A2, coxeter.C2, coxeter.dihedral(6)))
     return C, rng.choice((A3, C3, H3))
+
+
+def stabilizer_predicates(rng, degree, count):
+    """(label, predicate) pairs on permutations of range(degree): the whole
+    group (no condition), the trivial group (every point fixed), then count
+    seeded ones, each the setwise stabilizer of one to three random point
+    sets or the pointwise stabilizer of a random point set."""
+    def setwise(sets):
+        return lambda g: all(frozenset(g[x] for x in s) == s for s in sets)
+
+    def pointwise(points):
+        return lambda g: all(g[x] == x for x in points)
+
+    out = [("whole", setwise(())), ("trivial", pointwise(range(degree)))]
+    for _ in range(count):
+        if rng.random() < 0.5:
+            sets = [frozenset(rng.sample(range(degree), rng.randint(1, degree - 1)))
+                    for _ in range(rng.randint(1, 3))]
+            out.append((f"setwise {[sorted(s) for s in sets]}", setwise(sets)))
+        else:
+            points = rng.sample(range(degree), rng.randint(1, degree - 1))
+            out.append((f"pointwise {sorted(points)}", pointwise(points)))
+    return out
 
 
 def random_polygon_system(rng, pool):

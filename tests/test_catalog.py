@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import chambers
 from chambers import catalog, chamber, cli, groups, verify
 from chambers.errors import ResidueCollision
 
@@ -35,6 +40,33 @@ def test_build_output_is_pinned(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert cli.main(["build", name, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[name]
+
+
+def test_wrong_stabilizer_order_raises_under_optimized_mode():
+    # `python -O` strips asserts; a stabilizer of the wrong order (here each
+    # cut down to the stabilizer of point 0) still stops both coset builds
+    script = textwrap.dedent("""
+        import sys
+        from chambers import catalog, groups
+        from chambers.errors import CatalogMismatch
+        sieve = groups.stabilizer
+        groups.stabilizer = lambda G, pred: sieve(G, lambda g: pred(g) and g[0] == 0)
+        for build in (catalog.gl4_2_parabolics, catalog.build_neumaier_a7):
+            try:
+                build()
+            except CatalogMismatch as exc:
+                print(exc)
+        print(sys.flags.optimize)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chambers.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.splitlines() == [
+        "minimal parabolic orders: got [64, 192, 192], expected [192, 192, 192]",
+        "panel stabilizer orders: got [8, 24, 24], expected [24, 24, 24]",
+        "1"]
 
 
 def test_builds_deterministic():

@@ -85,14 +85,6 @@ def _assert_from_cosets_matches_reference(spec):
     assert (C.panels, C.labels) == _reference_from_cosets(spec)
 
 
-_SPEC_POOL = ("S4", "S5", "A5", "A6", "A7")
-
-
-def _pool_group(name):
-    n = int(name[1:])
-    return groups.symmetric_group(n) if name[0] == "S" else groups.alternating_group(n)
-
-
 def test_from_cosets_matches_reference_on_named_specs():
     _assert_from_cosets_matches_reference(catalog.a3_f2_spec())
     _assert_from_cosets_matches_reference(catalog.build_neumaier_a7()[1])
@@ -108,7 +100,7 @@ def test_from_cosets_matches_reference_on_random_specs():
     rng = random.Random(1021)
     ranks = set()
     for t in range(40):
-        G = _pool_group(_SPEC_POOL[t % len(_SPEC_POOL)])
+        G = corpus.pool_group(corpus.GROUP_POOL[t % len(corpus.GROUP_POOL)])
         hgens = rng.sample(G.elements, rng.randint(0, 1))
         H = groups.subgroup_generated(G, hgens or [groups.identity(G.degree)])
         if G.order // H.order > 1000:
@@ -121,11 +113,10 @@ def test_from_cosets_matches_reference_on_random_specs():
 
 
 def test_from_cosets_refuses_malformed_faces_like_reference():
-    # faces that are subsets containing H: every face the reference refuses
-    # is refused, and an accepted face gives the reference's system.  Faces
-    # that are unions of H-cosets get the same verdict both ways; any other
-    # subset (so no subgroup) is always refused, where the reference may
-    # still accept one whose translates happen to tile G.
+    # faces that are subsets containing H: a subgroup face gives the
+    # reference's system, and any other face is refused, where the
+    # reference accepts some unions of H-cosets whose translates happen to
+    # tile G
     S3 = groups.symmetric_group(3)
     triv = groups.Subgroup(S3, [groups.identity(3)])
     not_sub = groups.Subgroup(S3, [groups.identity(3), groups.perm_from_cycles(3, [(0, 1)]),
@@ -135,7 +126,7 @@ def test_from_cosets_refuses_malformed_faces_like_reference():
     rng = random.Random(1022)
     seen = collections.Counter()
     for t in range(300):
-        G = _pool_group(_SPEC_POOL[t % 3])
+        G = corpus.pool_group(corpus.GROUP_POOL[t % 3])
         H = groups.subgroup_generated(G, rng.sample(G.elements, 1))
         subset = set(H.elements) | set(rng.sample(G.elements, rng.randint(1, 4)))
         if t % 2:
@@ -143,6 +134,7 @@ def test_from_cosets_refuses_malformed_faces_like_reference():
         face = groups.Subgroup(G, subset, check=False)
         ct = groups.left_cosets(G, H)
         union = len({ct.coset_of[g] for g in subset}) * H.order == len(subset)
+        subgroup = all(groups.mul(a, b) in subset for a in subset for b in subset)
         spec = HomogeneousSpec(G, H, {1: face, 2: groups.Subgroup(G, G.elements, check=False)})
         try:
             want = _reference_from_cosets(spec)
@@ -153,12 +145,38 @@ def test_from_cosets_refuses_malformed_faces_like_reference():
             got = (C.panels, C.labels)
         except NotSubgroup:
             got = None
-        if union:
-            assert got == want
+        if subgroup:
+            assert got == want is not None
         else:
             assert got is None
-        seen[union, want is None, got is None] += 1
-    assert seen[True, True, True] and seen[True, False, False] and seen[False, True, True]
+        seen[union, subgroup, want is None] += 1
+    assert seen[True, True, False] and seen[True, False, True] and seen[False, False, True]
+    # unions of H-cosets that are no subgroup, accepted by the reference
+    assert seen[True, False, False] == 15
+
+
+# (G, H, face) drawn by the loop above: unions of H-cosets that are no
+# subgroup, whose translates tile G, so the reference accepts them
+_TILING_NON_SUBGROUPS = (
+    ("S4", [(0, 1, 2, 3), (3, 2, 1, 0)],
+     [(0, 1, 2, 3), (2, 0, 1, 3), (3, 1, 0, 2), (3, 2, 1, 0)]),
+    ("S4", [(0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1), (3, 2, 1, 0)],
+     [(0, 1, 2, 3), (0, 3, 2, 1), (1, 2, 3, 0), (1, 3, 0, 2), (2, 0, 1, 3), (2, 0, 3, 1),
+      (3, 1, 0, 2), (3, 2, 1, 0)]),
+    ("S5", [(0, 1, 2, 3, 4), (3, 2, 1, 0, 4)],
+     [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (3, 2, 0, 1, 4), (3, 2, 1, 0, 4)]),
+)
+
+
+@pytest.mark.parametrize("gname, h, face", _TILING_NON_SUBGROUPS)
+def test_from_cosets_refuses_a_tiling_face_that_is_no_subgroup(gname, h, face):
+    G = corpus.pool_group(gname)
+    H = groups.Subgroup(G, h)
+    spec = HomogeneousSpec(G, H, {1: groups.Subgroup(G, face, check=False),
+                                  2: groups.Subgroup(G, G.elements, check=False)})
+    _reference_from_cosets(spec)        # accepted: the face's translates tile G
+    with pytest.raises(NotSubgroup, match="not closed under products"):
+        chamber.from_cosets(spec)
 
 
 def test_residues():

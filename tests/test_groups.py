@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 import chambers
+import corpus
 from chambers import catalog, groups
 from chambers.errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
 
@@ -201,6 +202,79 @@ def test_direct_product():
     B = groups.group_from_generators([groups.perm_from_cycles(2, [(0, 1)])])
     G = groups.direct_product(A, B)
     assert G.order == 12 and G.degree == 5
+    # the same group as the closure of the embedded generators, factors of
+    # degree 0 and 1 included
+    pool = [groups.group_from_generators([()]), groups.group_from_generators([(0,)]), A, B,
+            groups.alternating_group(5),
+            groups.group_from_generators([groups.perm_from_cycles(7, [tuple(range(7))])])]
+    for X in pool:
+        for Y in pool:
+            d1, d2 = X.degree, Y.degree
+            gens = ([groups.pair_perm(g, groups.identity(d2)) for g in X.generators]
+                    + [groups.pair_perm(groups.identity(d1), h) for h in Y.generators])
+            want = groups.group_from_generators(gens, cap=10 ** 6)
+            G = groups.direct_product(X, Y)
+            assert (G.degree, G.generators, G.elements) == (d1 + d2, want.generators, want.elements)
+    S7 = groups.symmetric_group(7)
+    with pytest.raises(CapExceeded):
+        groups.direct_product(S7, S7)
+
+
+@pytest.mark.parametrize("name", corpus.GROUP_POOL + ("GL(4,2)",))
+def test_stabilizer_sieve_matches_full_scan(name):
+    # seeded setwise and pointwise stabilizers, the whole and the trivial
+    # group among them: the sieve returns the subgroup the full scan finds
+    G = corpus.pool_group(name)
+    rng = random.Random(1024)
+    orders = []
+    for label, pred in corpus.stabilizer_predicates(rng, G.degree, 4 if name == "GL(4,2)" else 10):
+        H = groups.stabilizer(G, pred)
+        assert H.elements == tuple(g for g in G.elements if pred(g)), label
+        assert H.parent is G
+        orders.append(H.order)
+    assert orders[:2] == [G.order, 1] and len(set(orders)) > 2
+
+
+def test_stabilizer_misuse_raises():
+    S3 = groups.symmetric_group(3)
+    e, c = groups.identity(3), groups.perm_from_cycles(3, [(0, 1, 2)])
+    swaps = {groups.perm_from_cycles(3, [(0, 1)]), groups.perm_from_cycles(3, [(1, 2)])}
+    with pytest.raises(NotSubgroup, match="rejects the identity"):
+        groups.stabilizer(S3, lambda g: g != e)
+    with pytest.raises(NotSubgroup, match="not inverse-closed"):
+        groups.stabilizer(S3, lambda g: g in (e, c))
+    with pytest.raises(NotSubgroup, match="not closed under products"):
+        groups.stabilizer(S3, lambda g: g == e or g in swaps)
+    # the precondition: an element in a ruled-out coset is never tested, so
+    # a predicate that also accepts the 3-cycle (1,2,0), in the coset of the
+    # failing (1,0,2) over K = <(1 2)>, goes unnoticed
+    swap12 = groups.perm_from_cycles(3, [(1, 2)])
+    H = groups.stabilizer(S3, lambda g: g in (e, swap12, (1, 2, 0)))
+    assert H.elements == (e, swap12)
+
+
+def _stabilizer_calls(monkeypatch, build):
+    """Predicate calls made by groups.stabilizer during build()."""
+    sieve, calls = groups.stabilizer, []
+
+    def counted(G, pred):
+        return sieve(G, lambda g: calls.append(g) or pred(g))
+    monkeypatch.setattr(groups, "stabilizer", counted)
+    build()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_stabilizer_predicate_calls_scale_with_index(monkeypatch):
+    # work counts of the seven flag stabilizers of each coset geometry.  A
+    # full scan makes 7 * |G| calls: 17,640 for Alt(7), 141,120 for GL(4,2).
+    # The sieve tests at least one element per coset of H other than H and
+    # every element of H, so no fewer than the sum of [G:H] + |H| over the
+    # seven: 687 + 680 for Alt(7), 695 + 3,904 for GL(4,2)
+    neumaier = _stabilizer_calls(monkeypatch, catalog.build_neumaier_a7.__wrapped__)
+    assert neumaier == 1428
+    parabolics = _stabilizer_calls(monkeypatch, catalog.gl4_2_parabolics.__wrapped__)
+    assert parabolics == 4650
 
 
 def test_input_checks_survive_optimized_mode():
