@@ -5,6 +5,7 @@ Chambers are dense ids 0..n-1.  A system is immutable after construction;
 derived data (adjacency, residue partitions) is cached internally.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -159,8 +160,6 @@ class ChamberSystem:
         return self._gon_cache[J]
 
     def is_connected(self):
-        if self.n == 0:
-            return True
         comp = self.component_map(self.types)
         return all(x == comp[0] for x in comp)
 
@@ -610,90 +609,83 @@ def quotient(C, gens):
 
 
 def _chamber_invariant(C):
-    return [tuple(len(C.panel_of(i, c)) for i in C.types) for c in range(C.n)]
+    """Per chamber, the sizes of its panels and of its rank-2 residues."""
+    maps = ([C._panel_idx[i] for i in C.types]
+            + [C.component_map(J) for J in combinations(C.types, 2)])
+    sizes = [Counter(m) for m in maps]
+    return [tuple(size[m[c]] for m, size in zip(maps, sizes)) for c in range(C.n)]
 
 
 def isomorphism(A, B):
-    """A type-preserving isomorphism A -> B as a chamber map, or None.
+    """A type-preserving isomorphism A -> B as a tuple chamber map, or None.
 
-    Backtracking search seeded at chamber 0 of A; panel bijections are the
-    branch points.
+    Backtracking over two arrays and an undo trail.  Matching x -> y also
+    matches every chamber whose image it forces.  The search branches on
+    the least unmatched chamber next to a matched one, else on the least
+    unmatched chamber, which starts each component.
     """
-    if A.n != B.n or A.rank != B.rank:
+    inv_a, inv_b = _chamber_invariant(A), _chamber_invariant(B)
+    # also tells apart systems of different size or rank
+    if sorted(inv_a) != sorted(inv_b):
         return None
-    for i in A.types:
-        if sorted(map(len, A.panels[i])) != sorted(map(len, B.panels[i])):
-            return None
-    inv_a = _chamber_invariant(A)
-    inv_b = _chamber_invariant(B)
+    adj = A.adjacency()
+    fwd, bwd, trail = [-1] * A.n, [-1] * B.n, []
 
-    def search(fwd, bwd, stack):
-        while stack:
-            a = stack.pop()
-            b = fwd[a]
-            for i in A.types:
-                Pa = A.panel_of(i, a)
-                Pb = B.panel_of(i, b)
-                if len(Pa) != len(Pb):
-                    return None
-                for x in Pa:
-                    if x in fwd and B.panel_id(i, fwd[x]) != B.panel_id(i, b):
-                        return None
-                for y in Pb:
-                    if y in bwd and A.panel_id(i, bwd[y]) != A.panel_id(i, a):
-                        return None
-                un_a = [x for x in Pa if x not in fwd]
-                av_b = [y for y in Pb if y not in bwd]
-                if len(un_a) != len(av_b):
-                    return None
-                if not un_a:
-                    continue
-                if len(un_a) == 1:
-                    x, y = un_a[0], av_b[0]
-                    if inv_a[x] != inv_b[y]:
-                        return None
-                    fwd[x] = y
-                    bwd[y] = x
-                    stack.append(a)
-                    stack.append(x)
-                    break
-                x = un_a[0]
-                for y in av_b:
-                    if inv_a[x] != inv_b[y]:
-                        continue
-                    fwd2 = dict(fwd)
-                    bwd2 = dict(bwd)
-                    fwd2[x] = y
-                    bwd2[y] = x
-                    res = search(fwd2, bwd2, stack + [a, x])
-                    if res is not None:
-                        return res
-                return None
-        if len(fwd) == A.n:
-            return fwd
-        # disconnected remainder: restart on the least unmatched pair
-        rest_a = next(c for c in range(A.n) if c not in fwd)
-        for rb in range(B.n):
-            if rb in bwd or inv_a[rest_a] != inv_b[rb]:
+    def options(x):
+        """The free chambers of B with x's invariant in the B-panel through
+        the image of each matched neighbour of x; the matched chambers of an
+        A-panel have images in one B-panel, so one per type suffices."""
+        opts = None
+        for i in A.types:
+            w = next((w for w in A.panel_of(i, x) if fwd[w] >= 0), None)
+            if w is None:
                 continue
-            fwd2 = dict(fwd)
-            bwd2 = dict(bwd)
-            fwd2[rest_a] = rb
-            bwd2[rb] = rest_a
-            res = search(fwd2, bwd2, [rest_a])
-            if res is not None:
-                return res
-        return None
+            if opts is None:
+                opts = [y for y in B.panel_of(i, fwd[w]) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
+            else:
+                opts = [y for y in opts if B.panel_id(i, y) == B.panel_id(i, fwd[w])]
+        if opts is None:
+            opts = [y for y in range(B.n) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
+        return opts
 
-    if A.n == 0:
-        return {}
-    for b0 in range(B.n):
-        if inv_a[0] != inv_b[b0]:
-            continue
-        res = search({0: b0}, {b0: 0}, [0])
-        if res is not None:
-            return res
-    return None
+    def match(x, y):
+        """Match x -> y, then each unmatched neighbour of the chambers it
+        matches that has one option; False at one left without options."""
+        head = len(trail)
+        fwd[x], bwd[y] = y, x
+        trail.append(x)
+        while head < len(trail):
+            for _, z in adj[trail[head]]:
+                if fwd[z] < 0:
+                    opts = options(z)
+                    if not opts:
+                        return False
+                    if len(opts) == 1:
+                        fwd[z], bwd[opts[0]] = opts[0], z
+                        trail.append(z)
+            head += 1
+        return True
+
+    # depth-first search over branch points (chamber, options left, trail length before it)
+    branches = []
+    while len(trail) < A.n:
+        x = next((z for z in range(A.n) if fwd[z] < 0 and any(fwd[w] >= 0 for _, w in adj[z])),
+                 fwd.index(-1))
+        branches.append((x, iter(options(x)), len(trail)))
+        while True:
+            if not branches:
+                return None
+            x, rest, mark = branches[-1]
+            while len(trail) > mark:
+                z = trail.pop()
+                bwd[fwd[z]] = -1
+                fwd[z] = -1
+            y = next(rest, None)
+            if y is None:
+                branches.pop()
+            elif match(x, y):
+                break
+    return tuple(fwd)
 
 
 def is_isomorphic(A, B):
@@ -701,15 +693,20 @@ def is_isomorphic(A, B):
 
 
 def verify_isomorphism(A, B, mapping):
-    """Check that an explicit chamber map is a type-preserving isomorphism."""
+    """Check that an explicit chamber map, a sequence or a dict indexed by
+    the chambers of A, is a type-preserving isomorphism."""
     if A.n != B.n or A.rank != B.rank or len(mapping) != A.n:
         return False
-    if sorted(mapping) != list(range(B.n)):
+    try:
+        images = [mapping[c] for c in range(A.n)]
+    except KeyError:
+        return False
+    if sorted(images) != list(range(B.n)):
         return False
     for i in A.types:
         for panel in A.panels[i]:
-            image = tuple(sorted(mapping[c] for c in panel))
-            if image != B.panel_of(i, mapping[panel[0]]):
+            image = tuple(sorted(images[c] for c in panel))
+            if image != B.panel_of(i, images[panel[0]]):
                 return False
     return True
 

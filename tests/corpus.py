@@ -22,7 +22,8 @@ A2xA2 = CoxeterMatrix([[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 3], [2, 2, 3, 1]])
 A1x3 = CoxeterMatrix([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
 A1xA2 = CoxeterMatrix([[1, 2, 2], [2, 1, 3], [2, 3, 1]])
 
-CATALOG = ("fano", "gq22", "a3-f2", "a3-f2-cosets", "neumaier-a7", "singer-quotient-z5")
+# a3-f2-cosets has a3-f2's panels (test_catalog checks it), so it stays out
+CATALOG = ("fano", "gq22", "a3-f2", "neumaier-a7", "singer-quotient-z5")
 GROUP_POOL = ("S4", "S5", "A5", "A6", "A7")
 THIN = (A3, C3, H3, A4, D4)
 # the quotient of the cube complex A1x3 is not simply 2-connected

@@ -128,6 +128,12 @@ def test_generic_isomorphism_search_a3f2():
     assert chamber.isomorphism(a3, a3c) is not None
 
 
+def test_a3f2_coset_entry_differs_from_flags_only_in_labels():
+    # so the cross-engine tests, which read panels only, leave it out
+    flags, cosets = (catalog.build(name)["system"] for name in ("a3-f2", "a3-f2-cosets"))
+    assert flags.panels == cosets.panels and flags.labels != cosets.labels
+
+
 def test_neumaier_vertex_groups_match_derived():
     _, spec = catalog.build_neumaier_a7()
     for j in spec.types:

@@ -400,8 +400,8 @@ def test_isomorphism_negative():
 
 
 def test_isomorphism_of_disconnected_systems():
-    # the search maps the component of chamber 0, then restarts on the
-    # least unmatched chamber
+    # with no unmatched chamber next to a matched one, the search branches
+    # on the least unmatched chamber, which starts the next component
     rng = random.Random(7)
     hexagon = coxeter.coxeter_complex(coxeter.A2)
     fano = catalog.build_fano_flags()
@@ -418,6 +418,42 @@ def test_isomorphism_of_disconnected_systems():
     assert chamber.isomorphism(two_hexagons,
                                corpus.shuffled_union(rng, hexagon, digon, loop)) is None
     assert chamber.is_isomorphic(two_hexagons, corpus.shuffled_union(rng, hexagon, hexagon))
+    # more components than the interpreter's default recursion limit
+    dust = chamber.from_partitions(1200, 1, {1: [(c,) for c in range(1200)]})
+    assert chamber.isomorphism(dust, dust) == tuple(range(1200))
+
+
+def test_isomorphism_of_shuffled_copies():
+    rng = random.Random(13)
+    named = [catalog.build(name)["system"]
+             for name in ("a3-f2", "neumaier-a7", "singer-quotient-z5", "gq22")]
+    for C in named + [corpus.pg42()]:
+        A, B = corpus.shuffled_union(rng, C), corpus.shuffled_union(rng, C)
+        assert chamber.verify_isomorphism(A, B, chamber.isomorphism(A, B)), C
+
+
+def test_isomorphism_of_coset_model_and_of_distinct_geometries():
+    neu, spec = catalog.build_neumaier_a7()
+    cosets = chamber.from_cosets(spec)
+    assert chamber.verify_isomorphism(neu, cosets, chamber.isomorphism(neu, cosets))
+    # same chamber count and panel sizes; the C3 building is no Alt(7) geometry
+    assert chamber.isomorphism(catalog.build_a3_f2(), neu) is None
+
+
+def test_isomorphism_matches_brute_force():
+    # reference engine: try every permutation of the chambers
+    rng = random.Random(1981)
+    found = 0
+    for k in range(600):
+        rank, n = rng.randint(2, 3), rng.randint(1, 6)
+        A = corpus.random_partitions(rng, rank, n)
+        B = corpus.shuffled_union(rng, A) if k % 2 else corpus.random_partitions(rng, rank, n)
+        iso = chamber.isomorphism(A, B)
+        brute = any(chamber.verify_isomorphism(A, B, p) for p in itertools.permutations(range(n)))
+        assert (iso is not None) == brute, (A.panels, B.panels)
+        assert iso is None or chamber.verify_isomorphism(A, B, iso)
+        found += brute
+    assert 300 < found < 600
 
 
 def test_verify_isomorphism():
@@ -425,7 +461,14 @@ def test_verify_isomorphism():
     assert chamber.verify_isomorphism(fano, fano, tuple(range(fano.n)))
     bad = list(range(fano.n))
     bad[0], bad[1] = bad[1], bad[0]
-    assert chamber.verify_isomorphism(fano, fano, tuple(bad)) in (True, False)
+    # chamber 0's type-1 panel (0, 3, 6) would go to (1, 3, 6), no panel
+    assert not chamber.verify_isomorphism(fano, fano, tuple(bad))
+    # one-chamber panels: any bijection is an isomorphism, nothing else is
+    two = chamber.from_partitions(2, 1, {1: [(0,), (1,)]})
+    for form in (tuple, lambda m: dict(enumerate(m))):
+        assert chamber.verify_isomorphism(two, two, form((1, 0)))
+        assert not chamber.verify_isomorphism(two, two, form((0, 0)))
+    assert not chamber.verify_isomorphism(two, two, {0: 0, 2: 1})
 
 
 def test_json_roundtrip_and_dot():
