@@ -261,14 +261,20 @@ def build_neumaier_a7():
 # Singer quotients
 
 
+def label_map(labels, target, act):
+    """The chamber map that sends label l to the chamber of `target`
+    labelled act(l)."""
+    index = {lab: c for c, lab in enumerate(target.labels)}
+    return tuple(index[act(lab)] for lab in labels)
+
+
 def coset_flag_isomorphism(spec, C_flags, act_label):
     """Explicit isomorphism coset-system -> flag-system sending the coset of
     g to the flag g . f0, where f0 is the least flag label (the one whose
     stabilizer is the principal subgroup).  Returns the chamber map."""
-    ct = groups.left_cosets(spec.group, spec.principal)
     f0 = min(C_flags.labels)
-    index = {lab: c for c, lab in enumerate(C_flags.labels)}
-    return tuple(index[act_label(rep, f0)] for rep in ct.reps)
+    return label_map(groups.left_cosets(spec.group, spec.principal).reps, C_flags,
+                     lambda g: act_label(g, f0))
 
 
 def a3_f2_label_action(g, label):
@@ -288,21 +294,14 @@ def neumaier_label_action(g, label):
 def singer_flag_automorphism(power=1):
     """The chamber permutation of the PG(3,2) flag system induced by the
     power of the fixed Singer matrix."""
-    base = build_a3_f2()
-    index = {lab: c for c, lab in enumerate(base.labels)}
-    M = SINGER_MATRIX
-
-    def vec(v):
-        w = v
+    def image(v):
         for _ in range(power):
-            w = mat_apply(M, w)
-        return w
+            v = mat_apply(SINGER_MATRIX, v)
+        return v - 1
 
-    perm = []
-    for p, L, pl in base.labels:
-        lab = (vec(p), tuple(sorted(vec(x) for x in L)), tuple(sorted(vec(x) for x in pl)))
-        perm.append(index[lab])
-    return tuple(perm)
+    g = tuple(image(v) for v in range(1, 16))
+    base = build_a3_f2()
+    return label_map(base.labels, base, lambda lab: a3_f2_label_action(g, lab))
 
 
 def build_singer_quotient(subgroup_order=15, base=None):

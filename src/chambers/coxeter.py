@@ -132,89 +132,61 @@ def is_admissible_polar(M):
     return True
 
 
-def _component_finite(M, comp):
+def _component_type(M, comp):
+    """(name, nodes) of a connected diagram of finite type, or None when W
+    is infinite (Humphreys, Reflection Groups and Coxeter Groups, 2.4-2.7).
+    A path lists its nodes from the end away from its bond above 3, so C3
+    gives (point, line, plane); a branched tree lists its branch node
+    first, then its legs, shortest first."""
     n = len(comp)
-    edges = []
-    for a, b in combinations(comp, 2):
-        m = M.order(a, b)
-        if m != 2:
-            if m == INFINITY:
-                return False
-            edges.append((a, b, m))
-    if n == 1:
-        return True
-    if len(edges) >= n:  # a cycle: affine type at best
-        return False
-    if n == 2:
-        return True  # I2(m) with m finite
-    deg = {v: 0 for v in comp}
-    nbr = {v: [] for v in comp}
-    for a, b, _ in edges:
-        deg[a] += 1
-        deg[b] += 1
-        nbr[a].append(b)
-        nbr[b].append(a)
-    if max(deg.values()) >= 4:
-        return False
-    heavy = [e for e in edges if e[2] > 3]
-    branch = [v for v in comp if deg[v] == 3]
+    if n < 3:
+        m = M.order(comp[0], comp[-1])  # 1 on a single node
+        names = {1: "A1", 3: "A2", 4: "C2", 5: "H2", 6: "G2"}
+        return None if m == INFINITY else (names.get(m, f"I2({m})"), comp)
+    nbr = {v: [w for w in comp if w != v and M.order(v, w) != 2] for v in comp}
+    if sum(map(len, nbr.values())) >= 2 * n:  # a cycle: affine type at best
+        return None
+
+    def leg(prev, cur):
+        out = [cur]
+        while len(nbr[cur]) == 2:
+            prev, cur = cur, next(w for w in nbr[cur] if w != prev)
+            out.append(cur)
+        return out
+
+    branch = [v for v in comp if len(nbr[v]) > 2]
     if branch:
-        if heavy or len(branch) > 1:
-            return False
-        v0 = branch[0]
-        legs = []
-        for start in nbr[v0]:
-            prev, cur, length = v0, start, 1
-            while deg[cur] == 2:
-                nxt = nbr[cur][0] if nbr[cur][0] != prev else nbr[cur][1]
-                prev, cur = cur, nxt
-                length += 1
-            legs.append(length)
-        a, b, c = sorted(legs)
-        if a == 1 and b == 1:
-            return True  # D_n
-        return (a, b, c) in ((1, 2, 2), (1, 2, 3), (1, 2, 4))  # E6, E7, E8
-    # the component is a path
-    if not heavy:
-        return True  # A_n
-    if len(heavy) > 1:
-        return False
-    a, b, m = heavy[0]
-    at_end = deg[a] == 1 or deg[b] == 1
-    if m == 4:
-        return at_end or n == 4  # B/C_n, or F4 (4-edge in the middle of a 4-path)
-    if m == 5:
-        return at_end and n in (3, 4)  # H3, H4
-    return False  # m >= 6 is finite only at rank 2
+        legs = sorted((leg(branch[0], w) for w in nbr[branch[0]]), key=lambda l: (len(l), l))
+        nodes = (branch[0], *sum(legs, []))
+        # one branch node, every bond a 3
+        laced = len(nodes) == n and all(M.order(v, w) == 3 for v in comp for w in nbr[v])
+        names = {(1, 1, n - 3): f"D{n}", (1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}
+        name = names.get(tuple(map(len, legs))) if laced else None
+    else:
+        end = min(v for v in comp if len(nbr[v]) == 1)
+        nodes = (end, *leg(end, nbr[end][0]))
+        bonds = tuple(M.order(v, w) for v, w in zip(nodes, nodes[1:]))
+        if bonds[::-1] < bonds:
+            nodes, bonds = nodes[::-1], bonds[::-1]
+        names = {(3,) * (n - 1): f"A{n}", (3,) * (n - 2) + (4,): f"C{n}",
+                 (3, 4, 3): "F4", (3, 5): "H3", (3, 3, 5): "H4"}
+        name = names.get(bonds)
+    return None if name is None else (name, nodes)
 
 
 def is_finite(M):
-    """Whether W(M) is finite, by matching each diagram component against
-    the classified finite-type diagrams."""
-    comps, _ = diagram_components(M)
-    return all(_component_finite(M, c) for c in comps)
-
-
-def _component_name(M, comp):
-    n = len(comp)
-    if n == 1:
-        return "A1"
-    labels = sorted(M.order(a, b) for a, b in combinations(comp, 2) if M.order(a, b) != 2)
-    if n == 2:
-        m = labels[0]
-        return {3: "A2", 4: "C2", 5: "H2", 6: "G2", INFINITY: "I2(inf)"}.get(m, f"I2({m})")
-    if n == 3 and len(labels) == 2:
-        pair = tuple(labels)
-        names = {(3, 3): "A3", (3, 4): "C3", (3, 5): "H3"}
-        if pair in names:
-            return names[pair]
-    return f"rank{n}"
+    """Whether W(M) is finite: every diagram component has a finite type."""
+    return all(_component_type(M, c) is not None for c in diagram_components(M)[0])
 
 
 def matrix_name(M):
-    """Human name of the diagram, e.g. 'C3' or 'A1 x A2'."""
-    comps, _ = diagram_components(M)
-    return " x ".join(_component_name(M, c) for c in comps)
+    """Human name of the diagram, e.g. 'C3' or 'A1 x A2'; an infinite
+    component is 'I2(inf)' or 'rank<n>'."""
+    names = []
+    for comp in diagram_components(M)[0]:
+        t = _component_type(M, comp)
+        names.append(t[0] if t else "I2(inf)" if len(comp) == 2 else f"rank{len(comp)}")
+    return " x ".join(names)
 
 
 # ---------------------------------------------------------------------------

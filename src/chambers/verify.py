@@ -232,22 +232,14 @@ def check_LL(geom, point_type, line_type):
 
 
 def c3_roles(M):
-    """(point, line, plane) types read off a C3-shaped matrix: the point
-    type is the node off the 4-bond (its vertex residues are the 4-gons),
-    the line type is the middle node."""
-    four = [(i, j) for i, j in combinations(M.types, 2) if M.order(i, j) == 4]
-    if len(four) != 1:
-        raise ValueError("matrix does not have a unique 4-bond")
-    a, b = four[0]
-    q = next(t for t in M.types if t not in (a, b))
-    r = a if M.order(a, q) == 3 else b
-    t = b if r == a else a
-    if M.order(q, r) != 3 or M.order(q, t) != 2:
+    """(point, line, plane) types of a C3 matrix: its diagram's node order,
+    from the node off the 4-bond (its vertex residues are the 4-gons)."""
+    if coxeter.matrix_name(M) != "C3":
         raise ValueError("matrix is not C3-shaped")
-    return q, r, t
+    return coxeter._component_type(M, M.types)[1]
 
 
-def check_star(spec, point_type, line_type, geom=None, system=None):
+def check_star(spec, point_type, line_type, system=None):
     """The isotropy containment criterion on a coset chamber system: for
     every line vertex x and distinct points q != q' incident to x, the
     stabilizer of {q, q'} inside the vertex groups must fix the flags xq
@@ -263,8 +255,7 @@ def check_star(spec, point_type, line_type, geom=None, system=None):
         raise ValueError("system has no labels to read coset representatives from")
     elif any(g not in G for g in system.labels):
         raise ValueError("a system label is not an element of the group")
-    if geom is None:
-        geom = incidence_geometry(system)
+    geom = incidence_geometry(system)
 
     stab_cache = {}
 
@@ -313,8 +304,8 @@ def is_c3_geometry(C):
         report["reason"] = f"residues not polygonal: {exc}"
         return False, report
     report["type_matrix"] = [list(r) for r in M.rows]
-    offdiag = sorted(M.order(i, j) for i, j in combinations(M.types, 2))
-    if offdiag != [2, 3, 4]:
+    if coxeter.matrix_name(M) != "C3":
+        offdiag = sorted(M.order(i, j) for i, j in combinations(M.types, 2))
         report["reason"] = f"type matrix is not C3 up to relabeling (gonalities {offdiag})"
         return False, report
     simp, wit = is_simplicial(C)

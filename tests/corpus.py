@@ -30,6 +30,12 @@ THIN = (A3, C3, H3, A4, D4)
 QUOTIENTS = (C3, H3, D4, A1x3)
 
 
+def relabelled(M, perm):
+    """M with type perm[a] in the place of type a + 1."""
+    return CoxeterMatrix([[M.order(perm[a], perm[b]) for b in range(M.rank)]
+                          for a in range(M.rank)])
+
+
 @lru_cache(maxsize=None)
 def thin(M):
     """The thin Coxeter complex of M."""

@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 
@@ -152,8 +153,8 @@ def test_quotient_cli_group_larger_than_chamber_set(capsys, tmp_path):
     f = tmp_path / "a3.json"
     run(capsys, "build", "a3-f2", "--out", str(f))
     base = catalog.build_a3_f2()
-    index = {lab: c for c, lab in enumerate(base.labels)}
-    gens = [[index[catalog.a3_f2_label_action(g, lab)] for lab in base.labels]
+    act = catalog.a3_f2_label_action
+    gens = [list(catalog.label_map(base.labels, base, functools.partial(act, g)))
             for g in catalog.gl4_2().generators]
     afile = tmp_path / "auto.json"
     afile.write_text(json.dumps({"generators": gens}))

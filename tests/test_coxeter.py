@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from itertools import permutations
 
@@ -119,6 +121,119 @@ def test_matrix_names():
     assert coxeter.matrix_name(A1xA1) == "A1 x A1"
     assert coxeter.matrix_name(dihedral(8)) == "I2(8)"
     assert coxeter.matrix_name(CoxeterMatrix([[1, 3, 2], [3, 1, 2], [2, 2, 1]])) == "A2 x A1"
+    # an infinite component keeps its placeholder name
+    assert coxeter.matrix_name(dihedral(0)) == "I2(inf)"
+    assert coxeter.matrix_name(INFINITE[1]) == "rank3"
+
+
+def _path(*bonds):
+    """The path diagram with the given bond labels, in node order."""
+    rows = [[1 if i == j else 2 for j in range(len(bonds) + 1)] for i in range(len(bonds) + 1)]
+    for i, m in enumerate(bonds):
+        rows[i][i + 1] = rows[i + 1][i] = m
+    return CoxeterMatrix(rows)
+
+
+def _tree(*edges):
+    """A simply laced diagram on nodes 1..n+1 from its n edges."""
+    rows = [[1 if i == j else 2 for j in range(len(edges) + 1)] for i in range(len(edges) + 1)]
+    for a, b in edges:
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = 3
+    return CoxeterMatrix(rows)
+
+
+# the rank-4 matrices of the benchmark oracle (perfbench/oracle.py), and H4
+RANK4_NAMES = {
+    "A4": corpus.A4,
+    "C4": CoxeterMatrix([[1, 3, 2, 2], [3, 1, 3, 2], [2, 3, 1, 4], [2, 2, 4, 1]]),  # B4
+    "D4": corpus.D4,
+    "F4": CoxeterMatrix([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]),
+    "H4": CoxeterMatrix([[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]),
+}
+
+
+def test_matrix_names_of_rank_4_and_beyond():
+    for name, M in RANK4_NAMES.items():
+        for sigma in permutations(M.types):
+            assert coxeter.matrix_name(corpus.relabelled(M, sigma)) == name
+    assert coxeter.matrix_name(corpus.A1xA3) == "A1 x A3"
+    assert coxeter.matrix_name(corpus.A2xA2) == "A2 x A2"
+    assert coxeter.matrix_name(_path(3, 3, 3, 3, 4)) == "C6"
+    assert coxeter.matrix_name(_tree((1, 2), (2, 3), (2, 4), (4, 5))) == "D5"
+    # E_n: a path on nodes 1..n-1 with node n on its third node
+    for n in (6, 7, 8, 9):
+        name = coxeter.matrix_name(_tree(*[(a, a + 1) for a in range(1, n - 1)], (3, n)))
+        assert name == (f"E{n}" if n < 9 else "rank9")  # rank 9 is affine E8
+
+
+def test_component_node_order():
+    # a path starts at the end away from its bond above 3; a tree at its branch node
+    assert coxeter._component_type(C3, (1, 2, 3)) == ("C3", (1, 2, 3))
+    assert coxeter._component_type(_path(4, 3, 3), (1, 2, 3, 4)) == ("C4", (4, 3, 2, 1))
+    assert coxeter._component_type(_path(5, 3), (1, 2, 3)) == ("H3", (3, 2, 1))
+    assert coxeter._component_type(RANK4_NAMES["F4"], (1, 2, 3, 4)) == ("F4", (1, 2, 3, 4))
+    assert coxeter._component_type(corpus.D4, (1, 2, 3, 4)) == ("D4", (2, 1, 3, 4))
+    assert coxeter._component_type(_tree((1, 2), (2, 3), (3, 4), (3, 5)), (1, 2, 3, 4, 5)) \
+        == ("D5", (3, 4, 5, 2, 1))
+
+
+def _positive_definite(M):
+    """The reference oracle: W(M) is finite iff the Gram matrix
+    -cos(pi / m_ij) is positive definite (Humphreys 6.4), tested by a
+    Cholesky factorisation in floats."""
+    k = M.rank
+    gram = [[-math.cos(math.pi / m) if m else -1.0 for m in row] for row in M.rows]
+    low = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            s = gram[i][j] - sum(low[i][t] * low[j][t] for t in range(j))
+            if i == j:
+                if s < 1e-9:
+                    return False
+                low[i][i] = math.sqrt(s)
+            else:
+                low[i][j] = s / low[j][j]
+    return True
+
+
+def _all_matrices(rank, entries):
+    pairs = list(itertools.combinations(range(rank), 2))
+    for values in itertools.product(entries, repeat=len(pairs)):
+        rows = [[1] * rank for _ in range(rank)]
+        for (i, j), m in zip(pairs, values):
+            rows[i][j] = rows[j][i] = m
+        yield CoxeterMatrix(rows)
+
+
+def test_is_finite_matches_gram_oracle():
+    count = 0
+    for rank in range(1, 5):
+        for M in _all_matrices(rank, (2, 3, 4, 5, 6, coxeter.INFINITY)):
+            assert coxeter.is_finite(M) == _positive_definite(M), M
+            count += 1
+    assert count == 46879
+
+
+def _order_from_name(name):
+    """|W| from the order formula of each named component."""
+    special = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "H3": 120,
+               "H4": 14400, "A2": 6, "C2": 8, "H2": 10, "G2": 12}
+    order = 1
+    for part in name.split(" x "):
+        n = int(part[1:]) if part[1:].isdigit() else None
+        order *= (special[part] if part in special
+                  else 2 * int(part[3:-1]) if part.startswith("I2(")
+                  else math.factorial(n + 1) if part[0] == "A"
+                  else 2 ** n * math.factorial(n) if part[0] == "C"
+                  else 2 ** (n - 1) * math.factorial(n))  # D_n
+    return order
+
+
+def test_names_give_group_orders():
+    finite = [M for rank in range(1, 4) for M in _all_matrices(rank, (2, 3, 4, 5, 6, 8))
+              if coxeter.is_finite(M)]
+    for M in finite + [corpus.A4]:
+        assert _order_from_name(coxeter.matrix_name(M)) == enumerate_group(M).order, M
 
 
 def test_canonical_examples():
@@ -337,17 +452,12 @@ def _reference_enumerate_group(M, cap=10 ** 6):
     return coxeter.CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
 
 
-def _relabelled(M, perm):
-    """M with type perm[a] in the place of type a + 1."""
-    return CoxeterMatrix([[M.order(perm[a], perm[b]) for b in range(M.rank)]
-                          for a in range(M.rank)])
-
-
 def _cross_check_matrices():
     named = [coxeter.A1, A2, A3, C3, H3, corpus.A4, corpus.D4, corpus.A1xA3, corpus.A2xA2]
     named += [dihedral(m) for m in range(2, 13)]
-    relabelled = [_relabelled(M, p) for M in (A3, C3, H3) for p in permutations((1, 2, 3))]
-    relabelled += [_relabelled(M, p) for M in (corpus.A4, corpus.D4, corpus.A1xA3)
+    relabelled = [corpus.relabelled(M, p) for M in (A3, C3, H3)
+                  for p in permutations((1, 2, 3))]
+    relabelled += [corpus.relabelled(M, p) for M in (corpus.A4, corpus.D4, corpus.A1xA3)
                    for p in ((2, 1, 3, 4), (3, 1, 4, 2))]
     return named + relabelled
 

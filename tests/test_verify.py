@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -249,13 +250,14 @@ def test_check_LL():
 
 
 def test_c3_roles():
-    q, r, t = verify.c3_roles(coxeter.C3)
-    assert (q, r, t) == (1, 2, 3)
-    relabeled = coxeter.CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]])
-    q, r, t = verify.c3_roles(relabeled)
-    assert (q, r, t) == (3, 2, 1)
-    with pytest.raises(ValueError):
-        verify.c3_roles(coxeter.A3)
+    assert verify.c3_roles(coxeter.C3) == (1, 2, 3)
+    # old type t moves to place perm.index(t) + 1, and its role goes with it
+    for perm in itertools.permutations((1, 2, 3)):
+        roles = tuple(perm.index(t) + 1 for t in (1, 2, 3))
+        assert verify.c3_roles(corpus.relabelled(coxeter.C3, perm)) == roles
+    for M in (coxeter.A3, coxeter.H3, coxeter.A1xA1, corpus.A1xA2):
+        with pytest.raises(ValueError):
+            verify.c3_roles(M)
 
 
 def test_check_star():
