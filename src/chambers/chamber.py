@@ -5,8 +5,6 @@ Chambers are dense ids 0..n-1.  A system is immutable after construction;
 derived data (adjacency, residue partitions) is cached internally.
 """
 
-import bisect
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -624,9 +622,7 @@ def isomorphism(A, B):
     Backtracking over two arrays and an undo trail.  Matching x -> y also
     matches every chamber whose image it forces.  The search branches on
     the least unmatched chamber next to a matched one, else on the least
-    unmatched chamber, which starts each component.  A heap of candidates
-    for the first (checked at its top), a cursor on the second and a cursor
-    per invariant on B's free chambers replace scans, and undo restores them.
+    unmatched chamber, which starts each component.
     """
     inv_a, inv_b = _chamber_invariant(A), _chamber_invariant(B)
     # also tells apart systems of different size or rank
@@ -634,11 +630,6 @@ def isomorphism(A, B):
         return None
     adj = A.adjacency()
     fwd, bwd, trail = [-1] * A.n, [-1] * B.n, []
-    frontier, least = [], 0    # every chamber of A below least is matched
-    buckets = {}               # B's chambers by invariant; all below the cursor are matched
-    for y in range(B.n):
-        buckets.setdefault(inv_b[y], []).append(y)
-    cursor = dict.fromkeys(buckets, 0)
 
     def options(x):
         """The free chambers of B with x's invariant in the B-panel through
@@ -653,22 +644,13 @@ def isomorphism(A, B):
                 opts = [y for y in B.panel_of(i, fwd[w]) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
             else:
                 opts = [y for y in opts if B.panel_id(i, y) == B.panel_id(i, fwd[w])]
+        if opts is None:
+            opts = [y for y in range(B.n) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
         return opts
-
-    def any_free(x):
-        """With no matched neighbour: B's free chambers with x's invariant,
-        in order, read lazily from the first free one."""
-        bucket = buckets[inv_a[x]]
-        k = cursor[inv_a[x]]
-        while bwd[bucket[k]] >= 0:
-            k += 1
-        cursor[inv_a[x]] = k
-        return (bucket[j] for j in range(k, len(bucket)) if bwd[bucket[j]] < 0)
 
     def match(x, y):
         """Match x -> y, then each unmatched neighbour of the chambers it
-        matches that has one option; False at one left without options.
-        A neighbour left with several options joins the frontier."""
+        matches that has one option; False at one left without options."""
         head = len(trail)
         fwd[x], bwd[y] = y, x
         trail.append(x)
@@ -681,34 +663,23 @@ def isomorphism(A, B):
                     if len(opts) == 1:
                         fwd[z], bwd[opts[0]] = opts[0], z
                         trail.append(z)
-                    else:
-                        heapq.heappush(frontier, z)
             head += 1
         return True
 
     # depth-first search over branch points (chamber, options left, trail length before it)
     branches = []
     while len(trail) < A.n:
-        while frontier and (fwd[frontier[0]] >= 0 or all(fwd[w] < 0 for _, w in adj[frontier[0]])):
-            heapq.heappop(frontier)
-        if frontier:
-            x, rest = frontier[0], iter(options(frontier[0]))
-        else:
-            while fwd[least] >= 0:
-                least += 1
-            x, rest = least, any_free(least)
-        branches.append((x, rest, len(trail)))
+        x = next((z for z in range(A.n) if fwd[z] < 0 and any(fwd[w] >= 0 for _, w in adj[z])),
+                 fwd.index(-1))
+        branches.append((x, iter(options(x)), len(trail)))
         while True:
             if not branches:
                 return None
             x, rest, mark = branches[-1]
             while len(trail) > mark:
                 z = trail.pop()
-                y = fwd[z]
-                bwd[y] = fwd[z] = -1
-                heapq.heappush(frontier, z)
-                least = min(least, z)
-                cursor[inv_b[y]] = min(cursor[inv_b[y]], bisect.bisect_left(buckets[inv_b[y]], y))
+                bwd[fwd[z]] = -1
+                fwd[z] = -1
             y = next(rest, None)
             if y is None:
                 branches.pop()
