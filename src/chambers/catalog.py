@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import groups
-from .chamber import ChamberSystem, HomogeneousSpec, from_cosets, quotient
+from .chamber import ChamberSystem, HomogeneousSpec, from_cosets, incidence_graph_stats, quotient
 from .covers import CoveringMap
 from .errors import CatalogMismatch
 
@@ -74,39 +74,30 @@ def gl4_2():
     return G
 
 
-def _setwise(g, idxs):
-    return frozenset(g[i] for i in idxs)
-
-
-@lru_cache(maxsize=None)
-def gl4_2_parabolics():
-    """(G, Borel, minimal parabolics, vertex parabolics) for the standard
-    flag e1 < <e1,e2> < <e1,e2,e3>."""
-    G = gl4_2()
-    p0 = frozenset({0})
-    L0 = frozenset({0, 1, 2})          # vectors {1,2,3}
-    pl0 = frozenset(range(7))          # vectors {1..7}
-
-    def stab(*sets):
-        return groups.stabilizer(G, lambda g: all(_setwise(g, s) == s for s in sets))
-
-    borel = stab(p0, L0, pl0)
-    _expect("|Borel|", borel.order, 64)
-    faces = {1: stab(L0, pl0), 2: stab(p0, pl0), 3: stab(p0, L0)}
-    _expect("minimal parabolic orders", [faces[j].order for j in (1, 2, 3)], [192] * 3)
-    vertex = {1: stab(p0), 2: stab(L0), 3: stab(pl0)}
-    _expect("maximal parabolic orders", [vertex[j].order for j in (1, 2, 3)], [1344, 576, 1344])
-    return G, borel, faces, vertex
-
-
-@lru_cache(maxsize=None)
-def a3_f2_spec():
-    G, borel, faces, vertex = gl4_2_parabolics()
-    return HomogeneousSpec(G, borel, faces, vertex=vertex)
-
-
 # ---------------------------------------------------------------------------
 # flag systems
+
+
+def _point_img(g, p):
+    """Image of a 1-based point under a 0-based permutation."""
+    return g[p - 1] + 1
+
+
+def _points_img(g, points):
+    """Image of a tuple of 1-based points under a 0-based permutation, sorted."""
+    return tuple(sorted(g[x - 1] + 1 for x in points))
+
+
+def _plane_img(g, plane):
+    """Image of a set of lines under a 0-based point permutation, as the
+    sorted tuple of sorted lines."""
+    return tuple(sorted(_points_img(g, t) for t in plane))
+
+
+# how a point permutation moves each part of a (point, line, plane) label:
+# PG(3,2) planes are point sets, A7 geometry planes are sets of lines
+_A3_PARTS = (_point_img, _points_img, _points_img)
+_A7_PARTS = (_point_img, _points_img, _plane_img)
 
 
 def _flag_system(flags, rank):
@@ -122,6 +113,26 @@ def _flag_system(flags, rank):
             buckets.setdefault(key, []).append(c)
         partitions[i] = sorted(tuple(sorted(v)) for v in buckets.values())
     return ChamberSystem(len(flags), rank, partitions, labels=tuple(flags))
+
+
+def _flag_spec(G, parts, flag):
+    """The coset spec of G on the orbit of `flag`: the principal subgroup
+    fixes every part, face i every part but part i, vertex j part j."""
+    types = range(1, len(flag) + 1)
+
+    def stab(js):
+        fixed = [(parts[j - 1], flag[j - 1]) for j in js]
+
+        def pred(g):    # a loop: all() over a generator costs 3x per element
+            for img, x in fixed:
+                if img(g, x) != x:
+                    return False
+            return True
+        return groups.stabilizer(G, pred)
+    principal = stab(types)
+    faces = {i: stab([j for j in types if j != i]) for i in types}
+    vertex = {j: stab([j]) for j in types}
+    return HomogeneousSpec(G, principal, faces, vertex=vertex)
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +167,18 @@ def build_gq22():
 
 
 @lru_cache(maxsize=None)
+def a3_f2_spec():
+    """GL(4,2) with the stabilizers of the flag e1 < <e1,e2> < <e1,e2,e3>
+    and of its parts: Borel, minimal and maximal parabolics."""
+    spec = _flag_spec(gl4_2(), _A3_PARTS, (1, (1, 2, 3), tuple(range(1, 8))))
+    _expect("|Borel|", spec.principal.order, 64)
+    _expect("minimal parabolic orders", [spec.faces[j].order for j in (1, 2, 3)], [192] * 3)
+    _expect("maximal parabolic orders", [spec.vertex[j].order for j in (1, 2, 3)],
+            [1344, 576, 1344])
+    return spec
+
+
+@lru_cache(maxsize=None)
 def build_a3_f2(model="flags"):
     """The 315-chamber flag system of PG(3,2), either directly from flags
     or as the coset system of GL(4,2) with its Borel and minimal parabolics."""
@@ -165,7 +188,6 @@ def build_a3_f2(model="flags"):
         return C
     if model != "flags":
         raise ValueError(f"unknown model {model!r}; expected 'flags' or 'cosets'")
-    pts = range(1, 16)
     lines = subspaces(4, 2)
     planes = subspaces(4, 3)
     _expect("PG(3,2) lines and planes", (len(lines), len(planes)), (35, 15))
@@ -184,17 +206,6 @@ def build_a3_f2(model="flags"):
 
 # ---------------------------------------------------------------------------
 # the A7 triple geometry
-
-
-def _points_img(g, points):
-    """Image of a tuple of 1-based points under a 0-based permutation, sorted."""
-    return tuple(sorted(g[x - 1] + 1 for x in points))
-
-
-def _plane_img(g, plane):
-    """Image of a set of lines under a 0-based point permutation, as the
-    sorted tuple of sorted lines."""
-    return tuple(sorted(_points_img(g, t) for t in plane))
 
 
 def _plane_key(plane):
@@ -232,28 +243,11 @@ def build_neumaier_a7():
     C = _flag_system(flags, 3)
     _expect("triple geometry flags", C.n, 315)
 
-    A7 = groups.alternating_group(7)
-    p0, L0, pl0 = min(flags)
-
-    def stab(point=None, line=None, plane=None):
-        def pred(g):
-            if point is not None and g[point - 1] + 1 != point:
-                return False
-            if line is not None and _points_img(g, line) != line:
-                return False
-            if plane is not None and _plane_img(g, plane) != plane:
-                return False
-            return True
-        return groups.stabilizer(A7, pred)
-
-    H = stab(point=p0, line=L0, plane=pl0)
-    _expect("|flag stabilizer|", H.order, 8)
-    faces = {1: stab(line=L0, plane=pl0), 2: stab(point=p0, plane=pl0), 3: stab(point=p0, line=L0)}
-    _expect("panel stabilizer orders", [faces[j].order for j in (1, 2, 3)], [24] * 3)
-    vertex = {1: stab(point=p0), 2: stab(line=L0), 3: stab(plane=pl0)}
-    _expect("point, line and plane stabilizer orders", [vertex[j].order for j in (1, 2, 3)],
-            [360, 72, 168])
-    spec = HomogeneousSpec(A7, H, faces, vertex=vertex)
+    spec = _flag_spec(groups.alternating_group(7), _A7_PARTS, min(flags))
+    _expect("|flag stabilizer|", spec.principal.order, 8)
+    _expect("panel stabilizer orders", [spec.faces[j].order for j in (1, 2, 3)], [24] * 3)
+    _expect("point, line and plane stabilizer orders",
+            [spec.vertex[j].order for j in (1, 2, 3)], [360, 72, 168])
     return C, spec
 
 
@@ -280,15 +274,13 @@ def coset_flag_isomorphism(spec, C_flags, act_label):
 def a3_f2_label_action(g, label):
     """Apply a GL(4,2) point permutation (0-based vector indices) to a
     PG(3,2) flag label."""
-    p, L, pl = label
-    return g[p - 1] + 1, _points_img(g, L), _points_img(g, pl)
+    return tuple(img(g, x) for img, x in zip(_A3_PARTS, label))
 
 
 def neumaier_label_action(g, label):
     """Apply an Alt(7) symbol permutation (0-based) to a triple-geometry
     flag label."""
-    p, L, pl = label
-    return g[p - 1] + 1, _points_img(g, L), _plane_img(g, pl)
+    return tuple(img(g, x) for img, x in zip(_A7_PARTS, label))
 
 
 def singer_flag_automorphism(power=1):
@@ -304,7 +296,7 @@ def singer_flag_automorphism(power=1):
     return label_map(base.labels, base, lambda lab: a3_f2_label_action(g, lab))
 
 
-def build_singer_quotient(subgroup_order=15, base=None):
+def build_singer_quotient(subgroup_order=15):
     """Quotient of the PG(3,2) flag system by the cyclic subgroup of the
     given order inside the Singer cycle of the fixed primitive matrix.
 
@@ -315,8 +307,7 @@ def build_singer_quotient(subgroup_order=15, base=None):
     """
     if subgroup_order <= 1 or 15 % subgroup_order:
         raise ValueError(f"subgroup order {subgroup_order} is not a divisor > 1 of 15")
-    if base is None:
-        base = build_a3_f2()
+    base = build_a3_f2()
     quot, proj = quotient(base, [singer_flag_automorphism(15 // subgroup_order)])
     return base, quot, CoveringMap(base, quot, proj)
 
@@ -355,13 +346,8 @@ def _build_neumaier():
     return {"system": C, "spec": spec}
 
 
-def _build_singer_z5():
-    base, quot, proj = build_singer_quotient(5)
-    return {"system": quot, "base": base, "projection": proj}
-
-
-def _build_singer_z15():
-    base, quot, proj = build_singer_quotient(15)
+def _build_singer(subgroup_order):
+    base, quot, proj = build_singer_quotient(subgroup_order)
     return {"system": quot, "base": base, "projection": proj}
 
 
@@ -384,10 +370,10 @@ CATALOG = {
             {"n": 315, "rank": 3}, _build_neumaier),
         CatalogEntry(
             "singer-quotient-z5", "free Singer-subgroup quotient of the PG(3,2) flags",
-            {"n": 63, "rank": 3}, _build_singer_z5),
+            {"n": 63, "rank": 3}, lambda: _build_singer(5)),
         CatalogEntry(
             "singer-quotient", "order-15 Singer quotient of the PG(3,2) flags",
-            {"n": 21, "rank": 3}, _build_singer_z15,
+            {"n": 21, "rank": 3}, lambda: _build_singer(15),
             note=("rejected at build time: the order-3 subgroup of the Singer cycle "
                   "stabilizes the five F4-lines, so no 2-covering quotient exists")),
     ]
@@ -403,7 +389,6 @@ def build(name):
     if C.n != exp["n"] or C.rank != exp["rank"]:
         raise CatalogMismatch(f"catalog {name}: got n={C.n} rank={C.rank}, expected {exp}")
     if "girth" in exp:
-        from .chamber import incidence_graph_stats
         girth, diam = incidence_graph_stats(C)
         if (girth, diam) != (exp["girth"], exp["diameter"]):
             raise CatalogMismatch(

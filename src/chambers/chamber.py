@@ -165,53 +165,47 @@ class ChamberSystem:
 
     # --- galleries ----------------------------------------------------
 
+    def _distances_from(self, x):
+        """The chambers reachable from x in breadth-first order, and per
+        chamber its gallery distance from x, None if unreachable."""
+        adj = self.adjacency()
+        dist = [None] * self.n
+        dist[x] = 0
+        order = [x]
+        for c in order:
+            dc = dist[c] + 1
+            for _, d in adj[c]:
+                if dist[d] is None:
+                    dist[d] = dc
+                    order.append(d)
+        return order, dist
+
     def min_gallery(self, x, y):
         """One shortest gallery from x to y."""
-        if x == y:
-            return TypedGallery((x,), ())
-        adj = self.adjacency()
-        prev = {x: None}
-        frontier = [x]
-        while frontier and y not in prev:
-            nxt = []
-            for c in frontier:
-                for i, d in adj[c]:
-                    if d not in prev:
-                        prev[d] = (c, i)
-                        nxt.append(d)
-            frontier = nxt
-        if y not in prev:
+        _, dist = self._distances_from(x)
+        if dist[y] is None:
             raise Disconnected(f"no gallery from {x} to {y}")
+        adj = self.adjacency()
         chambers, types = [y], []
         c = y
-        while prev[c] is not None:
-            p, i = prev[c]
-            chambers.append(p)
+        while c != x:
+            i, c = next((i, u) for i, u in adj[c] if dist[u] == dist[c] - 1)
+            chambers.append(c)
             types.append(i)
-            c = p
         return TypedGallery(tuple(reversed(chambers)), tuple(reversed(types)))
 
     def minimal_type_sets_from(self, x):
         """For every chamber y, the set of type words of minimal galleries
         x -> y.  Unreachable chambers get None."""
         adj = self.adjacency()
-        dist = {x: 0}
-        order = [x]
-        head = 0
-        while head < len(order):
-            c = order[head]
-            head += 1
-            for i, d in adj[c]:
-                if d not in dist:
-                    dist[d] = dist[c] + 1
-                    order.append(d)
+        order, dist = self._distances_from(x)
         tsets = [None] * self.n
         tsets[x] = {()}
         for c in order[1:]:
-            dc = dist[c]
+            dc = dist[c] - 1
             words = set()
             for i, u in adj[c]:
-                if dist.get(u) == dc - 1:
+                if dist[u] == dc:
                     for w in tsets[u]:
                         words.add(w + (i,))
                         if len(words) > _TYPE_SET_CAP:
@@ -734,11 +728,19 @@ def system_to_json(C):
     return obj
 
 
+def _tupled(xs):
+    """A list as a tuple, with every list in it at any depth a tuple too."""
+    for x in xs:
+        if type(x) is list:
+            return tuple([_tupled(v) if type(v) is list else v for v in xs])
+    return tuple(xs)
+
+
 def system_from_json(obj):
     partitions = {int(i): [tuple(p) for p in panels] for i, panels in obj["panels"].items()}
     labels = obj.get("labels")
     if labels is not None:
-        labels = tuple(tuple(x) if isinstance(x, list) else x for x in labels)
+        labels = _tupled(labels)
     return ChamberSystem(obj["n"], obj["rank"], partitions, labels=labels)
 
 

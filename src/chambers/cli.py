@@ -54,8 +54,8 @@ def cmd_build(args):
 
 def cmd_check(args):
     C = chamber.system_from_json(_load_json(args.file))
-    given = [t for t in (args.points, args.lines) if t is not None]
-    if args.ll and (len(set(given)) < len(given) or not set(given) <= set(C.types)):
+    roles = [t for t in (args.points, args.lines) if t is not None]
+    if args.ll and roles and (len(set(roles)) < 2 or not set(roles) <= set(C.types)):
         print(f"--points/--lines must be two different types in 1..{C.rank}", file=sys.stderr)
         return 2
     verdict = {}
@@ -69,12 +69,10 @@ def cmd_check(args):
         verdict["type"] = None
         verdict["type_matrix"] = None
         verdict["type_error"] = f"{type(exc).__name__}: {exc}"
-    if args.ll and M is not None and M.rank == 3:
+    if args.ll and M is not None and M.rank == 3 and not roles:
         try:
             roles = verify.c3_roles(M)[:2]
         except ValueError:
-            roles = (args.points, args.lines)
-        if None in roles:
             print("--ll needs --points/--lines when the type is not C3-shaped", file=sys.stderr)
             return 2
     if args.building:
@@ -207,8 +205,10 @@ def make_parser():
     p.add_argument("--ll", action="store_true")
     p.add_argument("--c3", action="store_true")
     p.add_argument("--simplicial", action="store_true")
-    p.add_argument("--points", type=int, help="point type for --ll on non-C3 systems")
-    p.add_argument("--lines", type=int, help="line type for --ll on non-C3 systems")
+    p.add_argument("--points", type=int,
+                   help="point type for --ll, given with --lines; default: a C3 type's own")
+    p.add_argument("--lines", type=int,
+                   help="line type for --ll, given with --points; default: a C3 type's own")
     p.add_argument("--budget", type=int, default=2000,
                    help="chamber count above which --building refuses")
     p.set_defaults(fn=cmd_check)

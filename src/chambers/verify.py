@@ -18,6 +18,7 @@ from .errors import (
     MissingVertexGroups,
     NoSuchW,
     ResidueNotPolygon,
+    WrongRank,
 )
 
 # coxeter's table memo, under the name perfbench/workloads.py::clear_caches
@@ -65,9 +66,15 @@ def _w_distances_from(C, table, x):
     return delta, tsets
 
 
+def _check_rank(C, M):
+    if M is not None and M.rank != C.rank:
+        raise WrongRank(f"type matrix of rank {M.rank} for a system of rank {C.rank}")
+
+
 def w_distance(C, M, x, y):
     """The W-element whose reduced words are exactly the minimal-gallery
     types from x to y; raises NoSuchW (with both sets) otherwise."""
+    _check_rank(C, M)
     table = coxeter.group_table(M)
     delta, tsets = _w_distances_from(C, table, x)
     if delta[y] is not None:
@@ -97,6 +104,7 @@ def is_building(C, M=None, budget=2000):
     the shorter route is unique), yet it is not a building.  The gate
     property fails there and is part of the classical W-metric axioms.
     """
+    _check_rank(C, M)
     report = {"building": False, "violations": [], "pairs_checked": 0, "truncated": False}
 
     def add(v):
@@ -241,11 +249,11 @@ def c3_roles(M):
 
 def check_star(spec, point_type, line_type, system=None):
     """The isotropy containment criterion on a coset chamber system: for
-    every line vertex x and distinct points q != q' incident to x, the
-    stabilizer of {q, q'} inside the vertex groups must fix the flags xq
-    and xq'.  Chamber c is the coset of system.labels[c] (from_cosets sets
-    the representatives as labels), so a type-j vertex through c has
-    stabilizer labels[c] G_j labels[c]^-1.  Returns (bool, witness)."""
+    every line vertex x and distinct points q != q' incident to x,
+    S(q) & S(q') <= S(x): what fixes q and q' fixes the flags xq and xq'.
+    Chamber c is the coset of system.labels[c] (from_cosets sets the
+    representatives as labels), so a type-j vertex through c has stabilizer
+    labels[c] G_j labels[c]^-1.  Returns (bool, witness)."""
     if not spec.faces:
         raise MissingVertexGroups("spec carries no face groups")
     G = spec.group
@@ -275,9 +283,8 @@ def check_star(spec, point_type, line_type, system=None):
         points = sorted(shadow(geom, x, point_type))
         for q1, q2 in combinations(points, 2):
             lhs = vertex_stab(q1) & vertex_stab(q2)
-            rhs = (Sx & vertex_stab(q1)) & (Sx & vertex_stab(q2))
-            if not lhs <= rhs:
-                bad = sorted(lhs - rhs)[0]
+            if not lhs <= Sx:
+                bad = sorted(lhs - Sx)[0]
                 return False, (x, q1, q2, bad)
     return True, None
 

@@ -51,7 +51,7 @@ def test_wrong_stabilizer_order_raises_under_optimized_mode():
         from chambers.errors import CatalogMismatch
         sieve = groups.stabilizer
         groups.stabilizer = lambda G, pred: sieve(G, lambda g: pred(g) and g[0] == 0)
-        for build in (catalog.gl4_2_parabolics, catalog.build_neumaier_a7):
+        for build in (catalog.a3_f2_spec, catalog.build_neumaier_a7):
             try:
                 build()
             except CatalogMismatch as exc:

@@ -90,7 +90,8 @@ def test_from_cosets_matches_reference_on_named_specs():
     _assert_from_cosets_matches_reference(catalog.build_neumaier_a7()[1])
     # the rank-2 truncations of PG(3,2): a minimal parabolic as principal
     # subgroup, the two maximal parabolics over it as faces
-    G, _, faces, vertex = catalog.gl4_2_parabolics()
+    spec = catalog.a3_f2_spec()
+    G, faces, vertex = spec.group, spec.faces, spec.vertex
     for j in (1, 2, 3):
         over = {t: vertex[k] for t, k in enumerate((k for k in (1, 2, 3) if k != j), start=1)}
         _assert_from_cosets_matches_reference(HomogeneousSpec(G, faces[j], over))
@@ -208,6 +209,13 @@ def test_min_gallery():
     g = a2.min_gallery(0, w0)
     assert len(g) == 3
     chamber.validate_gallery(a2, g)
+    # a minimal gallery's type word is one of the minimal type words
+    a3 = catalog.build_a3_f2()
+    tsets = a3.minimal_type_sets_from(5)
+    for y in range(0, a3.n, 7):
+        g = a3.min_gallery(5, y)
+        chamber.validate_gallery(a3, g)
+        assert (g.start, g.end) == (5, y) and g.types in tsets[y]
     disc = chamber.from_partitions(2, 1, {1: [(0,), (1,)]})
     with pytest.raises(Disconnected):
         disc.min_gallery(0, 1)
@@ -481,6 +489,21 @@ def test_json_roundtrip_and_dot():
     assert "c0 --" in dot or "-- c0" in dot
     inc = chamber.incidence_dot(fano)
     assert "a0" in inc and "b0" in inc
+
+
+def test_json_labels_round_trip_on_catalog():
+    for name in catalog.CATALOG:
+        try:
+            C = catalog.build(name)["system"]
+        except ResidueCollision:
+            continue
+        loaded = chamber.system_from_json(json.loads(json.dumps(chamber.system_to_json(C))))
+        assert loaded.labels == C.labels, name
+    # nested labels come back hashable, so a label action maps a loaded system
+    a3 = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
+    g = tuple(catalog.mat_apply(catalog.SINGER_MATRIX, v) - 1 for v in range(1, 16))
+    assert (catalog.label_map(a3.labels, a3, lambda lab: catalog.a3_f2_label_action(g, lab))
+            == catalog.singer_flag_automorphism(1))
 
 
 def test_component_maps_deterministic():

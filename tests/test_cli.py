@@ -229,6 +229,27 @@ def test_check_ll_rejects_bad_point_and_line_types(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ll"]["holds"] is True
 
 
+def test_check_ll_uses_given_roles_on_c3_type(capsys, tmp_path):
+    # on a C3 type, given --points/--lines replace the diagram's own roles:
+    # no two triples of the A7 geometry lie in two common planes
+    f = tmp_path / "neu.json"
+    run(capsys, "build", "neumaier-a7", "--out", str(f))
+    code, out, _ = run(capsys, "check", str(f), "--ll")
+    assert code == 1 and json.loads(out)["ll"]["holds"] is False
+    code, out, _ = run(capsys, "check", str(f), "--ll", "--points", "2", "--lines", "3")
+    assert code == 0 and json.loads(out)["ll"] == {"holds": True, "witness": None}
+
+
+def test_check_ll_refuses_one_of_points_and_lines(capsys, tmp_path):
+    for name in ("neumaier-a7", "a3-f2"):
+        f = tmp_path / f"{name}.json"
+        run(capsys, "build", name, "--out", str(f))
+        for flag in ("--points", "--lines"):
+            code, out, err = run(capsys, "check", str(f), "--ll", flag, "1")
+            assert code == 2 and out == ""
+            assert err == "--points/--lines must be two different types in 1..3\n"
+
+
 def test_check_ll_refused_before_any_check(capsys, tmp_path, monkeypatch):
     # a3-f2 has rank-3 type A3, not C3-shaped: --ll needs --points/--lines,
     # and the refusal comes before the building check runs

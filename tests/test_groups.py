@@ -154,7 +154,8 @@ def test_products_inverses_and_cosets_match_their_definitions():
 
 
 def test_gl42_borel_index():
-    G, borel, faces, _ = catalog.gl4_2_parabolics()
+    spec = catalog.a3_f2_spec()
+    G, borel, faces = spec.group, spec.principal, spec.faces
     assert G.order == 20160
     assert borel.order == 64
     assert groups.left_cosets(G, borel).index == 315
@@ -273,7 +274,7 @@ def test_stabilizer_predicate_calls_scale_with_index(monkeypatch):
     # seven: 687 + 680 for Alt(7), 695 + 3,904 for GL(4,2)
     neumaier = _stabilizer_calls(monkeypatch, catalog.build_neumaier_a7.__wrapped__)
     assert neumaier == 1428
-    parabolics = _stabilizer_calls(monkeypatch, catalog.gl4_2_parabolics.__wrapped__)
+    parabolics = _stabilizer_calls(monkeypatch, catalog.a3_f2_spec.__wrapped__)
     assert parabolics == 4650
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import corpus
 from chambers import catalog, chamber, cli, coxeter, verify
-from chambers.errors import Disconnected, NoSuchW
+from chambers.errors import Disconnected, NoSuchW, WrongRank
 
 
 def test_w_distance_thin():
@@ -20,6 +20,16 @@ def test_w_distance_thin():
         w = verify.w_distance(C, coxeter.C3, u, v)
         expected = table.mult_id(table.inv_id(u), v)
         assert w.word == table.elements[expected]
+
+
+def test_type_matrix_of_another_rank_is_refused():
+    fano, a3 = catalog.build_fano_flags(), catalog.build_a3_f2()
+    for check in (lambda: verify.is_building(fano, coxeter.A3),
+                  lambda: verify.is_building(a3, coxeter.A2),
+                  lambda: verify.w_distance(fano, coxeter.A3, 0, 5),
+                  lambda: verify.w_distance(a3, coxeter.A2, 0, 5)):
+        with pytest.raises(WrongRank):
+            check()
 
 
 def test_w_distance_identity_and_symmetry():
