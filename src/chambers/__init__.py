@@ -13,7 +13,6 @@ from .coxeter import (
     is_finite,
     multiply,
     reduced_words,
-    validate_matrix,
 )
 from .chamber import (
     ChamberSystem,
@@ -23,7 +22,6 @@ from .chamber import (
     from_cosets,
     from_partitions,
     infer_type_matrix,
-    is_generalized_mgon,
     is_simplicial,
     isomorphism,
     quotient,
@@ -32,9 +30,7 @@ from .covers import (
     CoverResult,
     CoveringMap,
     cover_from_lift,
-    covering_between,
     deck_transformations,
-    elementary_homotopic,
     homotopic,
     is_covering,
     lift_gallery,

@@ -262,15 +262,6 @@ def label_map(labels, target, act):
     return tuple(index[act(lab)] for lab in labels)
 
 
-def coset_flag_isomorphism(spec, C_flags, act_label):
-    """Explicit isomorphism coset-system -> flag-system sending the coset of
-    g to the flag g . f0, where f0 is the least flag label (the one whose
-    stabilizer is the principal subgroup).  Returns the chamber map."""
-    f0 = min(C_flags.labels)
-    return label_map(groups.left_cosets(spec.group, spec.principal).reps, C_flags,
-                     lambda g: act_label(g, f0))
-
-
 def a3_f2_label_action(g, label):
     """Apply a GL(4,2) point permutation (0-based vector indices) to a
     PG(3,2) flag label."""

@@ -5,6 +5,7 @@ Chambers are dense ids 0..n-1.  A system is immutable after construction;
 derived data (adjacency, residue partitions) is cached internally.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -31,8 +32,8 @@ _TYPE_SET_CAP = 10 ** 4      # type words per chamber; past it, is_building's ty
 
 class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
-        self.n = int(n)
-        self.rank = int(rank)
+        self.n = operator.index(n)
+        self.rank = operator.index(rank)
         if self.n <= 0:
             raise PartitionNotCovering(f"empty system: chamber count {self.n} is not positive")
         if self.rank < 0:
@@ -46,7 +47,7 @@ class ChamberSystem:
             seen = set()
             panels = []
             for panel in partitions[i]:
-                panel = tuple(sorted(int(c) for c in panel))
+                panel = tuple(sorted(map(operator.index, panel)))
                 if not panel:
                     raise PartitionNotCovering(f"empty panel of type {i}")
                 for c in panel:
@@ -214,12 +215,6 @@ class ChamberSystem:
             tsets[c] = words
         return [frozenset(t) if t is not None else None for t in tsets]
 
-    def minimal_gallery_types(self, x, y):
-        tsets = self.minimal_type_sets_from(x)
-        if tsets[y] is None:
-            raise Disconnected(f"no gallery from {x} to {y}")
-        return tsets[y]
-
     def __repr__(self):
         return f"ChamberSystem(n={self.n}, rank={self.rank})"
 
@@ -255,11 +250,6 @@ class TypedGallery:
     def __len__(self):
         return len(self.types)
 
-    def concat(self, other):
-        if self.end != other.start:
-            raise ValueError(f"gallery ending at {self.end} cannot continue from {other.start}")
-        return TypedGallery(self.chambers + other.chambers[1:], self.types + other.types)
-
     def normalized(self):
         """Drop stuttering steps (repeated chambers)."""
         chambers = [self.chambers[0]]
@@ -272,24 +262,18 @@ class TypedGallery:
 
 
 def validate_gallery(C, gal):
-    """Every step stays inside a panel of its type; stutters are allowed."""
+    """Every chamber lies in 0..n-1, every type in 1..rank, and every step
+    stays inside a panel of its type; stutters are allowed."""
+    for c in gal.chambers:
+        if not 0 <= c < C.n:
+            raise ValueError(f"gallery chamber {c} outside 0..{C.n - 1}")
+    for i in gal.types:
+        if i not in C.panels:
+            raise ValueError(f"gallery type {i} outside 1..{C.rank}")
     for (c, d), i in zip(zip(gal.chambers, gal.chambers[1:]), gal.types):
         if C.panel_id(i, c) != C.panel_id(i, d):
             raise ValueError(f"step {c}->{d} is not inside a type-{i} panel")
     return True
-
-
-def gallery_from_types(C, start, types):
-    """Walk a type word from a chamber, if each step has a unique partner
-    (thin systems); raises on ambiguity."""
-    chambers = [start]
-    for i in types:
-        panel = C.panel_of(i, chambers[-1])
-        others = [d for d in panel if d != chambers[-1]]
-        if len(others) != 1:
-            raise ValueError(f"type walk ambiguous at chamber {chambers[-1]}, type {i}")
-        chambers.append(others[0])
-    return TypedGallery(tuple(chambers), tuple(types))
 
 
 # ---------------------------------------------------------------------------
@@ -452,32 +436,6 @@ def polygon_parameter(C):
     if C.rank != 2:
         raise WrongRank(f"rank-2 system required, got rank {C.rank}")
     return _gonality(*_panel_graph(C, range(C.n), 1, 2))
-
-
-def is_generalized_mgon(C, m):
-    return polygon_parameter(C) == m
-
-
-def sub_system(C, chambers, J):
-    """Restrict to a chamber subset and type subset; types are relabeled
-    1..|J| in increasing order of J.  The subset must be panel-closed for
-    every type in J (residues are)."""
-    J = sorted(set(J))
-    chambers = sorted(set(chambers))
-    old2new = {c: i for i, c in enumerate(chambers)}
-    partitions = {}
-    for new_i, i in enumerate(J, start=1):
-        panels = set()
-        for c in chambers:
-            panel = C.panel_of(i, c)
-            if any(d not in old2new for d in panel):
-                raise ValueError("chamber subset is not panel-closed for the requested types")
-            panels.add(tuple(old2new[d] for d in panel))
-        partitions[new_i] = sorted(panels)
-    labels = None
-    if C.labels is not None:
-        labels = tuple(C.labels[c] for c in chambers)
-    return ChamberSystem(len(chambers), len(J), partitions, labels=labels), old2new
 
 
 def infer_type_matrix(C):

@@ -93,6 +93,8 @@ def lift_gallery(p, gal, start):
     """The unique gallery over `gal` starting at the cover chamber `start`."""
     cover, base, mp = p.cover, p.base, p.chamber_map
     validate_gallery(base, gal)
+    if not 0 <= start < cover.n:
+        raise ValueError(f"start chamber {start} outside 0..{cover.n - 1}")
     if mp[start] != gal.start:
         raise ValueError("start chamber does not lie over the gallery's start")
     chambers = [start]
@@ -323,60 +325,8 @@ def _extend_commuting(A, mpA, B, mpB, a0, b0):
     return tuple(f[c] for c in range(A.n))
 
 
-def covering_between(p, q):
-    """A covering map from p's total space onto q's, commuting with the two
-    projections to their common base; None if no extension works.  Seeds
-    are searched over q's fiber, per the universal property."""
-    A, B = p.cover, q.cover
-    if p.base.n != q.base.n or p.base.panels != q.base.panels:
-        raise ValueError("coverings must share their base")
-    if not A.is_connected():
-        raise ValueError("the covering total space must be connected")
-    mpA, mpB = p.chamber_map, q.chamber_map
-    for b0 in range(B.n):
-        if mpB[b0] != mpA[0]:
-            continue
-        f = _extend_commuting(A, mpA, B, mpB, 0, b0)
-        if f is None:
-            continue
-        cm = CoveringMap(A, B, f)
-        ok, _ = is_covering(cm)
-        if ok:
-            return cm
-    return None
-
-
 # ---------------------------------------------------------------------------
 # gallery homotopy
-
-
-def elementary_homotopic(C, g1, g2):
-    """Whether g2 differs from g1 by one elementary homotopy: a common
-    prefix and suffix with both middle segments running inside a single
-    rank-2 residue (types within one 2-subset) between the same extremities."""
-    validate_gallery(C, g1)
-    validate_gallery(C, g2)
-    if g1.start != g2.start or g1.end != g2.end:
-        return False
-    if g1 == g2:
-        return True
-    n1, n2 = len(g1), len(g2)
-    pre = 0
-    while (pre < n1 and pre < n2
-           and g1.chambers[pre + 1] == g2.chambers[pre + 1]
-           and g1.types[pre] == g2.types[pre]):
-        pre += 1
-    suf = 0
-    while (suf < n1 - pre and suf < n2 - pre
-           and g1.chambers[n1 - 1 - suf] == g2.chambers[n2 - 1 - suf]
-           and g1.types[n1 - 1 - suf] == g2.types[n2 - 1 - suf]):
-        suf += 1
-    mid1 = g1.types[pre:n1 - suf]
-    mid2 = g2.types[pre:n2 - suf]
-    used = set(mid1) | set(mid2)
-    if len(used) > 2:
-        return False
-    return C.rank >= 2
 
 
 # per system, its complete universal cover at chamber 0 as (cover, chamber
@@ -409,70 +359,6 @@ def homotopic(C, g1, g2, budget=10 ** 5):
     p = CoveringMap(cover, C, chamber_map)
     start = chamber_map.index(g1.start)
     return lift_gallery(p, g1, start).end == lift_gallery(p, g2, start).end
-
-
-def _segment_galleries(C, u, v, P, max_len):
-    """All galleries u -> v with types within the pair P, length <= max_len."""
-    out = []
-    stack = [((u,), ())]
-    while stack:
-        chambers, types = stack.pop()
-        c = chambers[-1]
-        if c == v:
-            out.append(TypedGallery(chambers, types))
-        if len(types) >= max_len:
-            continue
-        for i in P:
-            for d in C.panel_of(i, c):
-                if d != c:
-                    stack.append((chambers + (d,), types + (i,)))
-    return out
-
-
-def homotopic_bfs(C, g1, g2, budget=10 ** 5):
-    """Bounded breadth-first search over the elementary-homotopy graph of
-    galleries, at most 4 steps longer than the longer input.  Exact on small
-    systems; meant for cross-validation of homotopic().
-    True / False-by-exhaustion / BudgetExceeded."""
-    validate_gallery(C, g1)
-    validate_gallery(C, g2)
-    g1 = g1.normalized()
-    g2 = g2.normalized()
-    if g1.start != g2.start or g1.end != g2.end:
-        raise ValueError("homotopy is defined for galleries with equal extremities")
-    if g1 == g2:
-        return True
-    max_len = max(len(g1), len(g2)) + 4
-    seen = {g1}
-    frontier = [g1]
-    pairs = list(combinations(C.types, 2))
-    while frontier:
-        nxt = []
-        for g in frontier:
-            n = len(g)
-            for s in range(n + 1):
-                for e in range(s, n + 1):
-                    seg_types = set(g.types[s:e])
-                    for P in pairs:
-                        if not seg_types <= set(P):
-                            continue
-                        u, v = g.chambers[s], g.chambers[e]
-                        if C.component_map(P)[u] != C.component_map(P)[v]:
-                            continue
-                        room = max_len - (n - (e - s))
-                        for seg in _segment_galleries(C, u, v, P, room):
-                            g2new = TypedGallery(
-                                g.chambers[:s] + seg.chambers + g.chambers[e + 1:],
-                                g.types[:s] + seg.types + g.types[e:]).normalized()
-                            if g2new == g2:
-                                return True
-                            if g2new not in seen:
-                                if len(seen) >= budget:
-                                    raise BudgetExceeded("gallery BFS budget exhausted")
-                                seen.add(g2new)
-                                nxt.append(g2new)
-        frontier = nxt
-    return False
 
 
 # ---------------------------------------------------------------------------

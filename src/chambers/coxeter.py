@@ -6,6 +6,7 @@ braid moves plus deletion of adjacent repeated letters, no reflection
 representation.  Everything here is exact integer combinatorics.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,7 +27,7 @@ class CoxeterMatrix:
     """Symmetric k x k matrix, m_ii = 1, off-diagonal >= 2 or INFINITY."""
 
     def __init__(self, entries):
-        rows = [tuple(int(x) for x in row) for row in entries]
+        rows = [tuple(map(operator.index, row)) for row in entries]
         k = len(rows)
         if any(len(row) != k for row in rows):
             raise NotSymmetric("matrix is not square")
@@ -60,10 +61,6 @@ class CoxeterMatrix:
 
     def __repr__(self):
         return f"CoxeterMatrix({[list(r) for r in self.rows]})"
-
-
-def validate_matrix(entries):
-    return CoxeterMatrix(entries)
 
 
 def matrix_to_json(M):

@@ -41,10 +41,6 @@ class NotSubgroup(ChambersError):
     pass
 
 
-class ActionNotClosed(ChambersError):
-    pass
-
-
 # --- chamber systems ---
 
 class PartitionNotCovering(ChambersError):

@@ -16,7 +16,7 @@ subgroup, and catches one that does not only on the elements it tests.
 from itertools import filterfalse, repeat
 from operator import itemgetter
 
-from .errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
+from .errors import CapExceeded, DegreeMismatch, NotSubgroup
 
 try:
     from operator import call as _apply
@@ -274,24 +274,6 @@ def generates(G, parts):
         return G.order == 1
     closed = close(G.degree, sorted(gens), G.order)
     return len(closed) == G.order
-
-
-def is_free_action(H, points, action):
-    """True iff no non-identity element of H fixes any point.
-
-    `action(g, p)` must land back in `points` for every g in H.
-    """
-    points = set(points)
-    e = identity(H.parent.degree)
-    free = True
-    for g in H.elements:
-        for p in points:
-            q = action(g, p)
-            if q not in points:
-                raise ActionNotClosed(f"action leaves the point set at {p!r}")
-            if g != e and q == p:
-                free = False
-    return free
 
 
 def direct_product(G1, G2):

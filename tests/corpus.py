@@ -1,5 +1,6 @@
-"""The shared inputs of the cross-engine tests: named systems and seeded
-generators, each defined once.
+"""The shared inputs of the cross-engine tests: named systems, seeded
+generators and the reference routes several test modules read, each
+defined once.
 
 Named systems are built once per session and shared by every test that
 iterates them.  A shared system carries warm caches (component maps,
@@ -87,6 +88,41 @@ def flag_system(flags):
             buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
         partitions[i] = list(buckets.values())
     return chamber.from_partitions(len(flags), rank, partitions)
+
+
+def sub_system(C, chambers, J):
+    """The restriction to a chamber subset and type subset, types relabelled
+    1..|J| in increasing order of J, and the map from old to new chamber
+    ids.  The subset must be panel-closed for every type in J (residues
+    are).  The reference route of the residue-pass cross-checks."""
+    J = sorted(set(J))
+    chambers = sorted(set(chambers))
+    old2new = {c: i for i, c in enumerate(chambers)}
+    partitions = {}
+    for new_i, i in enumerate(J, start=1):
+        panels = set()
+        for c in chambers:
+            panel = C.panel_of(i, c)
+            if any(d not in old2new for d in panel):
+                raise ValueError("chamber subset is not panel-closed for the requested types")
+            panels.add(tuple(old2new[d] for d in panel))
+        partitions[new_i] = sorted(panels)
+    labels = None
+    if C.labels is not None:
+        labels = tuple(C.labels[c] for c in chambers)
+    return chamber.from_partitions(len(chambers), len(J), partitions, labels=labels), old2new
+
+
+def gallery_from_types(C, start, types):
+    """Walk a type word from a chamber where each step has a unique partner
+    (thin systems); raises on ambiguity."""
+    chambers = [start]
+    for i in types:
+        others = [d for d in C.panel_of(i, chambers[-1]) if d != chambers[-1]]
+        if len(others) != 1:
+            raise ValueError(f"type walk ambiguous at chamber {chambers[-1]}, type {i}")
+        chambers.append(others[0])
+    return TypedGallery(tuple(chambers), tuple(types))
 
 
 def shuffled_union(rng, *systems):

@@ -122,13 +122,13 @@ def test_criterion_5_neumaier_geometry():
     assert ok_c3, rep
 
     plane_res = neu.residue(frozenset(neu.types) - {t}, 0)
-    sub, _ = chamber.sub_system(neu, plane_res.chambers, sorted(frozenset(neu.types) - {t}))
+    sub, _ = corpus.sub_system(neu, plane_res.chambers, sorted(frozenset(neu.types) - {t}))
     assert len(plane_res.chambers) == 21
     assert chamber.polygon_parameter(sub) == 3
     assert all(len(p) == 3 for i in sub.types for p in sub.panels[i])  # order 2
 
     point_res = neu.residue(frozenset(neu.types) - {q}, 0)
-    sub, _ = chamber.sub_system(neu, point_res.chambers, sorted(frozenset(neu.types) - {q}))
+    sub, _ = corpus.sub_system(neu, point_res.chambers, sorted(frozenset(neu.types) - {q}))
     assert len(point_res.chambers) == 45
     assert chamber.polygon_parameter(sub) == 4
 

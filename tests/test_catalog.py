@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 import chambers
+import corpus
 from chambers import catalog, chamber, cli, groups, verify
 from chambers.errors import ResidueCollision
 
@@ -112,14 +113,16 @@ def test_singer_automorphism_properties():
 
 
 def test_explicit_isomorphisms():
-    a3 = catalog.build_a3_f2()
-    a3c = catalog.build_a3_f2("cosets")
-    m = catalog.coset_flag_isomorphism(catalog.a3_f2_spec(), a3, catalog.a3_f2_label_action)
-    assert chamber.verify_isomorphism(a3c, a3, m)
+    # the coset of g goes to the flag g . f0, f0 the least flag label (the
+    # one whose stabilizer is the principal subgroup); a coset system's
+    # labels are its coset representatives
     neu, spec = catalog.build_neumaier_a7()
-    neu_c = chamber.from_cosets(spec)
-    m2 = catalog.coset_flag_isomorphism(spec, neu, catalog.neumaier_label_action)
-    assert chamber.verify_isomorphism(neu_c, neu, m2)
+    for cosets, flags, act in (
+            (catalog.build_a3_f2("cosets"), catalog.build_a3_f2(), catalog.a3_f2_label_action),
+            (chamber.from_cosets(spec), neu, catalog.neumaier_label_action)):
+        f0 = min(flags.labels)
+        m = catalog.label_map(cosets.labels, flags, lambda g: act(g, f0))
+        assert chamber.verify_isomorphism(cosets, flags, m)
 
 
 def test_generic_isomorphism_search_a3f2():
@@ -148,7 +151,7 @@ def test_neumaier_point_residue_is_gq22():
     neu, _ = catalog.build_neumaier_a7()
     res = neu.residue((2, 3), 0)
     assert len(res.chambers) == 45
-    sub, _ = chamber.sub_system(neu, res.chambers, (2, 3))
+    sub, _ = corpus.sub_system(neu, res.chambers, (2, 3))
     assert chamber.polygon_parameter(sub) == 4
     assert chamber.is_isomorphic(sub, catalog.build_gq22())
     # a generalized quadrangle of order (2,2): panels of size 3 throughout
@@ -159,7 +162,7 @@ def test_neumaier_plane_residue_is_fano():
     neu, _ = catalog.build_neumaier_a7()
     res = neu.residue((1, 2), 0)
     assert len(res.chambers) == 21
-    sub, _ = chamber.sub_system(neu, res.chambers, (1, 2))
+    sub, _ = corpus.sub_system(neu, res.chambers, (1, 2))
     assert chamber.polygon_parameter(sub) == 3
     assert all(len(p) == 3 for i in sub.types for p in sub.panels[i])
 
@@ -168,5 +171,5 @@ def test_line_residues_are_digons():
     neu, _ = catalog.build_neumaier_a7()
     res = neu.residue((1, 3), 0)
     assert len(res.chambers) == 9
-    sub, _ = chamber.sub_system(neu, res.chambers, (1, 3))
+    sub, _ = corpus.sub_system(neu, res.chambers, (1, 3))
     assert chamber.polygon_parameter(sub) == 2

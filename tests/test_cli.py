@@ -208,6 +208,21 @@ def test_coxeter_matrix_not_rows(capsys, tmp_path):
     assert code == 2 and "input error" in err
 
 
+def test_non_integer_json_numbers_are_input_errors(capsys, tmp_path):
+    # never truncated: m = 3.5 is not an A2 matrix, n = 3.9 not three chambers
+    matrix = tmp_path / "m.json"
+    for m in (3.5, "3"):
+        matrix.write_text(json.dumps({"m": [[1, m], [m, 1]]}))
+        code, out, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
+        assert code == 2 and out == "" and "input error" in err
+    system = tmp_path / "system.json"
+    for n, c in ((3.9, 2.7), (3, 2.7), (3.9, 2)):
+        system.write_text(json.dumps({"rank": 2, "n": n,
+                                      "panels": {"1": [[0, 1], [2]], "2": [[0], [1, c]]}}))
+        code, out, err = run(capsys, "check", str(system), "--building")
+        assert code == 2 and out == "" and "input error" in err
+
+
 def test_check_rejects_bad_counts_and_types(capsys, tmp_path):
     system = tmp_path / "system.json"
     for obj in ({"rank": 2, "n": -1, "panels": {"1": [], "2": []}},

@@ -72,6 +72,10 @@ def test_lift_gallery_basics():
     rng = random.Random(5)
     g = corpus.random_gallery(fano, 0, 5, rng)
     assert covers.lift_gallery(p, g, 0) == g
+    # start -1 must not wrap around to the last cover chamber
+    for start in (-1, fano.n):
+        with pytest.raises(ValueError, match=f"start chamber {start} outside"):
+            covers.lift_gallery(p, TypedGallery((fano.n - 1,), ()), start)
 
 
 def test_lift_project_roundtrip():
@@ -93,10 +97,11 @@ def test_lift_concat_functorial():
         c0 = rng.randrange(base.n)
         g1 = corpus.random_gallery(quot, proj.chamber_map[c0], 4, rng)
         g2 = corpus.random_gallery(quot, g1.end, 4, rng)
-        both = covers.lift_gallery(proj, g1.concat(g2), c0)
+        joined = TypedGallery(g1.chambers + g2.chambers[1:], g1.types + g2.types)
+        both = covers.lift_gallery(proj, joined, c0)
         first = covers.lift_gallery(proj, g1, c0)
         second = covers.lift_gallery(proj, g2, first.end)
-        assert both == first.concat(second)
+        assert both.chambers == first.chambers + second.chambers[1:]
 
 
 def test_lift_nontrivial_class_changes_fiber_point():
@@ -195,8 +200,8 @@ def test_universal_cover_self_check_raises(monkeypatch):
 
 
 def test_elementary_homotopy_single_moves():
-    # a single segment replacement inside one rank-2 residue is always an
-    # elementary homotopy, and elementary implies homotopic
+    # a single segment replacement inside one rank-2 residue is homotopic to
+    # the original by both engines
     cc3 = coxeter.coxeter_complex(coxeter.C3)
     rng = random.Random(14)
     pairs = [(1, 2), (1, 3), (2, 3)]
@@ -213,7 +218,7 @@ def test_elementary_homotopy_single_moves():
         comp = cc3.component_map(P)
         if comp[u] != comp[v]:
             continue
-        segs = covers._segment_galleries(cc3, u, v, P, 4)
+        segs = _segment_galleries(cc3, u, v, P, 4)
         if not segs:
             continue
         seg = rng.choice(segs)
@@ -222,8 +227,8 @@ def test_elementary_homotopy_single_moves():
         gn = g.normalized()
         if gn == g2:
             continue
-        assert covers.elementary_homotopic(cc3, gn, g2)
         assert covers.homotopic(cc3, gn, g2)
+        assert _homotopic_bfs(cc3, gn, g2, budget=5000)
         hits += 1
     assert hits >= 10
 
@@ -481,11 +486,31 @@ def test_universal_cover_of_s6_quotient():
                for a in res.deck for b in res.deck)
 
 
+def _covering_between(p, q):
+    """A covering map from p's total space onto q's, commuting with the two
+    projections to their common base; None if no extension works.  Seeds
+    are searched over q's fiber, per the universal property."""
+    A, B = p.cover, q.cover
+    assert p.base.n == q.base.n and p.base.panels == q.base.panels
+    assert A.is_connected()
+    mpA, mpB = p.chamber_map, q.chamber_map
+    for b0 in range(B.n):
+        if mpB[b0] != mpA[0]:
+            continue
+        f = covers._extend_commuting(A, mpA, B, mpB, 0, b0)
+        if f is None:
+            continue
+        cm = CoveringMap(A, B, f)
+        if covers.is_covering(cm)[0]:
+            return cm
+    return None
+
+
 def test_universal_property():
     # the universal cover factors through every other covering of the base
     thin, Q120, Q360, cmap = _s6_quotient_pair()
     res = covers.universal_cover(Q120, 0, max_chambers=10 ** 4)
-    factor = covers.covering_between(res.covering, cmap)
+    factor = _covering_between(res.covering, cmap)
     assert factor is not None
     assert factor.cover.n == 720 and factor.base.n == 360
     # composing recovers the universal projection
@@ -493,26 +518,75 @@ def test_universal_property():
     assert composed == res.covering.chamber_map
     base, quot, proj = catalog.build_singer_quotient(5)
     res2 = covers.universal_cover(quot, 0, max_chambers=10 ** 5)
-    factor2 = covers.covering_between(res2.covering, proj)
+    factor2 = _covering_between(res2.covering, proj)
     assert factor2 is not None and factor2.base.n == 315
 
 
 # ---------------------------------------------------------------------------
-# gallery homotopy
+# gallery homotopy, against the breadth-first reference engine
 
 
-def test_elementary_homotopic():
-    a2 = coxeter.coxeter_complex(coxeter.A2)
-    g121 = chamber.gallery_from_types(a2, 0, (1, 2, 1))
-    g212 = chamber.gallery_from_types(a2, 0, (2, 1, 2))
-    assert covers.elementary_homotopic(a2, g121, g121)
-    assert covers.elementary_homotopic(a2, g121, g212)
-    # two disjoint alterations across different type pairs need two steps
-    a3 = coxeter.coxeter_complex(coxeter.A3)
-    g1 = chamber.gallery_from_types(a3, 0, (1, 2, 1, 3, 2, 3))
-    g2 = chamber.gallery_from_types(a3, 0, (2, 1, 2, 2, 3, 2))
-    if g1.end == g2.end:
-        assert not covers.elementary_homotopic(a3, g1, g2)
+def _segment_galleries(C, u, v, P, max_len):
+    """All galleries u -> v with types within the pair P, length <= max_len."""
+    out = []
+    stack = [((u,), ())]
+    while stack:
+        chambers, types = stack.pop()
+        c = chambers[-1]
+        if c == v:
+            out.append(TypedGallery(chambers, types))
+        if len(types) >= max_len:
+            continue
+        for i in P:
+            for d in C.panel_of(i, c):
+                if d != c:
+                    stack.append((chambers + (d,), types + (i,)))
+    return out
+
+
+def _homotopic_bfs(C, g1, g2, budget=10 ** 5):
+    """The reference engine for covers.homotopic: bounded breadth-first
+    search over the elementary-homotopy graph of galleries, at most 4 steps
+    longer than the longer input.  Exact on small systems.
+    True / False-by-exhaustion / BudgetExceeded."""
+    chamber.validate_gallery(C, g1)
+    chamber.validate_gallery(C, g2)
+    g1 = g1.normalized()
+    g2 = g2.normalized()
+    assert g1.start == g2.start and g1.end == g2.end
+    if g1 == g2:
+        return True
+    max_len = max(len(g1), len(g2)) + 4
+    seen = {g1}
+    frontier = [g1]
+    pairs = list(itertools.combinations(C.types, 2))
+    while frontier:
+        nxt = []
+        for g in frontier:
+            n = len(g)
+            for s in range(n + 1):
+                for e in range(s, n + 1):
+                    seg_types = set(g.types[s:e])
+                    for P in pairs:
+                        if not seg_types <= set(P):
+                            continue
+                        u, v = g.chambers[s], g.chambers[e]
+                        if C.component_map(P)[u] != C.component_map(P)[v]:
+                            continue
+                        room = max_len - (n - (e - s))
+                        for seg in _segment_galleries(C, u, v, P, room):
+                            g2new = TypedGallery(
+                                g.chambers[:s] + seg.chambers + g.chambers[e + 1:],
+                                g.types[:s] + seg.types + g.types[e:]).normalized()
+                            if g2new == g2:
+                                return True
+                            if g2new not in seen:
+                                if len(seen) >= budget:
+                                    raise BudgetExceeded("gallery BFS budget exhausted")
+                                seen.add(g2new)
+                                nxt.append(g2new)
+        frontier = nxt
+    return False
 
 
 def test_homotopic_matches_bfs_on_thin_a2():
@@ -524,7 +598,7 @@ def test_homotopic_matches_bfs_on_thin_a2():
         if g1.end != g2.end:
             continue
         fast = covers.homotopic(a2, g1, g2)
-        slow = covers.homotopic_bfs(a2, g1, g2, budget=5000)
+        slow = _homotopic_bfs(a2, g1, g2, budget=5000)
         assert fast == slow
         assert fast  # rank-2 systems are simply 2-connected
 
@@ -533,24 +607,24 @@ def test_homotopic_matches_bfs_off_simply_connected():
     # the cube complex A1x3 modulo its centre: the loop of types 1, 2, 3
     # closes here but not in the cube, its universal cover
     q = corpus.central_quotient(corpus.A1x3)
-    loop = chamber.gallery_from_types(q, 0, (1, 2, 3))
+    loop = corpus.gallery_from_types(q, 0, (1, 2, 3))
     trivial = TypedGallery((0,), ())
     assert q.n == 4 and loop.end == 0
     fast = covers.homotopic(q, loop, trivial)
-    slow = covers.homotopic_bfs(q, loop, trivial, budget=2000)
+    slow = _homotopic_bfs(q, loop, trivial, budget=2000)
     assert (fast, slow) == (False, False)
     with pytest.raises(BudgetExceeded):
-        covers.homotopic_bfs(q, loop, trivial, budget=500)
+        _homotopic_bfs(q, loop, trivial, budget=500)
     # W(A1x3) is abelian: a type word and any reordering of it are homotopic
     rng = random.Random(16)
     reordered = 0
     for _ in range(10):
         c = rng.randrange(q.n)
         word = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
-        g1 = chamber.gallery_from_types(q, c, word)
-        g2 = chamber.gallery_from_types(q, c, rng.sample(word, len(word)))
+        g1 = corpus.gallery_from_types(q, c, word)
+        g2 = corpus.gallery_from_types(q, c, rng.sample(word, len(word)))
         fast = covers.homotopic(q, g1, g2)
-        slow = covers.homotopic_bfs(q, g1, g2, budget=2000)
+        slow = _homotopic_bfs(q, g1, g2, budget=2000)
         assert (fast, slow) == (True, True), (c, g1.types, g2.types)
         reordered += g1 != g2
     assert reordered >= 3
@@ -630,10 +704,16 @@ def test_homotopic_cover_dies_with_its_system():
 
 def test_homotopic_rejects_mismatched_extremities():
     a2 = coxeter.coxeter_complex(coxeter.A2)
-    g1 = chamber.gallery_from_types(a2, 0, (1,))
-    g2 = chamber.gallery_from_types(a2, 0, (2,))
+    g1 = corpus.gallery_from_types(a2, 0, (1,))
+    g2 = corpus.gallery_from_types(a2, 0, (2,))
     with pytest.raises(ValueError):
         covers.homotopic(a2, g1, g2)
+    # a chamber or type out of range is named, not wrapped or looked up
+    for bad, named in ((TypedGallery((0, a2.n), (1,)), f"chamber {a2.n} outside"),
+                       (TypedGallery((-1, -1), (1,)), "chamber -1 outside"),
+                       (TypedGallery((0, 0), (3,)), "type 3 outside")):
+        with pytest.raises(ValueError, match=named):
+            covers.homotopic(a2, bad, bad)
 
 
 # ---------------------------------------------------------------------------

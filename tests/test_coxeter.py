@@ -33,17 +33,21 @@ from chambers.errors import (
 
 
 def test_validate_matrix():
-    M = coxeter.validate_matrix([[1, 3], [3, 1]])
+    M = CoxeterMatrix([[1, 3], [3, 1]])
     assert M.rank == 2 and M.order(1, 2) == 3
-    coxeter.validate_matrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
+    CoxeterMatrix([[1, 3, 2], [3, 1, 4], [2, 4, 1]])
     with pytest.raises(NotSymmetric):
-        coxeter.validate_matrix([[1, 2], [3, 1]])
+        CoxeterMatrix([[1, 2], [3, 1]])
     with pytest.raises(NotSymmetric):
-        coxeter.validate_matrix([[1, 2, 2], [2, 1, 2]])
+        CoxeterMatrix([[1, 2, 2], [2, 1, 2]])
     with pytest.raises(BadDiagonal):
-        coxeter.validate_matrix([[2, 3], [3, 1]])
+        CoxeterMatrix([[2, 3], [3, 1]])
     with pytest.raises(BadOffDiagonal):
-        coxeter.validate_matrix([[1, 1], [1, 1]])
+        CoxeterMatrix([[1, 1], [1, 1]])
+    # entries must be integers: a float or a digit string is refused, not truncated
+    for bad in (3.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            CoxeterMatrix([[1, bad], [bad, 1]])
 
 
 def test_matrix_json_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 import chambers
 import corpus
 from chambers import catalog, groups
-from chambers.errors import ActionNotClosed, CapExceeded, DegreeMismatch, NotSubgroup
+from chambers.errors import CapExceeded, DegreeMismatch, NotSubgroup
 
 
 def test_perm_helpers():
@@ -173,29 +173,6 @@ def test_generates():
     b = groups.subgroup_generated(G, [groups.perm_from_cycles(4, [(0, 1, 2, 3)])])
     assert groups.generates(G, [a, b])
     assert groups.generates(G, [a, b, trivial])
-
-
-def test_is_free_action_fano_singer():
-    # the order-7 Singer group of the Fano plane acts freely on its 21 flags
-    fano = catalog.build_fano_flags()
-    M = (2, 4, 3)  # companion matrix of x^3 + x + 1
-    perm = tuple(catalog.mat_apply(M, v) - 1 for v in range(1, 8))
-    Z7 = groups.group_from_generators([perm])
-    assert Z7.order == 7
-    whole = groups.Subgroup(Z7, Z7.elements, check=False)
-    index = {lab: c for c, lab in enumerate(fano.labels)}
-
-    def act(g, c):
-        p, L = fano.labels[c]
-        return index[(g[p - 1] + 1, tuple(sorted(g[x - 1] + 1 for x in L)))]
-
-    assert groups.is_free_action(whole, range(fano.n), act)
-    # a point stabilizer is not free on the points it fixes
-    S3 = groups.symmetric_group(3)
-    stab = groups.stabilizer(S3, lambda g: g[0] == 0)
-    assert not groups.is_free_action(stab, range(3), lambda g, p: g[p])
-    with pytest.raises(ActionNotClosed):
-        groups.is_free_action(stab, {0, 1}, lambda g, p: g[p] + 1)
 
 
 def test_direct_product():

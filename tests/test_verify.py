@@ -63,7 +63,7 @@ def test_w_distance_every_pair():
     assert all(isinstance(verify.w_distance(fano, coxeter.A2, x, y), coxeter.WElement)
                for x in range(21) for y in range(21))
     neu, _ = catalog.build_neumaier_a7()
-    small, _ = chamber.sub_system(neu, neu.residue((1, 2), 0).chambers, (1, 2))
+    small, _ = corpus.sub_system(neu, neu.residue((1, 2), 0).chambers, (1, 2))
     assert verify.is_building(small, coxeter.A2)[1]["pairs_checked"] == small.n ** 2
     assert all(isinstance(verify.w_distance(small, coxeter.A2, x, y), coxeter.WElement)
                for x in range(small.n) for y in range(small.n))
@@ -191,10 +191,10 @@ def test_building_locality():
     # residues of a building are buildings of the restricted type
     a3 = catalog.build_a3_f2()
     res = a3.residue((1, 2), 0)
-    sub, _ = chamber.sub_system(a3, res.chambers, (1, 2))
+    sub, _ = corpus.sub_system(a3, res.chambers, (1, 2))
     assert verify.is_building(sub, coxeter.A2)[0]
     res = a3.residue((2, 3), 0)
-    sub, _ = chamber.sub_system(a3, res.chambers, (2, 3))
+    sub, _ = corpus.sub_system(a3, res.chambers, (2, 3))
     assert verify.is_building(sub, coxeter.A2)[0]
 
 
