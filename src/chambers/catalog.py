@@ -46,13 +46,11 @@ def span(vs):
     return frozenset(x for x in s if x)
 
 
-def subspaces(dim_total, dim, points=None):
+def subspaces(dim_total, dim):
     """All dim-dimensional subspaces of F2^dim_total as frozensets of
     nonzero vectors."""
-    if points is None:
-        points = range(1, 1 << dim_total)
     out = set()
-    for basis in combinations(points, dim):
+    for basis in combinations(range(1, 1 << dim_total), dim):
         s = span(basis)
         if len(s) == (1 << dim) - 1:
             out.add(s)

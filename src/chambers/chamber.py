@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import groups
-from .coxeter import CoxeterMatrix
+from .coxeter import CoxeterMatrix, _int
 from .errors import (
     ActionNotFree,
     BudgetExceeded,
@@ -32,8 +32,8 @@ _TYPE_SET_CAP = 10 ** 4      # type words per chamber; past it, is_building's ty
 
 class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
-        self.n = operator.index(n)
-        self.rank = operator.index(rank)
+        self.n = _int(n)
+        self.rank = _int(rank)
         if self.n <= 0:
             raise PartitionNotCovering(f"empty system: chamber count {self.n} is not positive")
         if self.rank < 0:
@@ -47,7 +47,10 @@ class ChamberSystem:
             seen = set()
             panels = []
             for panel in partitions[i]:
-                panel = tuple(sorted(map(operator.index, panel)))
+                panel = sorted(panel)
+                if bool in map(type, panel):
+                    raise TypeError(f"a bool chamber id in a type-{i} panel")
+                panel = tuple(map(operator.index, panel))
                 if not panel:
                     raise PartitionNotCovering(f"empty panel of type {i}")
                 for c in panel:
@@ -79,6 +82,21 @@ class ChamberSystem:
 
     # --- basic queries ------------------------------------------------
 
+    def _chamber(self, c, what="chamber"):
+        """c as a chamber id: an integer, not a bool, in 0..n-1."""
+        c = _int(c)
+        if not 0 <= c < self.n:
+            raise ValueError(f"{what} {c} outside 0..{self.n - 1}")
+        return c
+
+    def _types(self, J):
+        """J as a frozenset of types: integers, not bools, in 1..rank."""
+        J = frozenset(map(_int, J))
+        bad = J.difference(self.panels)
+        if bad:
+            raise ValueError(f"type {min(bad)} outside 1..{self.rank}")
+        return J
+
     @property
     def types(self):
         return tuple(range(1, self.rank + 1))
@@ -108,13 +126,10 @@ class ChamberSystem:
     def component_map(self, J):
         """Component id per chamber under adjacency restricted to types J,
         numbered in order of least member."""
-        J = frozenset(J)
+        J = self._types(J)
         cached = self._comp_cache.get(J)
         if cached is not None:
             return cached
-        for j in J:
-            if j not in self._panel_idx:
-                raise ValueError(f"type {j} out of range")
         comp = [None] * self.n
         cid = 0
         for start in range(self.n):
@@ -136,14 +151,11 @@ class ChamberSystem:
 
     def residue(self, J, c):
         """The J-residue through chamber c."""
-        J = frozenset(int(j) for j in J)
-        comp = self.component_map(J)
-        members = tuple(d for d in range(self.n) if comp[d] == comp[c])
-        return Residue(J, members)
+        return self.residues(J)[self.component_map(J)[self._chamber(c)]]
 
     def residues(self, J):
-        """All J-residues, ordered by least member."""
-        J = frozenset(J)
+        """All J-residues, the k-th being component k of component_map(J)."""
+        J = self._types(J)
         comp = self.component_map(J)
         buckets = [[] for _ in range(max(comp) + 1)]
         for c, k in enumerate(comp):
@@ -169,6 +181,7 @@ class ChamberSystem:
     def _distances_from(self, x):
         """The chambers reachable from x in breadth-first order, and per
         chamber its gallery distance from x, None if unreachable."""
+        x = self._chamber(x)
         adj = self.adjacency()
         dist = [None] * self.n
         dist[x] = 0
@@ -183,6 +196,7 @@ class ChamberSystem:
 
     def min_gallery(self, x, y):
         """One shortest gallery from x to y."""
+        y = self._chamber(y)
         _, dist = self._distances_from(x)
         if dist[y] is None:
             raise Disconnected(f"no gallery from {x} to {y}")
@@ -265,11 +279,8 @@ def validate_gallery(C, gal):
     """Every chamber lies in 0..n-1, every type in 1..rank, and every step
     stays inside a panel of its type; stutters are allowed."""
     for c in gal.chambers:
-        if not 0 <= c < C.n:
-            raise ValueError(f"gallery chamber {c} outside 0..{C.n - 1}")
-    for i in gal.types:
-        if i not in C.panels:
-            raise ValueError(f"gallery type {i} outside 1..{C.rank}")
+        C._chamber(c, "gallery chamber")
+    C._types(gal.types)
     for (c, d), i in zip(zip(gal.chambers, gal.chambers[1:]), gal.types):
         if C.panel_id(i, c) != C.panel_id(i, d):
             raise ValueError(f"step {c}->{d} is not inside a type-{i} panel")

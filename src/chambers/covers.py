@@ -13,7 +13,7 @@ closes the residue for every chamber it placed.
 """
 
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -70,14 +70,11 @@ def is_covering(p):
         return False, f"not surjective: base chamber {missing} has empty fiber"
     for P in combinations(cover.types, 2):
         base_comp = base.component_map(P)
-        base_members = {}
-        for b in range(base.n):
-            base_members.setdefault(base_comp[b], []).append(b)
+        base_size = Counter(base_comp)      # chambers per base P-residue
         for res in cover.residues(P):
             images = [mp[c] for c in res.chambers]
-            rid = base_comp[images[0]]
-            target = base_members[rid]
-            if len(res.chambers) != len(target) or len(set(images)) != len(images):
+            size = base_size[base_comp[images[0]]]
+            if len(res.chambers) != size or len(set(images)) != len(images):
                 return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
                                f"{res.chambers[0]} is not bijective onto its image")
             # bijective on the residue, so t-panels map onto t-panels iff sizes agree
@@ -93,8 +90,7 @@ def lift_gallery(p, gal, start):
     """The unique gallery over `gal` starting at the cover chamber `start`."""
     cover, base, mp = p.cover, p.base, p.chamber_map
     validate_gallery(base, gal)
-    if not 0 <= start < cover.n:
-        raise ValueError(f"start chamber {start} outside 0..{cover.n - 1}")
+    start = cover._chamber(start, "start chamber")
     if mp[start] != gal.start:
         raise ValueError("start chamber does not lie over the gallery's start")
     chambers = [start]
@@ -240,8 +236,7 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     chambers.  The nodes opened for panels are live until residue walks
     merge them, so the peak can exceed the answer: the 315-chamber cover of
     neumaier-a7 truncates at 2,834 and finishes at 2,835."""
-    if not 0 <= c0 < C.n:
-        raise ValueError(f"base chamber {c0} outside 0..{C.n - 1}")
+    c0 = C._chamber(c0, "base chamber")
     if max_chambers < 1:
         raise ValueError(f"chamber budget {max_chambers} is not positive")
     if not C.is_connected():

@@ -23,11 +23,18 @@ INFINITY = 0  # matrix entry encoding m_ij = infinity (also used in JSON)
 DEFAULT_BUDGET = 10 ** 6
 
 
+def _int(x):
+    """x as an int by operator.index, refusing a bool (JSON true or false)."""
+    if type(x) is bool:
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 class CoxeterMatrix:
     """Symmetric k x k matrix, m_ii = 1, off-diagonal >= 2 or INFINITY."""
 
     def __init__(self, entries):
-        rows = [tuple(map(operator.index, row)) for row in entries]
+        rows = [tuple(map(_int, row)) for row in entries]
         k = len(rows)
         if any(len(row) != k for row in rows):
             raise NotSymmetric("matrix is not square")
@@ -90,11 +97,8 @@ def dihedral(m):
 
 
 def diagram_components(M):
-    """Connected components of the Coxeter diagram (edge iff m_ij != 2).
-
-    Returns (components, isolated) where components is a sorted list of
-    sorted type tuples and isolated is the set of singleton-component types.
-    """
+    """Connected components of the Coxeter diagram (edge iff m_ij != 2),
+    as a sorted list of sorted type tuples."""
     adj = {i: set() for i in M.types}
     for i, j in combinations(M.types, 2):
         if M.order(i, j) != 2:
@@ -117,8 +121,7 @@ def diagram_components(M):
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     comps.sort()
-    isolated = {c[0] for c in comps if len(c) == 1}
-    return comps, isolated
+    return comps
 
 
 def is_admissible_polar(M):
@@ -173,14 +176,14 @@ def _component_type(M, comp):
 
 def is_finite(M):
     """Whether W(M) is finite: every diagram component has a finite type."""
-    return all(_component_type(M, c) is not None for c in diagram_components(M)[0])
+    return all(_component_type(M, c) is not None for c in diagram_components(M))
 
 
 def matrix_name(M):
     """Human name of the diagram, e.g. 'C3' or 'A1 x A2'; an infinite
     component is 'I2(inf)' or 'rank<n>'."""
     names = []
-    for comp in diagram_components(M)[0]:
+    for comp in diagram_components(M):
         t = _component_type(M, comp)
         names.append(t[0] if t else "I2(inf)" if len(comp) == 2 else f"rank{len(comp)}")
     return " x ".join(names)
@@ -191,7 +194,7 @@ def matrix_name(M):
 
 
 def _check_word(M, word):
-    word = tuple(int(x) for x in word)
+    word = tuple(map(_int, word))
     for x in word:
         if not 1 <= x <= M.rank:
             raise ValueError(f"letter {x} outside 1..{M.rank}")

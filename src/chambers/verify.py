@@ -75,6 +75,7 @@ def w_distance(C, M, x, y):
     """The W-element whose reduced words are exactly the minimal-gallery
     types from x to y; raises NoSuchW (with both sets) otherwise."""
     _check_rank(C, M)
+    x, y = C._chamber(x), C._chamber(y)
     table = coxeter.group_table(M)
     delta, tsets = _w_distances_from(C, table, x)
     if delta[y] is not None:
@@ -172,9 +173,9 @@ class IncidenceGeometry:
     different types are incident iff their residues share a chamber."""
 
     system: object
-    chamber_vertices: tuple        # per chamber, tuple of vertex ids by type
     adjacency: dict = field(repr=False)
     labels: dict = field(repr=False)
+    _chambers: dict = field(repr=False)     # per vertex, its chambers in ascending order
 
     def vertices_of_type(self, t):
         return sorted({v for v in self.adjacency if v[0] == t})
@@ -187,36 +188,27 @@ class IncidenceGeometry:
         return v in self.adjacency[u]
 
     def chambers_of(self, v):
-        t, cid = v
-        C = self.system
-        comp = C.component_map(frozenset(C.types) - {t})
-        return [c for c in range(C.n) if comp[c] == cid]
+        return self._chambers[v]
 
     def label(self, v):
         return self.labels.get(v)
 
 
 def incidence_geometry(C):
-    vertices = tuple(tuple(zip(C.types, vs)) for vs in chamber_vertices(C))
-    adjacency = {}
-    for vs in vertices:
-        for u, v in combinations(vs, 2):
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-        for v in vs:
-            adjacency.setdefault(v, set())
+    adjacency, chambers = {}, {}
+    for c, vs in enumerate(chamber_vertices(C)):
+        vs = tuple(zip(C.types, vs))
+        for t, v in enumerate(vs):
+            chambers.setdefault(v, []).append(c)
+            adjacency.setdefault(v, set()).update(vs[:t] + vs[t + 1:])
     labels = {}
     if C.labels is not None and all(
             isinstance(x, tuple) and len(x) == C.rank for x in C.labels):
-        for c in range(C.n):
-            for ti, v in enumerate(vertices[c]):
-                lab = C.labels[c][ti]
-                if v in labels and labels[v] != lab:
-                    labels[v] = None
-                else:
-                    labels.setdefault(v, lab)
-        labels = {v: lab for v, lab in labels.items() if lab is not None}
-    return IncidenceGeometry(C, vertices, adjacency, labels)
+        for (t, k), cs in chambers.items():
+            lab = C.labels[cs[0]][t - 1]
+            if lab is not None and all(C.labels[c][t - 1] == lab for c in cs):
+                labels[t, k] = lab
+    return IncidenceGeometry(C, adjacency, labels, chambers)
 
 
 def shadow(geom, v, t):
@@ -271,7 +263,7 @@ def check_star(spec, point_type, line_type, system=None):
         got = stab_cache.get(v)
         if got is None:
             t, _ = v
-            rep = system.labels[min(geom.chambers_of(v))]
+            rep = system.labels[geom.chambers_of(v)[0]]
             # rep h rep^-1 sends rep[x] to rep[h[x]]
             back = groups._right_mul(groups.inv(rep))
             got = frozenset(back(groups.mul(rep, h)) for h in spec.vertex_group(t).elements)

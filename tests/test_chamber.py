@@ -6,7 +6,7 @@ import random
 import pytest
 
 import corpus
-from chambers import catalog, chamber, cli, coxeter, groups, verify
+from chambers import catalog, chamber, cli, covers, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import (
     ActionNotFree,
@@ -197,8 +197,55 @@ def test_residues():
     # a type outside 1..rank is a ValueError, not a bare KeyError
     for bad in (lambda: a3.residues((5,)), lambda: a3.component_map((1, 0)),
                 lambda: a3.residue((4,), 0), lambda: a3._residue_gonalities(1, 5)):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"type \d outside 1\.\.3"):
             bad()
+
+
+# per entry point taking a chamber id or a type, a call on the Fano flag
+# system C and its identity covering p passing b in that place; a start at
+# chamber 1 is where True would land if it were read as an id
+_ID_CALLS = {
+    "residue-type": lambda C, p, b: C.residue((b,), 0),
+    "residue-chamber": lambda C, p, b: C.residue((1,), b),
+    "residues": lambda C, p, b: C.residues((1, b)),
+    "component_map": lambda C, p, b: C.component_map((b,)),
+    "min_gallery-start": lambda C, p, b: C.min_gallery(b, 3),
+    "min_gallery-end": lambda C, p, b: C.min_gallery(0, b),
+    "minimal_type_sets_from": lambda C, p, b: C.minimal_type_sets_from(b),
+    "validate_gallery-chamber":
+        lambda C, p, b: chamber.validate_gallery(C, TypedGallery((1, b), (1,))),
+    "validate_gallery-type":
+        lambda C, p, b: chamber.validate_gallery(C, TypedGallery((0, 0), (b,))),
+    "lift_gallery": lambda C, p, b: covers.lift_gallery(p, TypedGallery((1,), ()), b),
+    "universal_cover": lambda C, p, b: covers.universal_cover(C, c0=b),
+    "w_distance-x": lambda C, p, b: verify.w_distance(C, coxeter.A2, b, 0),
+    "w_distance-y": lambda C, p, b: verify.w_distance(C, coxeter.A2, 0, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ID_CALLS))
+def test_ids_are_checked_at_every_entry_point(name):
+    # -1 must not wrap to the last chamber, n is one past it, and a bool or
+    # a float is no id: each is refused, never read or truncated
+    fano = catalog.build_fano_flags()
+    p = covers.CoveringMap(fano, fano, tuple(range(fano.n)))
+    for bad in (-1, fano.n, True, 1.5):
+        with pytest.raises((TypeError, ValueError)):
+            _ID_CALLS[name](fano, p, bad)
+
+
+def test_residues_match_per_chamber_scan_on_named_systems():
+    # the listing against residue's former scan of all chambers per call
+    for C in corpus.named_systems():
+        for k in range(C.rank + 1):
+            for J in itertools.combinations(C.types, k):
+                comp = C.component_map(J)
+                scans = {tuple(d for d in range(C.n) if comp[d] == comp[c]) for c in range(C.n)}
+                listing = C.residues(J)
+                assert [r.chambers for r in listing] == sorted(scans), (C, J)
+                assert all(r.types == frozenset(J) for r in listing)
+                for c in (0, C.n - 1):
+                    assert C.residue(J, c) == listing[comp[c]]
 
 
 def test_min_gallery():

@@ -223,6 +223,21 @@ def test_non_integer_json_numbers_are_input_errors(capsys, tmp_path):
         assert code == 2 and out == "" and "input error" in err
 
 
+def test_json_booleans_are_input_errors(capsys, tmp_path):
+    # JSON true and false are not the integers 1 and 0
+    system = tmp_path / "system.json"
+    for obj in ({"rank": True, "n": 2, "panels": {"1": [[False, True]]}},
+                {"rank": 1, "n": 2, "panels": {"1": [[False, True]]}},
+                {"rank": 1, "n": True, "panels": {"1": [[0]]}}):
+        system.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", str(system), "--building")
+        assert code == 2 and out == "" and "input error" in err and "bool" in err
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"m": [[True, 3], [3, True]]}))
+    code, out, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
+    assert code == 2 and out == "" and "input error" in err and "bool" in err
+
+
 def test_check_rejects_bad_counts_and_types(capsys, tmp_path):
     system = tmp_path / "system.json"
     for obj in ({"rank": 2, "n": -1, "panels": {"1": [], "2": []}},

@@ -48,6 +48,9 @@ def test_validate_matrix():
     for bad in (3.5, 3.0, "3"):
         with pytest.raises(TypeError):
             CoxeterMatrix([[1, bad], [bad, 1]])
+    # JSON true is not the diagonal entry 1
+    with pytest.raises(TypeError, match="bool"):
+        CoxeterMatrix([[True, 3], [3, True]])
 
 
 def test_matrix_json_roundtrip():
@@ -57,15 +60,11 @@ def test_matrix_json_roundtrip():
 
 
 def test_diagram_components():
-    comps, isolated = coxeter.diagram_components(A2)
-    assert comps == [(1, 2)] and not isolated
-    comps, isolated = coxeter.diagram_components(A1xA1)
-    assert comps == [(1,), (2,)] and isolated == {1, 2}
-    comps, isolated = coxeter.diagram_components(C3)
-    assert comps == [(1, 2, 3)] and not isolated
-    comps, isolated = coxeter.diagram_components(
-        CoxeterMatrix([[1, 3, 2], [3, 1, 2], [2, 2, 1]]))
-    assert comps == [(1, 2), (3,)] and isolated == {3}
+    assert coxeter.diagram_components(A2) == [(1, 2)]
+    assert coxeter.diagram_components(A1xA1) == [(1,), (2,)]
+    assert coxeter.diagram_components(C3) == [(1, 2, 3)]
+    assert coxeter.diagram_components(CoxeterMatrix([[1, 3, 2], [3, 1, 2], [2, 2, 1]])) == [
+        (1, 2), (3,)]
 
 
 def test_admissible_polar():
@@ -247,6 +246,15 @@ def test_canonical_examples():
     assert canonical_word(A3, (1, 2, 1, 3, 1)) == (1, 2, 3)
     w = canonical_word(C3, (3, 2, 3, 2, 3, 1, 1))
     assert canonical_word(C3, w) == w  # idempotent
+
+
+def test_word_letters_are_integers():
+    # a float letter is refused, not truncated to 1; so is a bool
+    for word in ((1.7, 2), (True, 2)):
+        with pytest.raises(TypeError):
+            canonical(A3, word)
+    with pytest.raises(ValueError, match="letter 4 outside"):
+        canonical(A3, (1, 4))
 
 
 def test_canonical_budget():

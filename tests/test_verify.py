@@ -279,6 +279,67 @@ def test_check_star():
     assert not ok and wit is not None
 
 
+def test_check_star_pinned_for_every_role_pair():
+    # verdicts and witnesses of every (point, line) role pair on both coset
+    # models, as reading each vertex's least chamber by a scan gave them
+    pinned = {
+        "a3": [(True, None),
+               (False, ((3, 0), (1, 0), (1, 1),
+                        (0, 1, 2, 7, 8, 9, 10, 3, 4, 5, 6, 11, 12, 13, 14))),
+               (True, None),
+               (True, None),
+               (False, ((1, 0), (3, 0), (3, 1),
+                        (1, 0, 2, 3, 5, 4, 6, 7, 9, 8, 10, 11, 13, 12, 14))),
+               (True, None)],
+        "neumaier": [(False, ((2, 0), (1, 0), (1, 1), (0, 1, 3, 2, 4, 6, 5))),
+                     (False, ((3, 0), (1, 0), (1, 1), (0, 1, 2, 3, 5, 6, 4))),
+                     (False, ((1, 0), (2, 0), (2, 1), (1, 0, 2, 3, 4, 6, 5))),
+                     (True, None),
+                     (False, ((1, 0), (3, 0), (3, 1), (1, 2, 0, 3, 5, 6, 4))),
+                     (True, None)],
+    }
+    specs = {"a3": (catalog.a3_f2_spec(), catalog.build_a3_f2("cosets")),
+             "neumaier": (catalog.build_neumaier_a7()[1], None)}
+    roles = [(p, l) for p in (1, 2, 3) for l in (1, 2, 3) if p != l]
+    for name, (spec, system) in specs.items():
+        got = [verify.check_star(spec, p, l, system=system) for p, l in roles]
+        assert got == pinned[name], name
+
+
+def test_incidence_geometry_matches_scans_on_named_systems():
+    # each vertex's chambers against a scan of its corank-1 component map,
+    # and its label against a chamber-by-chamber merge of the label tuples
+    labelled = 0
+    for C in corpus.named_systems():
+        geom = verify.incidence_geometry(C)
+        full = frozenset(C.types)
+        verts = chamber.chamber_vertices(C)
+        for t in C.types:
+            comp = C.component_map(full - {t})
+            assert geom.vertices_of_type(t) == [(t, k) for k in range(max(comp) + 1)]
+            for v in geom.vertices_of_type(t):
+                assert geom.chambers_of(v) == [c for c in range(C.n) if comp[c] == v[1]]
+        labels = {}
+        if C.labels is not None and all(isinstance(x, tuple) and len(x) == C.rank
+                                        for x in C.labels):
+            for c in range(C.n):
+                for ti, vid in enumerate(verts[c]):
+                    v, lab = (ti + 1, vid), C.labels[c][ti]
+                    labels[v] = None if v in labels and labels[v] != lab else labels.get(v, lab)
+        assert geom.labels == {v: lab for v, lab in labels.items() if lab is not None}
+        labelled += bool(geom.labels)
+        adjacency = {}
+        for vs in verts:
+            vs = tuple(zip(C.types, vs))
+            for v in vs:
+                adjacency.setdefault(v, set())
+            for u, w in itertools.combinations(vs, 2):
+                adjacency[u].add(w)
+                adjacency[w].add(u)
+        assert geom.adjacency == adjacency
+    assert labelled >= 3
+
+
 def _renumbered(C, rng):
     """C with its chambers renumbered at random, labels moved along."""
     new = list(range(C.n))
