@@ -522,7 +522,7 @@ def quotient(C, gens):
     """Quotient by the group generated by type-preserving automorphisms,
     which must act freely with no invariant rank-2 residues.  Returns
     (system, projection)."""
-    gens = [tuple(a) for a in gens]
+    gens = [tuple(map(_int, a)) for a in gens]
     if any(len(a) != C.n for a in gens):
         raise ValueError(f"automorphism generators must have one entry per chamber ({C.n})")
     ident = groups.identity(C.n)

@@ -58,7 +58,7 @@ def is_covering(p):
     cover, base, mp = p.cover, p.base, p.chamber_map
     if cover.rank != base.rank:
         return False, "rank mismatch"
-    if any(not 0 <= b < base.n for b in mp):
+    if any(type(b) is bool or not 0 <= b < base.n for b in mp):
         return False, "map not into base chamber set"
     for i in cover.types:
         for panel in cover.panels[i]:

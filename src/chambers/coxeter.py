@@ -76,7 +76,7 @@ def matrix_to_json(M):
 
 def matrix_from_json(obj):
     M = CoxeterMatrix(obj["m"])
-    if "rank" in obj and obj["rank"] != M.rank:
+    if "rank" in obj and _int(obj["rank"]) != M.rank:
         raise NotSymmetric("rank field disagrees with matrix size")
     return M
 
@@ -413,14 +413,55 @@ def enumerate_group(M, cap=10 ** 6):
     return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
 
 
+# matrix -> its table, and diagram key -> (first table of that type, its node order)
 _TABLE_CACHE = {}
 
 
+def _relabelled_table(M, table0, phi):
+    """The table of W(M) read off table0, the table of a relabelling M0 of M:
+    e * r_i is e * r_phi(i) there.  Level by level, an element u of length
+    L + 1 takes the least key (new id of e, i) over u = e * r_i; sorting a
+    level by key gives ShortLex ids, and word(u) = word(e) + (i)."""
+    phis = [phi[i] for i in M.types]
+    new, order, elements = {0: 0}, [0], [()]
+    level = [0]
+    while level:
+        keys = {}
+        for e in level:  # in new-id order, so the first key of u is its least
+            for i, j in enumerate(phis, 1):
+                if j not in table0.descents[e]:
+                    keys.setdefault(table0.right[e][j - 1], (new[e], i))
+        level = sorted(keys, key=keys.get)
+        for u in level:
+            e, i = keys[u]
+            new[u] = len(order)
+            order.append(u)
+            elements.append(elements[e] + (i,))
+    right = [tuple(new[table0.right[u][j - 1]] for j in phis) for u in order]
+    return CoxeterGroupTable(M, tuple(elements), right)
+
+
 def group_table(M):
-    """The table of W(M), enumerated once per matrix and shared by every caller."""
+    """The table of W(M), shared by every caller.  W(M) is enumerated once
+    per diagram type: the first matrix of a type is enumerated, and each
+    relabelling of it is read off that table through the type bijection
+    phi(n[a]) = n0[a] between the two canonical node orders, with no braid
+    closure.  A node order lists the diagram components by name, each in
+    the order of `_component_type`; the matrix read in it is the key."""
     table = _TABLE_CACHE.get(M)
     if table is None:
-        table = _TABLE_CACHE[M] = enumerate_group(M)
+        if not is_finite(M):
+            raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
+        nodes = [v for t in sorted(_component_type(M, c) for c in diagram_components(M))
+                 for v in t[1]]
+        key = tuple(tuple(M.order(a, b) for b in nodes) for a in nodes)
+        if key in _TABLE_CACHE:
+            table0, nodes0 = _TABLE_CACHE[key]
+            table = _relabelled_table(M, table0, dict(zip(nodes, nodes0)))
+        else:
+            table = enumerate_group(M)
+            _TABLE_CACHE[key] = (table, nodes)
+        _TABLE_CACHE[M] = table
     return table
 
 

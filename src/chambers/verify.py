@@ -22,7 +22,8 @@ from .errors import (
 )
 
 # coxeter's table memo, under the name perfbench/workloads.py::clear_caches
-# uses to reset it between benchmark runs.
+# uses to reset it between benchmark runs.  It holds the per-matrix tables
+# and the per-diagram-type entries they are read off, so clearing it drops both.
 _TABLE_CACHE = coxeter._TABLE_CACHE
 _MAX_VIOLATIONS = 25
 

@@ -25,13 +25,15 @@ def test_coxeter_order(capsys, tmp_path):
 
 
 def test_coxeter_infinite(capsys, tmp_path):
+    # I2(inf) and affine A2
     mfile = tmp_path / "aff.json"
-    mfile.write_text(json.dumps({"rank": 2, "m": [[1, 0], [0, 1]]}))
-    for mode in ("--order", "--complex"):
-        code, out, _ = run(capsys, "coxeter", "--matrix", str(mfile), mode)
-        assert code == 1
-        assert json.loads(out) == {"error": "InfiniteGroup",
-                                   "detail": "W(M) is infinite; enumerate requires finite type"}
+    for m in ([[1, 0], [0, 1]], [[1, 3, 3], [3, 1, 3], [3, 3, 1]]):
+        mfile.write_text(json.dumps({"rank": len(m), "m": m}))
+        for mode in ("--order", "--complex"):
+            code, out, _ = run(capsys, "coxeter", "--matrix", str(mfile), mode)
+            assert code == 1
+            assert json.loads(out) == {"error": "InfiniteGroup",
+                                       "detail": "W(M) is infinite; enumerate requires finite type"}
 
 
 def test_coxeter_complex(capsys, tmp_path):
@@ -148,6 +150,16 @@ def test_quotient_cli_rejects_bad_generators(capsys, tmp_path):
         assert code == 2 and "input error" in err
 
 
+def test_quotient_cli_refuses_bool_chamber_ids(capsys, tmp_path):
+    # [true, false] is no automorphism of two chambers, not the identity
+    f = tmp_path / "two.json"
+    f.write_text(json.dumps({"rank": 1, "n": 2, "panels": {"1": [[0, 1]]}}))
+    afile = tmp_path / "auto.json"
+    afile.write_text(json.dumps({"generators": [[True, False]]}))
+    code, out, err = run(capsys, "quotient", str(f), "--auto", str(afile))
+    assert code == 2 and out == "" and "input error" in err
+
+
 def test_quotient_cli_group_larger_than_chamber_set(capsys, tmp_path):
     # GL(4,2), of order 20160, acting on the 315 flags of PG(3,2)
     f = tmp_path / "a3.json"
@@ -206,6 +218,14 @@ def test_coxeter_matrix_not_rows(capsys, tmp_path):
     matrix.write_text(json.dumps({"m": 3}))
     code, _, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
     assert code == 2 and "input error" in err
+
+
+def test_coxeter_rank_field_must_be_an_integer(capsys, tmp_path):
+    matrix = tmp_path / "m.json"
+    for rank in (True, 1.0):
+        matrix.write_text(json.dumps({"rank": rank, "m": [[1]]}))
+        code, out, err = run(capsys, "coxeter", "--matrix", str(matrix), "--order")
+        assert code == 2 and out == "" and "input error" in err
 
 
 def test_non_integer_json_numbers_are_input_errors(capsys, tmp_path):

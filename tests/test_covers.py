@@ -44,6 +44,13 @@ def test_not_locally_injective():
         CoveringMap(thin, thin, tuple(mp[:-1]))
 
 
+def test_map_of_bools_is_not_into_the_base():
+    two = chamber.from_partitions(2, 1, {1: [(0, 1)]})
+    assert covers.is_covering(CoveringMap(two, two, (0, 1))) == (True, None)
+    assert covers.is_covering(CoveringMap(two, two, (False, True))) == (
+        False, "map not into base chamber set")
+
+
 def test_split_panel_breaks_adjacency():
     fano = catalog.build_fano_flags()
     split = {i: list(fano.panels[i]) for i in fano.types}

@@ -485,6 +485,46 @@ def test_enumerate_matches_reference_engine():
             engine(H3, cap=50)
 
 
+def _relabelling_families():
+    """(M, relabellings of M other than M): every distinct one for the small
+    diagrams, the two of `_cross_check_matrices` for A4 and D4."""
+    fams = []
+    for M in (A3, C3, H3, corpus.A1xA3, corpus.A2xA2, dihedral(5)):
+        others = {corpus.relabelled(M, p) for p in permutations(M.types)} - {M}
+        fams.append((M, sorted(others, key=lambda N: N.rows)))
+    for M in (corpus.A4, corpus.D4):
+        fams.append((M, [corpus.relabelled(M, p) for p in ((2, 1, 3, 4), (3, 1, 4, 2))]))
+    return fams
+
+
+def test_group_table_reads_relabellings_off_one_enumeration(monkeypatch):
+    calls = []
+    for M, others in _relabelling_families():
+        refs = {N: enumerate_group(N) for N in (M, *others)}
+        monkeypatch.setattr(coxeter, "enumerate_group", lambda N, *a, **kw: calls.append(N) or refs[N])
+        # the named matrix first, then a relabelling first
+        for first in (M, *others[-1:]):
+            monkeypatch.setattr(coxeter, "_TABLE_CACHE", {})
+            calls.clear()
+            for N in (first, *refs):
+                table, ref = coxeter.group_table(N), refs[N]
+                assert table.matrix == N, N
+                assert table.elements == ref.elements, N
+                assert table.right == ref.right, N
+                assert table.descents == ref.descents, N
+            assert calls == [first], M
+
+
+def test_group_table_refuses_infinite_types_with_tables_cached():
+    affine_a2 = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    coxeter.group_table(A3)
+    coxeter.group_table(A2)
+    for M in (affine_a2, dihedral(0)):
+        with pytest.raises(InfiniteGroup):
+            coxeter.group_table(M)
+        assert M not in coxeter._TABLE_CACHE
+
+
 def test_reduced_word_sets_match_braid_closures():
     checked = 0
     for M in _cross_check_matrices():

@@ -115,7 +115,9 @@ def test_one_table_per_matrix(monkeypatch, tmp_path, capsys):
         calls.append(M)
         return enumerate_group(M, *args, **kwargs)
 
-    monkeypatch.setattr(coxeter, "_TABLE_CACHE", {})
+    cache = {}
+    monkeypatch.setattr(coxeter, "_TABLE_CACHE", cache)
+    monkeypatch.setattr(verify, "_TABLE_CACHE", cache)
     monkeypatch.setattr(coxeter, "enumerate_group", counting)
     C = coxeter.coxeter_complex(coxeter.H3)
     ok, _ = verify.is_building(C, coxeter.H3)
@@ -124,7 +126,14 @@ def test_one_table_per_matrix(monkeypatch, tmp_path, capsys):
     mfile.write_text(json.dumps(coxeter.matrix_to_json(coxeter.H3)))
     assert cli.main(["coxeter", "--matrix", str(mfile), "--order"]) == 0
     assert capsys.readouterr().out == "120\n"
+    # a relabelling of H3 is read off H3's table, with no second enumeration
+    H3r = corpus.relabelled(coxeter.H3, (3, 1, 2))
+    assert coxeter.group_table(H3r).order == 120 and H3r != coxeter.H3
     assert calls == [coxeter.H3]
+    # clearing the memo by verify's name drops the per-diagram entries too
+    verify._TABLE_CACHE.clear()
+    assert coxeter.group_table(H3r).order == 120
+    assert calls == [coxeter.H3, H3r]
 
 
 def _digest(report):
