@@ -8,7 +8,6 @@ order, chambers sorted lexicographically by label.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from . import groups
 from .chamber import ChamberSystem, HomogeneousSpec, from_cosets, incidence_graph_stats, quotient
@@ -39,22 +38,15 @@ def mat_apply(M, v):
     return r
 
 
-def span(vs):
-    s = {0}
-    for v in vs:
-        s |= {x ^ v for x in s}
-    return frozenset(x for x in s if x)
-
-
 def subspaces(dim_total, dim):
     """All dim-dimensional subspaces of F2^dim_total as frozensets of
-    nonzero vectors."""
-    out = set()
-    for basis in combinations(range(1, 1 << dim_total), dim):
-        s = span(basis)
-        if len(s) == (1 << dim) - 1:
-            out.add(s)
-    return sorted(out, key=sorted)
+    nonzero vectors.  Each level is spanned from the one below: S and a
+    vector v outside it span S, S + v and v."""
+    level = {frozenset()}
+    for _ in range(dim):
+        level = {S | {s ^ v for s in S} | {v}
+                 for S in level for v in range(1, 1 << dim_total) if v not in S}
+    return sorted(level, key=sorted)
 
 
 # companion matrix of x^4 + x + 1 (primitive over F2); order 15

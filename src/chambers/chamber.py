@@ -579,15 +579,21 @@ def _chamber_invariant(C):
     return [tuple(size[m[c]] for m, size in zip(maps, sizes)) for c in range(C.n)]
 
 
-def isomorphism(A, B):
+def isomorphism(A, B, start=None, budget=None):
     """A type-preserving isomorphism A -> B as a tuple chamber map, or None.
 
     Backtracking over two arrays and an undo trail.  Matching x -> y also
     matches every chamber whose image it forces.  The search branches on
     the least unmatched chamber next to a matched one, else on the least
-    unmatched chamber, which starts each component.
+    unmatched chamber, which starts each component.  A pair start = (x, y)
+    is the first branch, with y its one option.  Past `budget` chambers
+    matched, rematches after backtracking included, the search gives up
+    with None.
     """
-    inv_a, inv_b = _chamber_invariant(A), _chamber_invariant(B)
+    if start is not None:
+        start = A._chamber(start[0]), B._chamber(start[1])
+    inv_a = _chamber_invariant(A)
+    inv_b = inv_a if B is A else _chamber_invariant(B)
     # also tells apart systems of different size or rank
     if sorted(inv_a) != sorted(inv_b):
         return None
@@ -630,11 +636,15 @@ def isomorphism(A, B):
         return True
 
     # depth-first search over branch points (chamber, options left, trail length before it)
-    branches = []
+    branches, steps = [], 0
     while len(trail) < A.n:
-        x = next((z for z in range(A.n) if fwd[z] < 0 and any(fwd[w] >= 0 for _, w in adj[z])),
-                 fwd.index(-1))
-        branches.append((x, iter(options(x)), len(trail)))
+        if start is not None and not branches:
+            x, opts = start[0], [y for y in options(start[0]) if y == start[1]]
+        else:
+            x = next((z for z in range(A.n) if fwd[z] < 0 and any(fwd[w] >= 0 for _, w in adj[z])),
+                     fwd.index(-1))
+            opts = options(x)
+        branches.append((x, iter(opts), len(trail)))
         while True:
             if not branches:
                 return None
@@ -646,7 +656,12 @@ def isomorphism(A, B):
             y = next(rest, None)
             if y is None:
                 branches.pop()
-            elif match(x, y):
+                continue
+            matched = match(x, y)
+            steps += len(trail) - mark
+            if budget is not None and steps > budget:
+                return None
+            if matched:
                 break
     return tuple(fwd)
 
@@ -657,12 +672,13 @@ def is_isomorphic(A, B):
 
 def verify_isomorphism(A, B, mapping):
     """Check that an explicit chamber map, a sequence or a dict indexed by
-    the chambers of A, is a type-preserving isomorphism."""
+    the chambers of A, is a type-preserving isomorphism.  An entry that is
+    a bool or no integer fails."""
     if A.n != B.n or A.rank != B.rank or len(mapping) != A.n:
         return False
     try:
-        images = [mapping[c] for c in range(A.n)]
-    except KeyError:
+        images = [_int(mapping[c]) for c in range(A.n)]
+    except (KeyError, TypeError):
         return False
     if sorted(images) != list(range(B.n)):
         return False

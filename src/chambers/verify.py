@@ -3,13 +3,17 @@ checks: point/line axiom (LL), the isotropy-containment criterion, shadows."""
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import getitem
 
 from . import coxeter, groups
 from .chamber import (
+    _chamber_invariant,
     chamber_vertices,
     from_cosets,
     infer_type_matrix,
     is_simplicial,
+    isomorphism,
+    verify_isomorphism,
 )
 from .errors import (
     BudgetExceeded,
@@ -105,6 +109,14 @@ def is_building(C, M=None, budget=2000):
     reduced-word set (the two lifts of a pair have lengths L and 9 - L, so
     the shorter route is unique), yet it is not a building.  The gate
     property fails there and is part of the classical W-metric axioms.
+
+    (c) and (d) are scanned per source x in id order, and a type-preserving
+    automorphism carries a passing source to a passing one.  So after x
+    passes, the sources in its orbit under the automorphisms found from x
+    to later chambers with its invariant are skipped.  The verdict,
+    violations and truncation are the full scan's; pairs_checked counts C.n
+    per scanned source.  `budget` is the chamber count past which the check
+    refuses with BudgetExceeded.
     """
     _check_rank(C, M)
     report = {"building": False, "violations": [], "pairs_checked": 0, "truncated": False}
@@ -138,9 +150,15 @@ def is_building(C, M=None, budget=2000):
                 ok = False
     table = coxeter.group_table(M)
     lengths = [len(w) for w in table.elements]
+    # automorphisms found so far; each search matches at most C.n * C.rank
+    # chambers, so together they cost about the C.n ** 2 pairs of a full scan
+    inv, autos, searches = None, [], C.n // max(C.rank, 1)
+    covered = [False] * C.n
     for x in range(C.n):
         if report["truncated"]:
             break
+        if covered[x]:
+            continue
         try:
             delta, tsets = _w_distances_from(C, table, x)
         except BudgetExceeded:
@@ -154,12 +172,29 @@ def is_building(C, M=None, budget=2000):
                     add({"kind": "no-such-w", "pair": [x, y], "types": sorted(map(list, t))[:8]})
             ok = False
             continue
+        gated = True
         for i in C.types:
             for panel in C.panels[i]:
                 lens = [lengths[delta[y]] for y in panel]
                 if lens.count(min(lens)) > 1:
                     add({"kind": "no-gate", "source": x, "type": i, "panel": list(panel)})
-                    ok = False
+                    gated = False
+        if not gated:
+            ok = False
+            continue
+        # x passes, so does its image under any type-preserving automorphism
+        if inv is None:
+            inv = _chamber_invariant(C)
+        orbit = groups.orbit(x, autos, getitem, C.n)
+        for y in range(x + 1, C.n):
+            if searches and not covered[y] and y not in orbit and inv[y] == inv[x]:
+                searches -= 1
+                a = isomorphism(C, C, (x, y), C.n * C.rank)
+                if a is not None and verify_isomorphism(C, C, a):
+                    autos.append(a)
+                    orbit = groups.orbit(x, autos, getitem, C.n)
+        for y in orbit:
+            covered[y] = True
     report["building"] = ok
     return ok, report
 

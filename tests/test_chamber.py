@@ -220,6 +220,8 @@ _ID_CALLS = {
     "universal_cover": lambda C, p, b: covers.universal_cover(C, c0=b),
     "w_distance-x": lambda C, p, b: verify.w_distance(C, coxeter.A2, b, 0),
     "w_distance-y": lambda C, p, b: verify.w_distance(C, coxeter.A2, 0, b),
+    "isomorphism-start-x": lambda C, p, b: chamber.isomorphism(C, C, (b, 1)),
+    "isomorphism-start-y": lambda C, p, b: chamber.isomorphism(C, C, (1, b)),
 }
 
 
@@ -536,6 +538,59 @@ def test_verify_isomorphism():
         assert chamber.verify_isomorphism(two, two, form((1, 0)))
         assert not chamber.verify_isomorphism(two, two, form((0, 0)))
     assert not chamber.verify_isomorphism(two, two, {0: 0, 2: 1})
+    # entries are chamber ids: bools and floats are none, even where their
+    # values would give an isomorphism
+    panel = chamber.from_partitions(2, 1, {1: [(0, 1)]})
+    assert chamber.verify_isomorphism(panel, panel, (1, 0))
+    for bad in ((True, False), (1.0, 0.0), {0: True, 1: 0}, ("1", "0")):
+        assert not chamber.verify_isomorphism(panel, panel, bad), bad
+
+
+def test_isomorphism_from_a_given_pair():
+    # the type-preserving automorphisms of a thin complex act regularly, so
+    # each pair (x, y) starts exactly one, the left translation by y x^-1
+    C = corpus.thin(coxeter.A3)
+    for y in range(C.n):
+        a = chamber.isomorphism(C, C, (5, y))
+        assert a[5] == y and chamber.verify_isomorphism(C, C, a)
+    # a gallery of three chambers has no automorphism but the identity
+    path = chamber.from_partitions(3, 2, {1: [(0, 1), (2,)], 2: [(0,), (1, 2)]})
+    assert chamber.isomorphism(path, path, (0, 0)) == (0, 1, 2)
+    assert chamber.isomorphism(path, path, (0, 1)) is None
+    assert chamber.isomorphism(path, path, (0, 2)) is None
+    # between two systems: the pair fixes where the first chamber goes
+    neu = catalog.build_neumaier_a7()[0]
+    copy = corpus.shuffled_union(random.Random(5), neu)
+    y = chamber.isomorphism(neu, copy)[0]
+    a = chamber.isomorphism(neu, copy, (0, y))
+    assert a[0] == y and chamber.verify_isomorphism(neu, copy, a)
+
+
+def test_isomorphism_from_a_pair_matches_brute_force():
+    # reference engine: every permutation fixing where x goes
+    rng = random.Random(1984)
+    moved = 0
+    for _ in range(150):
+        A = corpus.random_partitions(rng, rng.randint(2, 3), rng.randint(1, 6))
+        autos = [p for p in itertools.permutations(range(A.n))
+                 if chamber.verify_isomorphism(A, A, p)]
+        for x in range(A.n):
+            for y in range(A.n):
+                a = chamber.isomorphism(A, A, (x, y))
+                assert (a is not None) == any(p[x] == y for p in autos), (A.panels, x, y)
+                assert a is None or (a[x] == y and chamber.verify_isomorphism(A, A, a))
+                moved += a is not None and x != y
+    assert moved > 100
+
+
+def test_isomorphism_budget_counts_matched_chambers():
+    # a found map matches every chamber at least once
+    a3 = catalog.build_a3_f2()
+    assert chamber.isomorphism(a3, a3, (0, 7), budget=a3.n - 1) is None
+    a = chamber.isomorphism(a3, a3, (0, 7), budget=a3.n * a3.rank)
+    assert a[0] == 7 and chamber.verify_isomorphism(a3, a3, a)
+    assert chamber.isomorphism(a3, a3, budget=0) is None
+    assert chamber.isomorphism(a3, a3) == tuple(range(a3.n))
 
 
 def test_json_roundtrip_and_dot():

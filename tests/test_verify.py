@@ -7,7 +7,7 @@ import pytest
 
 import corpus
 from chambers import catalog, chamber, cli, coxeter, verify
-from chambers.errors import Disconnected, NoSuchW, WrongRank
+from chambers.errors import BudgetExceeded, ChambersError, Disconnected, NoSuchW, WrongRank
 
 
 def test_w_distance_thin():
@@ -64,7 +64,8 @@ def test_w_distance_every_pair():
                for x in range(21) for y in range(21))
     neu, _ = catalog.build_neumaier_a7()
     small, _ = corpus.sub_system(neu, neu.residue((1, 2), 0).chambers, (1, 2))
-    assert verify.is_building(small, coxeter.A2)[1]["pairs_checked"] == small.n ** 2
+    # one automorphism orbit, so one source is scanned
+    assert verify.is_building(small, coxeter.A2)[1]["pairs_checked"] == small.n == 21
     assert all(isinstance(verify.w_distance(small, coxeter.A2, x, y), coxeter.WElement)
                for x in range(small.n) for y in range(small.n))
     two = chamber.from_partitions(2, 2, {1: [(0,), (1,)], 2: [(0,), (1,)]})
@@ -101,7 +102,7 @@ def test_building_verdict_builds_no_type_sets(monkeypatch):
     a3 = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
     monkeypatch.setattr(chamber.ChamberSystem, "minimal_type_sets_from", refuse)
     ok, report = verify.is_building(a3, coxeter.A3)
-    assert ok and report["pairs_checked"] == 315 * 315
+    assert ok and report["pairs_checked"] == 315
     assert verify.w_distance(a3, coxeter.A3, 0, 314).length <= 6
 
 
@@ -169,11 +170,144 @@ def test_is_building_catalog():
     assert verify.is_building(gq, coxeter.C2)[0]
     a3 = catalog.build_a3_f2()
     ok, report = verify.is_building(a3, coxeter.A3)
-    assert ok and report["pairs_checked"] == 315 * 315
+    assert ok and report["pairs_checked"] == 315
     neu, _ = catalog.build_neumaier_a7()
     okn, repn = verify.is_building(neu, chamber.infer_type_matrix(neu))
     assert not okn
     assert any(v["kind"] == "no-such-w" for v in repn["violations"])
+
+
+def _all_sources_is_building(C, M):
+    """The building check with a full scan from every source: the reference
+    engine of the one-source-per-orbit scan, which must give the same
+    verdict, violations and truncation from at most as many pairs."""
+    report = {"building": False, "violations": [], "pairs_checked": 0, "truncated": False}
+
+    def add(v):
+        if len(report["violations"]) < verify._MAX_VIOLATIONS:
+            report["violations"].append(v)
+        else:
+            report["truncated"] = True
+
+    if not C.is_connected():
+        add({"kind": "disconnected"})
+        return False, report
+    report["type_matrix"] = [list(r) for r in M.rows]
+    ok = True
+    for i in C.types:
+        for panel in C.panels[i]:
+            if len(panel) < 2:
+                add({"kind": "thin-panel", "type": i, "panel": list(panel)})
+                ok = False
+    for i, j in itertools.combinations(C.types, 2):
+        for least, m in C._residue_gonalities(i, j):
+            if m != M.order(i, j):
+                add({"kind": "bad-residue", "types": [i, j], "chamber": least,
+                     "expected": M.order(i, j), "got": m})
+                ok = False
+    table = coxeter.group_table(M)
+    for x in range(C.n):
+        if report["truncated"]:
+            break
+        try:
+            delta, tsets = verify._w_distances_from(C, table, x)
+        except BudgetExceeded:
+            add({"kind": "type-set-budget", "source": x})
+            ok = False
+            continue
+        report["pairs_checked"] += C.n
+        if tsets is not None:
+            for y, t in enumerate(tsets):
+                if delta[y] is None:
+                    add({"kind": "no-such-w", "pair": [x, y], "types": sorted(map(list, t))[:8]})
+            ok = False
+            continue
+        for i in C.types:
+            for panel in C.panels[i]:
+                lens = [len(table.elements[delta[y]]) for y in panel]
+                if lens.count(min(lens)) > 1:
+                    add({"kind": "no-gate", "source": x, "type": i, "panel": list(panel)})
+                    ok = False
+    report["building"] = ok
+    return ok, report
+
+
+def _assert_same_verdict(C, M):
+    """The orbit scan against the all-sources scan; returns both pair counts."""
+    ok, report = verify.is_building(C, M)
+    want_ok, want = _all_sources_is_building(C, M)
+    got = dict(report)
+    assert ok == want_ok and got.pop("pairs_checked") <= want.pop("pairs_checked"), C
+    assert got == want, C
+    return report["pairs_checked"], C.n ** 2
+
+
+def _finite_matrix(C, rng):
+    """C's inferred matrix if it is finite, else a finite one of C's rank."""
+    try:
+        M = chamber.infer_type_matrix(C)
+        if coxeter.is_finite(M):
+            return M
+    except ChambersError:
+        pass
+    return rng.choice({2: (coxeter.A2, coxeter.C2), 3: (coxeter.A3, coxeter.C3),
+                       4: (corpus.A4, corpus.D4)}[C.rank])
+
+
+def test_orbit_scan_matches_all_sources():
+    rng = random.Random(19)
+    named = corpus.named_systems()
+    named += [corpus.shuffled_union(rng, C) for C in named]
+    scanned = total = 0
+    for C in named:
+        pairs, full = _assert_same_verdict(C, chamber.infer_type_matrix(C))
+        scanned, total = scanned + pairs, total + full
+    # the buildings among them have a chamber-transitive group: one source each
+    assert 20 * scanned < total
+    skipped = 0
+    for _ in range(300):
+        C = corpus.random_connected_system(rng)
+        pairs, full = _assert_same_verdict(C, _finite_matrix(C, rng))
+        skipped += pairs < full
+    # systems checked against a matrix they do not have, too: sources fail
+    # in every way, and some pass and have automorphisms
+    for _ in range(300):
+        pairs, full = _assert_same_verdict(*corpus.random_system(rng))
+        skipped += pairs < full
+    assert skipped > 100
+
+
+def test_failing_first_source_searches_no_automorphism(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("automorphism search after a failing source")
+
+    monkeypatch.setattr(verify, "isomorphism", refuse)
+    monkeypatch.setattr(verify, "_chamber_invariant", refuse)
+    for name in ("neumaier-a7", "singer-quotient-z5"):
+        C = catalog.build(name)["system"]
+        assert not verify.is_building(C, chamber.infer_type_matrix(C))[0]
+
+
+def test_orbit_scan_exact_without_searches(monkeypatch):
+    # a search that finds nothing only leaves more sources to scan
+    isomorphism = chamber.isomorphism
+    monkeypatch.setattr(verify, "isomorphism",
+                        lambda A, B, start, budget: isomorphism(A, B, start, 0))
+    for C in corpus.named_systems(thin_types=corpus.THIN[:3]):
+        M = chamber.infer_type_matrix(C)
+        ok, report = verify.is_building(C, M)
+        assert (ok, report) == _all_sources_is_building(C, M), C
+        assert not ok or report["pairs_checked"] == C.n ** 2
+
+
+def test_pg42_building_verdict():
+    # 9,765 chambers, one automorphism orbit: one source scanned
+    C = corpus.pg42()
+    ok, report = verify.is_building(C, budget=10 ** 4)
+    assert ok and report["pairs_checked"] == 9765 and report["violations"] == []
+    assert report["type_matrix"] == [list(r) for r in corpus.A4.rows]
+    with pytest.raises(BudgetExceeded):
+        verify.is_building(C)
 
 
 def test_is_building_thin_panels_and_inferred_type():
