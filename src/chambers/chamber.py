@@ -79,6 +79,7 @@ class ChamberSystem:
         self._adj = None
         self._comp_cache = {}
         self._gon_cache = {}
+        self._inv_cache = None
 
     # --- basic queries ------------------------------------------------
 
@@ -572,11 +573,14 @@ def quotient(C, gens):
 
 
 def _chamber_invariant(C):
-    """Per chamber, the sizes of its panels and of its rank-2 residues."""
-    maps = ([C._panel_idx[i] for i in C.types]
-            + [C.component_map(J) for J in combinations(C.types, 2)])
-    sizes = [Counter(m) for m in maps]
-    return [tuple(size[m[c]] for m, size in zip(maps, sizes)) for c in range(C.n)]
+    """Per chamber, the sizes of its panels and of its rank-2 residues.
+    Cached on C."""
+    if C._inv_cache is None:
+        maps = ([C._panel_idx[i] for i in C.types]
+                + [C.component_map(J) for J in combinations(C.types, 2)])
+        sizes = [Counter(m) for m in maps]
+        C._inv_cache = tuple(tuple(size[m[c]] for m, size in zip(maps, sizes)) for c in range(C.n))
+    return C._inv_cache
 
 
 def isomorphism(A, B, start=None, budget=None):
@@ -592,8 +596,7 @@ def isomorphism(A, B, start=None, budget=None):
     """
     if start is not None:
         start = A._chamber(start[0]), B._chamber(start[1])
-    inv_a = _chamber_invariant(A)
-    inv_b = inv_a if B is A else _chamber_invariant(B)
+    inv_a, inv_b = _chamber_invariant(A), _chamber_invariant(B)
     # also tells apart systems of different size or rank
     if sorted(inv_a) != sorted(inv_b):
         return None

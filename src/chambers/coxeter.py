@@ -1,9 +1,10 @@
-"""Coxeter matrices, the word problem via braid moves, and group tables.
+"""Coxeter matrices, group tables, and the word problem on them.
 
 Group elements are canonical (ShortLex-least) reduced words over the type
-set I = {1, ..., k}.  The word problem is solved purely combinatorially:
-braid moves plus deletion of adjacent repeated letters, no reflection
-representation.  Everything here is exact integer combinatorics.
+set I = {1, ..., k}.  W(M) must be finite: `enumerate_group` builds its
+multiplication table level by level, naming each new element by the least
+word of its braid class, and the word problem is a walk of that table.  No
+reflection representation; everything here is exact integer combinatorics.
 """
 
 import operator
@@ -190,7 +191,7 @@ def matrix_name(M):
 
 
 # ---------------------------------------------------------------------------
-# words and braid rewriting
+# words
 
 
 def _check_word(M, word):
@@ -199,84 +200,6 @@ def _check_word(M, word):
         if not 1 <= x <= M.rank:
             raise ValueError(f"letter {x} outside 1..{M.rank}")
     return word
-
-
-def _patterns(M):
-    """All braid-move rewrites (pattern, replacement) for M."""
-    pats = []
-    for i, j in combinations(M.types, 2):
-        m = M.order(i, j)
-        if m == INFINITY:
-            continue
-        # p(i, j): m letters, alternating, ending in j
-        pij = tuple(j if (m - 1 - t) % 2 == 0 else i for t in range(m))
-        pji = tuple(i if (m - 1 - t) % 2 == 0 else j for t in range(m))
-        pats.append((pij, pji))
-        pats.append((pji, pij))
-    return pats
-
-
-def _find_ii(word):
-    for s in range(len(word) - 1):
-        if word[s] == word[s + 1]:
-            return s
-    return None
-
-
-def _braid_neighbors(word, pats):
-    n = len(word)
-    out = []
-    for pat, rep in pats:
-        m = len(pat)
-        for s in range(n - m + 1):
-            if word[s:s + m] == pat:
-                out.append(word[:s] + rep + word[s + m:])
-    return out
-
-
-def braid_class(M, word, budget=DEFAULT_BUDGET):
-    """Closure of a word under braid moves only (all words have equal length).
-
-    If the closure contains a word with an adjacent repeated letter, returns
-    (None, shortened_word) where the repeat has been deleted; otherwise
-    (frozenset_of_class, None).
-    """
-    word = _check_word(M, word)
-    s = _find_ii(word)
-    if s is not None:
-        return None, word[:s] + word[s + 2:]
-    pats = _patterns(M)
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for w2 in _braid_neighbors(w, pats):
-                if w2 in seen:
-                    continue
-                if len(seen) >= budget:
-                    raise BudgetExceeded(f"braid closure exceeded {budget} words")
-                seen.add(w2)
-                s = _find_ii(w2)
-                if s is not None:
-                    return None, w2[:s] + w2[s + 2:]
-                nxt.append(w2)
-        frontier = nxt
-    return frozenset(seen), None
-
-
-def canonical_word(M, word, budget=DEFAULT_BUDGET):
-    """ShortLex-least word equivalent to `word` under braid moves and
-    ii-deletion (Titsrewriting).  Idempotent."""
-    word = _check_word(M, word)
-    left = budget
-    while True:
-        cls, shorter = braid_class(M, word, budget=left)
-        if shorter is not None:
-            word = shorter
-            left -= 1
-            continue
-        return min(cls)
 
 
 @dataclass(frozen=True)
@@ -293,6 +216,12 @@ class WElement:
         return not self.word
 
 
+def canonical_word(M, word):
+    """The ShortLex-least reduced word of the element `word` spells, read
+    off `group_table(M)`.  Raises InfiniteGroup on an infinite W(M)."""
+    return group_table(M).canonical_word(word)
+
+
 def canonical(M, word):
     return WElement(canonical_word(M, word))
 
@@ -306,16 +235,18 @@ def inverse(M, u):
 
 
 def reduced_words(M, w):
-    """All reduced words of w: the braid-move closure of its canonical word."""
-    word = w.word if isinstance(w, WElement) else canonical_word(M, w)
-    cls, shorter = braid_class(M, word)
-    if shorter is not None:
+    """All reduced words of w, a WElement or any word of it.  A WElement
+    whose word is not reduced raises ValueError."""
+    table = group_table(M)
+    word = w.word if isinstance(w, WElement) else w
+    e = table.canonical_id(word)
+    if isinstance(w, WElement) and len(word) != len(table.elements[e]):
         raise ValueError(f"word {word} is not reduced")
-    return cls
+    return table.reduced_words(e)
 
 
 def is_reduced(M, word):
-    word = _check_word(M, word)
+    word = tuple(word)
     return len(canonical_word(M, word)) == len(word)
 
 
@@ -346,7 +277,7 @@ class CoxeterGroupTable:
     def canonical_id(self, word):
         """Identify an arbitrary word by walking the multiplication table."""
         e = 0
-        for i in word:
+        for i in _check_word(self.matrix, word):
             e = self.right[e][i - 1]
         return e
 
@@ -365,18 +296,68 @@ class CoxeterGroupTable:
     def longest_id(self):
         return max(range(self.order), key=lambda e: (len(self.elements[e]), self.elements[e]))
 
+    def reduced_words(self, e, memo=None):
+        """The frozenset of all reduced words of element e.  By the exchange
+        condition, those ending in i are the reduced words of the shorter
+        e * r_i followed by i, over the right descents i of e.  `memo` maps
+        the ids done so far to their words."""
+        memo = {} if memo is None else memo
+        if e not in memo:
+            words = frozenset(w + (i,) for i in self.descents[e]
+                              for w in self.reduced_words(self.right[e][i - 1], memo))
+            memo[e] = words or frozenset({()})  # the identity: no descent, the empty word
+        return memo[e]
+
     def reduced_word_sets(self):
-        """Per element, the frozenset of all its reduced words.  By the
-        exchange condition, those ending in i are the reduced words of
-        e * r_i followed by i, over the right descents i of e; e * r_i is
-        shorter, so it has a smaller id."""
+        """Per element, the frozenset of all its reduced words."""
         if self._rwsets is None:
-            rw = [frozenset({()})]
-            for e in range(1, self.order):
-                rw.append(frozenset(w + (i,) for i in self.descents[e]
-                                    for w in rw[self.right[e][i - 1]]))
-            self._rwsets = rw
+            memo = {}
+            self._rwsets = [self.reduced_words(e, memo) for e in range(self.order)]
         return self._rwsets
+
+
+def _patterns(M):
+    """All braid-move rewrites (pattern, replacement) for a finite M."""
+    pats = []
+    for i, j in combinations(M.types, 2):
+        m = M.order(i, j)
+        # p(i, j): m letters, alternating, ending in j
+        pij = tuple(j if (m - 1 - t) % 2 == 0 else i for t in range(m))
+        pji = tuple(i if (m - 1 - t) % 2 == 0 else j for t in range(m))
+        pats.append((pij, pji))
+        pats.append((pji, pij))
+    return pats
+
+
+def _braid_neighbors(word, pats):
+    n = len(word)
+    out = []
+    for pat, rep in pats:
+        m = len(pat)
+        for s in range(n - m + 1):
+            if word[s:s + m] == pat:
+                out.append(word[:s] + rep + word[s + m:])
+    return out
+
+
+def _braid_class(M, word):
+    """The frozenset of words a reduced word reaches by braid moves: the
+    reduced words of its element (Tits).  Past DEFAULT_BUDGET words raises
+    BudgetExceeded."""
+    pats = _patterns(M)
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for w2 in _braid_neighbors(w, pats):
+                if w2 not in seen:
+                    if len(seen) >= DEFAULT_BUDGET:
+                        raise BudgetExceeded(f"braid closure exceeded {DEFAULT_BUDGET} words")
+                    seen.add(w2)
+                    nxt.append(w2)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def enumerate_group(M, cap=10 ** 6):
@@ -398,7 +379,7 @@ def enumerate_group(M, cap=10 ** 6):
             e = index[w]
             for i in range(1, k + 1):
                 if right[e][i - 1] is None:
-                    pending.append((e, i, min(braid_class(M, w + (i,))[0])))
+                    pending.append((e, i, min(_braid_class(M, w + (i,)))))
         level = sorted({target for _, _, target in pending})
         for word in level:
             if len(elements) >= cap:

@@ -152,7 +152,7 @@ def is_building(C, M=None, budget=2000):
     lengths = [len(w) for w in table.elements]
     # automorphisms found so far; each search matches at most C.n * C.rank
     # chambers, so together they cost about the C.n ** 2 pairs of a full scan
-    inv, autos, searches = None, [], C.n // max(C.rank, 1)
+    autos, searches = [], C.n // max(C.rank, 1)
     covered = [False] * C.n
     for x in range(C.n):
         if report["truncated"]:
@@ -183,8 +183,7 @@ def is_building(C, M=None, budget=2000):
             ok = False
             continue
         # x passes, so does its image under any type-preserving automorphism
-        if inv is None:
-            inv = _chamber_invariant(C)
+        inv = _chamber_invariant(C)
         orbit = groups.orbit(x, autos, getitem, C.n)
         for y in range(x + 1, C.n):
             if searches and not covered[y] and y not in orbit and inv[y] == inv[x]:

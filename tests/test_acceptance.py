@@ -277,7 +277,7 @@ def test_criterion_9_word_problem_suite():
     ta3 = tables[coxeter.A3]
     w0 = ta3.element(ta3.longest_id())
     assert len(coxeter.reduced_words(coxeter.A3, w0)) == 16
-    # group laws through the rewriting route
+    # group laws through the word API
     for _ in range(100):
         M = coxeter.C3
         u, v, w = (coxeter.canonical(M, tuple(rng.randint(1, 3) for _ in range(6)))

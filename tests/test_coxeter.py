@@ -239,6 +239,90 @@ def test_names_give_group_orders():
         assert _order_from_name(coxeter.matrix_name(M)) == enumerate_group(M).order, M
 
 
+# ---------------------------------------------------------------------------
+# The braid-rewriting oracle: Tits' solution of the word problem by braid
+# moves plus deletion of an adjacent repeated letter.  It serves every M,
+# infinite types included, and reads no group table.
+
+
+def _oracle_patterns(M):
+    """(pattern, replacement) for each braid move of M, both directions."""
+    pats = []
+    for i, j in itertools.combinations(M.types, 2):
+        m = M.order(i, j)
+        if m != coxeter.INFINITY:
+            pij = tuple(j if (m - 1 - t) % 2 == 0 else i for t in range(m))
+            pji = tuple(i if (m - 1 - t) % 2 == 0 else j for t in range(m))
+            pats += [(pij, pji), (pji, pij)]
+    return pats
+
+
+def _oracle_class(M, word, budget=10 ** 6):
+    """(the braid class of word, None), or (None, a shorter word) as soon as
+    the class holds a word with an adjacent repeated letter, which is then
+    deleted.  Past `budget` words raises BudgetExceeded."""
+    pats = _oracle_patterns(M)
+    seen, frontier = {word}, [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            s = next((s for s in range(len(w) - 1) if w[s] == w[s + 1]), None)
+            if s is not None:
+                return None, w[:s] + w[s + 2:]
+            for pat, rep in pats:
+                m = len(pat)
+                for w2 in (w[:s] + rep + w[s + m:] for s in range(len(w) - m + 1)
+                           if w[s:s + m] == pat):
+                    if w2 not in seen:
+                        if len(seen) >= budget:
+                            raise BudgetExceeded(f"braid closure exceeded {budget} words")
+                        seen.add(w2)
+                        nxt.append(w2)
+        frontier = nxt
+    return frozenset(seen), None
+
+
+def oracle_word(M, word, budget=10 ** 6):
+    """The ShortLex-least word of the element `word` spells; each deletion
+    spends one unit of `budget`, the closures the rest."""
+    word = tuple(word)
+    while True:
+        cls, shorter = _oracle_class(M, word, budget)
+        if shorter is None:
+            return min(cls)
+        word, budget = shorter, budget - 1
+
+
+def oracle_reduced_words(M, word):
+    """All reduced words of the element `word` spells."""
+    return _oracle_class(M, oracle_word(M, word))[0]
+
+
+def test_canonical_budget():
+    # the oracle's rewriting budget; the table walk needs none
+    with pytest.raises(BudgetExceeded):
+        oracle_word(H3, (1, 2, 3) * 5, budget=4)
+    with pytest.raises(BudgetExceeded):
+        enumerate_group(H3, cap=50)
+
+
+def test_canonical_infinite_type():
+    # no braid relations in the infinite dihedral group: only ii-deletion
+    M = dihedral(0)
+    assert oracle_word(M, (1, 2, 1, 2, 1, 1, 2)) == (1, 2, 1)
+    assert oracle_word(M, (1, 2, 1, 2)) == (1, 2, 1, 2)
+    assert oracle_reduced_words(M, (2, 1, 1, 2, 1)) == {(1,)}
+    # the word API reads the finite group table and refuses infinite types
+    affine_a2 = CoxeterMatrix([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    u, v = WElement((1,)), WElement((2,))
+    for M in (dihedral(0), affine_a2):
+        for call in (lambda: canonical(M, (1, 2)), lambda: multiply(M, u, v),
+                     lambda: inverse(M, u), lambda: coxeter.is_reduced(M, (1, 2)),
+                     lambda: reduced_words(M, u)):
+            with pytest.raises(InfiniteGroup):
+                call()
+
+
 def test_canonical_examples():
     assert canonical_word(A2, (1, 2, 1)) == (1, 2, 1)
     assert set(reduced_words(A2, canonical(A2, (1, 2, 1)))) == {(1, 2, 1), (2, 1, 2)}
@@ -249,26 +333,20 @@ def test_canonical_examples():
 
 
 def test_word_letters_are_integers():
-    # a float letter is refused, not truncated to 1; so is a bool
-    for word in ((1.7, 2), (True, 2)):
+    # a float letter is refused, not truncated to 1; so is a bool, by the
+    # word API and by the table walk alike
+    table = coxeter.group_table(A3)
+    for word in ((1.7, 2), (True, 2), (True,)):
         with pytest.raises(TypeError):
             canonical(A3, word)
-    with pytest.raises(ValueError, match="letter 4 outside"):
-        canonical(A3, (1, 4))
-
-
-def test_canonical_budget():
-    with pytest.raises(BudgetExceeded):
-        canonical_word(H3, (1, 2, 3) * 5, budget=4)
-    with pytest.raises(BudgetExceeded):
-        enumerate_group(H3, cap=50)
-
-
-def test_canonical_infinite_type():
-    # no braid relations in the infinite dihedral group: only ii-deletion
-    M = dihedral(0)
-    assert canonical_word(M, (1, 2, 1, 2, 1, 1, 2)) == (1, 2, 1)
-    assert canonical_word(M, (1, 2, 1, 2)) == (1, 2, 1, 2)
+        with pytest.raises(TypeError):
+            table.canonical_word(word)
+    # letters outside 1..3 name no generator, 0 and -1 included
+    for word in ((1, 4), (4,), (0,), (-1,)):
+        with pytest.raises(ValueError, match=f"letter {word[-1]} outside"):
+            canonical(A3, word)
+        with pytest.raises(ValueError, match=f"letter {word[-1]} outside"):
+            table.canonical_word(word)
 
 
 def _word_to_perm(word, gens, degree):
@@ -364,12 +442,12 @@ def test_reduced_words_counts():
     rws = reduced_words(A3, w0)
     assert len(rws) == 16
     assert all(len(w) == 6 for w in rws)
-    # brute-force oracle: every length-6 word over {1,2,3} that multiplies to
-    # w0 without shortening is one of them
+    # brute force: every length-6 word over {1,2,3} that rewrites to w0
+    # without shortening is one of them
     brute = set()
     for n in range(3 ** 6):
         word = tuple((n // 3 ** p) % 3 + 1 for p in range(6))
-        if canonical_word(A3, word) == w0.word:
+        if oracle_word(A3, word) == w0.word:
             brute.add(word)
     assert brute == set(rws)
     with pytest.raises(ValueError):
@@ -377,14 +455,18 @@ def test_reduced_words_counts():
 
 
 def test_canonical_is_congruence():
+    # the oracle's normal form is a congruence, and the table walk agrees
     rng = random.Random(3)
-    for _ in range(50):
+    equal = 0
+    for _ in range(300):
         f = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 8)))
         g = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 8)))
-        if canonical_word(C3, f) != canonical_word(C3, g):
+        if oracle_word(C3, f) != oracle_word(C3, g):
             continue
+        equal += 1
         h = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5)))
-        assert canonical_word(C3, f + h) == canonical_word(C3, g + h)
+        assert oracle_word(C3, f + h) == oracle_word(C3, g + h) == canonical_word(C3, g + h)
+    assert equal > 5
 
 
 def test_length_alternation_and_exchange():
@@ -392,11 +474,11 @@ def test_length_alternation_and_exchange():
     rng = random.Random(4)
     for _ in range(200):
         f = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 10)))
-        w = canonical_word(C3, f)
+        w = oracle_word(C3, f)
         i = rng.randint(1, 3)
-        w2 = canonical_word(C3, w + (i,))
+        w2 = oracle_word(C3, w + (i,))
         assert abs(len(w2) - len(w)) == 1
-        # a word is reduced iff canonicalization preserves its length
+        # a word is reduced iff rewriting preserves its length
         assert coxeter.is_reduced(C3, f) == (len(w) == len(f))
         # table walk agrees with rewriting
         assert table.canonical_word(f) == w
@@ -421,9 +503,7 @@ def _reference_enumerate_group(M, cap=10 ** 6):
     def wclass(word):
         cls = classcache.get(word)
         if cls is None:
-            cls, shorter = coxeter.braid_class(M, word)
-            assert shorter is None
-            classcache[word] = cls
+            cls = classcache[word] = coxeter._braid_class(M, word)
         return cls
 
     elements = [()]
@@ -532,9 +612,57 @@ def test_reduced_word_sets_match_braid_closures():
         rwsets = table.reduced_word_sets()
         assert len(rwsets) == table.order
         for e, words in enumerate(rwsets):
-            assert words == reduced_words(M, table.element(e)), (M, e)
+            assert (words, None) == _oracle_class(M, table.elements[e]), (M, e)
         checked += table.order
     assert checked > 2000
+
+
+def _assert_words_match_oracle(M, f, g):
+    """The five word functions on words f and g against the oracle."""
+    u, v = canonical(M, f), canonical(M, g)
+    assert u.word == oracle_word(M, f), (M, f)
+    assert multiply(M, u, v).word == oracle_word(M, f + g), (M, f, g)
+    assert inverse(M, u).word == oracle_word(M, f[::-1]), (M, f)
+    assert coxeter.is_reduced(M, f) == (len(u.word) == len(f)), (M, f)
+    assert reduced_words(M, u) == reduced_words(M, f) == oracle_reduced_words(M, f), (M, f)
+
+
+def test_word_api_matches_oracle():
+    rng = random.Random(6)
+    for M in _cross_check_matrices():
+        for _ in range(8):
+            f, g = (tuple(rng.randint(1, M.rank) for _ in range(rng.randint(0, 12)))
+                    for _ in range(2))
+            _assert_words_match_oracle(M, f, g)
+
+
+def test_word_api_matches_oracle_on_hypothesis_words():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = _cross_check_matrices()
+
+    @hypothesis.settings(database=None, deadline=None, max_examples=200)
+    @hypothesis.given(st.data())
+    def check(data):
+        M = data.draw(st.sampled_from(matrices))
+        f, g = (tuple(data.draw(st.lists(st.integers(1, M.rank), max_size=12)))
+                for _ in range(2))
+        _assert_words_match_oracle(M, f, g)
+
+    check()
+
+
+def test_word_api_on_a_warm_table_runs_no_braid_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("braid closure outside enumerate_group")
+
+    table = coxeter.group_table(H3)
+    monkeypatch.setattr(coxeter, "_braid_class", refuse)
+    u = canonical(H3, (1, 2, 3, 2, 1, 2))
+    assert u == table.element(table.canonical_id(u.word))
+    assert multiply(H3, u, inverse(H3, u)).is_identity()
+    assert coxeter.is_reduced(H3, (1, 2, 1, 2, 1)) and not coxeter.is_reduced(H3, (1, 3, 1, 3))
+    assert len(reduced_words(H3, table.element(table.longest_id()))) > 1
 
 
 def test_coxeter_complex():

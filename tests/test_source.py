@@ -15,3 +15,27 @@ def test_library_has_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == []
+
+
+def _references(tree, name, where):
+    """The dotted enclosing def of each use or import of `name` under tree."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _references(node, name, f"{where}.{node.name}")
+            continue
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            found.append(where)
+        found += _references(node, name, where)
+    return found
+
+
+def test_braid_closure_serves_only_group_enumeration():
+    # the word API walks group tables; braid closure names new elements
+    # while `enumerate_group` builds a table, and nowhere else
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _references(ast.parse(path.read_text(), str(path)), "_braid_class", path.stem)
+    assert found == ["coxeter.enumerate_group"]

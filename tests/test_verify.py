@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -286,6 +288,19 @@ def test_failing_first_source_searches_no_automorphism(monkeypatch):
     for name in ("neumaier-a7", "singer-quotient-z5"):
         C = catalog.build(name)["system"]
         assert not verify.is_building(C, chamber.infer_type_matrix(C))[0]
+
+
+def test_building_check_computes_the_chamber_invariant_once(monkeypatch):
+    # the invariant is cached on the system: the automorphism searches
+    # reuse the one the scan computed
+    C = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
+    counted, searches = [], []
+    monkeypatch.setattr(chamber, "Counter", lambda m: counted.append(m) or Counter(m))
+    isomorphism = verify.isomorphism
+    monkeypatch.setattr(verify, "isomorphism", lambda *a: searches.append(a) or isomorphism(*a))
+    assert verify.is_building(C)[0]
+    # one Counter per panel type and per pair of types
+    assert searches and len(counted) == C.rank + math.comb(C.rank, 2)
 
 
 def test_orbit_scan_exact_without_searches(monkeypatch):
