@@ -1,6 +1,7 @@
-"""Reference geometries: Fano flags, the symplectic quadrangle over F2,
-flag systems of PG(3,2) (direct and as GL(4,2) cosets), the A7 triple
-geometry, and Singer-subgroup quotients.
+"""Reference geometries: flag systems of subspaces of F2^n, projective or
+totally isotropic (`subspace_flags`), which give the Fano flags, the
+symplectic quadrangle over F2 and PG(3,2); PG(3,2) again as GL(4,2)
+cosets; the A7 triple geometry; and Singer-subgroup quotients.
 
 All constructions are deterministic: fixed generator matrices, fixed basis
 order, chambers sorted lexicographically by label.
@@ -125,12 +126,33 @@ def _flag_spec(G, parts, flag):
     return HomogeneousSpec(G, principal, faces, vertex=vertex)
 
 
+def subspace_flags(dim, symplectic=False):
+    """The maximal flags of subspaces of F2^dim as a chamber system, type i
+    varying the i-th member.  Each member is spanned from the one below, S,
+    by a vector v outside S; v is the least of its coset v + S, so each
+    member arises once.  With `symplectic`, v must also be orthogonal to S
+    for the form [[0,I],[I,0]], which pairs bit i with bit i + dim/2, so
+    every member is totally isotropic.  A label is the point, then each
+    larger member as the sorted tuple of its nonzero vectors."""
+    half = dim // 2
+
+    def orthogonal(x, y):       # the form is the parity of x & (y, halves swapped)
+        return bin(x & (y >> half | (y & ((1 << half) - 1)) << half)).count("1") % 2 == 0
+
+    chains = [(frozenset(),)]
+    for _ in range(half if symplectic else dim - 1):
+        chains = [c + (c[-1] | {s ^ v for s in c[-1]} | {v},)
+                  for c in chains for v in range(1, 1 << dim)
+                  if all(v < v ^ s for s in c[-1])     # also v not in c[-1]: v ^ v = 0
+                  and (not symplectic or all(orthogonal(v, s) for s in c[-1]))]
+    flags = [(min(c[1]),) + tuple(tuple(sorted(S)) for S in c[2:]) for c in chains]
+    return _flag_system(flags, len(flags[0]))
+
+
 @lru_cache(maxsize=None)
 def build_fano_flags():
     """Incident (point, line) pairs of the projective plane over F2."""
-    lines = subspaces(3, 2)
-    flags = [(p, tuple(sorted(L))) for L in lines for p in sorted(L)]
-    C = _flag_system(flags, 2)
+    C = subspace_flags(3)
     _expect("Fano flags", C.n, 21)
     return C
 
@@ -139,19 +161,8 @@ def build_fano_flags():
 def build_gq22():
     """Incident (point, totally isotropic line) pairs of the symplectic
     space F2^4 with form matrix [[0,I],[I,0]]."""
-
-    def form(x, y):
-        return ((x & 1) * (y >> 2 & 1) ^ (x >> 1 & 1) * (y >> 3 & 1)
-                ^ (x >> 2 & 1) * (y & 1) ^ (x >> 3 & 1) * (y >> 1 & 1))
-
-    lines = []
-    for L in subspaces(4, 2):
-        a, b, _ = sorted(L)
-        if form(a, b) == 0:
-            lines.append(L)
-    _expect("GQ(2,2) lines", len(lines), 15)
-    flags = [(p, tuple(sorted(L))) for L in lines for p in sorted(L)]
-    C = _flag_system(flags, 2)
+    C = subspace_flags(4, symplectic=True)
+    _expect("GQ(2,2) lines", len(C.panels[1]), 15)
     _expect("GQ(2,2) flags", C.n, 45)
     return C
 
@@ -169,28 +180,21 @@ def a3_f2_spec():
 
 
 @lru_cache(maxsize=None)
-def build_a3_f2(model="flags"):
-    """The 315-chamber flag system of PG(3,2), either directly from flags
-    or as the coset system of GL(4,2) with its Borel and minimal parabolics."""
-    if model == "cosets":
-        C = from_cosets(a3_f2_spec())
-        _expect("PG(3,2) Borel cosets", C.n, 315)
-        return C
-    if model != "flags":
-        raise ValueError(f"unknown model {model!r}; expected 'flags' or 'cosets'")
-    lines = subspaces(4, 2)
-    planes = subspaces(4, 3)
-    _expect("PG(3,2) lines and planes", (len(lines), len(planes)), (35, 15))
-    flags = []
-    for pl in planes:
-        pl_key = tuple(sorted(pl))
-        for L in lines:
-            if L <= pl:
-                L_key = tuple(sorted(L))
-                for p in sorted(L):
-                    flags.append((p, L_key, pl_key))
-    C = _flag_system(flags, 3)
+def build_a3_f2():
+    """The 315-chamber flag system of PG(3,2)."""
+    C = subspace_flags(4)
+    _expect("PG(3,2) lines and planes", (len(C.residues((1, 3))), len(C.residues((1, 2)))),
+            (35, 15))
     _expect("PG(3,2) flags", C.n, 315)
+    return C
+
+
+@lru_cache(maxsize=None)
+def build_a3_f2_cosets():
+    """The PG(3,2) flag system as the coset system of GL(4,2) with its
+    Borel and minimal parabolics."""
+    C = from_cosets(a3_f2_spec())
+    _expect("PG(3,2) Borel cosets", C.n, 315)
     return C
 
 
@@ -306,55 +310,36 @@ class CatalogEntry:
     note: str = ""
 
 
-def _build_fano():
-    return {"system": build_fano_flags()}
-
-
-def _build_gq22():
-    return {"system": build_gq22()}
-
-
-def _build_a3f2():
-    return {"system": build_a3_f2()}
-
-
-def _build_a3f2_cosets():
-    return {"system": build_a3_f2("cosets"), "spec": a3_f2_spec()}
-
-
-def _build_neumaier():
-    C, spec = build_neumaier_a7()
-    return {"system": C, "spec": spec}
-
-
-def _build_singer(subgroup_order):
-    base, quot, proj = build_singer_quotient(subgroup_order)
-    return {"system": quot, "base": base, "projection": proj}
-
-
 CATALOG = {
     e.name: e for e in [
         CatalogEntry(
             "fano", "flag system of the projective plane over F2",
-            {"n": 21, "rank": 2, "girth": 6, "diameter": 3}, _build_fano),
+            {"n": 21, "rank": 2, "girth": 6, "diameter": 3},
+            lambda: {"system": build_fano_flags()}),
         CatalogEntry(
             "gq22", "flag system of the symplectic quadrangle over F2",
-            {"n": 45, "rank": 2, "girth": 8, "diameter": 4}, _build_gq22),
+            {"n": 45, "rank": 2, "girth": 8, "diameter": 4},
+            lambda: {"system": build_gq22()}),
         CatalogEntry(
             "a3-f2", "flag system of PG(3,2)",
-            {"n": 315, "rank": 3}, _build_a3f2),
+            {"n": 315, "rank": 3},
+            lambda: {"system": build_a3_f2()}),
         CatalogEntry(
             "a3-f2-cosets", "PG(3,2) flags as GL(4,2) Borel cosets",
-            {"n": 315, "rank": 3}, _build_a3f2_cosets),
+            {"n": 315, "rank": 3},
+            lambda: {"system": build_a3_f2_cosets(), "spec": a3_f2_spec()}),
         CatalogEntry(
             "neumaier-a7", "triple geometry on 7 points under Alt(7)",
-            {"n": 315, "rank": 3}, _build_neumaier),
+            {"n": 315, "rank": 3},
+            lambda: dict(zip(("system", "spec"), build_neumaier_a7()))),
         CatalogEntry(
             "singer-quotient-z5", "free Singer-subgroup quotient of the PG(3,2) flags",
-            {"n": 63, "rank": 3}, lambda: _build_singer(5)),
+            {"n": 63, "rank": 3},
+            lambda: dict(zip(("base", "system", "projection"), build_singer_quotient(5)))),
         CatalogEntry(
             "singer-quotient", "order-15 Singer quotient of the PG(3,2) flags",
-            {"n": 21, "rank": 3}, lambda: _build_singer(15),
+            {"n": 21, "rank": 3},
+            lambda: dict(zip(("base", "system", "projection"), build_singer_quotient(15))),
             note=("rejected at build time: the order-3 subgroup of the Singer cycle "
                   "stabilizes the five F4-lines, so no 2-covering quotient exists")),
     ]

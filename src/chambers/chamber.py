@@ -443,13 +443,6 @@ def incidence_graph_stats(C):
     return (2 if multi else girth), diameter
 
 
-def polygon_parameter(C):
-    """The m for which a rank-2 system is a generalized m-gon, else None."""
-    if C.rank != 2:
-        raise WrongRank(f"rank-2 system required, got rank {C.rank}")
-    return _gonality(*_panel_graph(C, range(C.n), 1, 2))
-
-
 def infer_type_matrix(C):
     """The Coxeter matrix M with every {i,j}-residue a generalized
     m_ij-gon; errors if some residue is not a polygon or two residues of the

@@ -65,8 +65,9 @@ def is_covering(p):
             ids = {base.panel_id(i, mp[c]) for c in panel}
             if len(ids) > 1:
                 return False, f"type-{i} panel {panel} does not map into one panel"
-    if len(set(mp)) != base.n:
-        missing = next(b for b in range(base.n) if b not in set(mp))
+    hit = set(mp)
+    if len(hit) != base.n:
+        missing = next(b for b in range(base.n) if b not in hit)
         return False, f"not surjective: base chamber {missing} has empty fiber"
     for P in combinations(cover.types, 2):
         base_comp = base.component_map(P)

@@ -293,9 +293,6 @@ class CoxeterGroupTable:
     def inv_id(self, a):
         return self.canonical_id(reversed(self.elements[a]))
 
-    def longest_id(self):
-        return max(range(self.order), key=lambda e: (len(self.elements[e]), self.elements[e]))
-
     def reduced_words(self, e, memo=None):
         """The frozenset of all reduced words of element e.  By the exchange
         condition, those ending in i are the reduced words of the shorter

@@ -52,11 +52,16 @@ def pool_group(name):
     return groups.symmetric_group(n) if name[0] == "S" else groups.alternating_group(n)
 
 
+def longest_id(table):
+    """The id of the longest element in a finite Coxeter group table."""
+    return max(range(table.order), key=lambda e: len(table.elements[e]))
+
+
 @lru_cache(maxsize=None)
 def central_quotient(M):
     """The thin complex of M modulo its central longest element."""
     table = coxeter.group_table(M)
-    w0 = table.longest_id()
+    w0 = longest_id(table)
     auto = tuple(table.mult_id(w0, e) for e in range(table.order))
     return chamber.quotient(thin(M), [auto])[0]
 
@@ -72,22 +77,7 @@ def named_systems(names=CATALOG, thin_types=THIN, quotient_types=QUOTIENTS):
 def pg42():
     """The 9,765 maximal flags (p, L, P, S) of PG(4,2), a building of type
     A4; type i varies the i-th member."""
-    lines, planes, solids = (catalog.subspaces(5, k) for k in (2, 3, 4))
-    return flag_system([(p, L, P, S) for S in solids for P in planes if P <= S
-                        for L in lines if L <= P for p in sorted(L)])
-
-
-def flag_system(flags):
-    """Chambers are the given distinct tuples, in order; the type-i panel
-    collects the tuples equal away from position i."""
-    rank = len(flags[0])
-    partitions = {}
-    for i in range(1, rank + 1):
-        buckets = {}
-        for c, f in enumerate(flags):
-            buckets.setdefault(f[:i - 1] + f[i:], []).append(c)
-        partitions[i] = list(buckets.values())
-    return chamber.from_partitions(len(flags), rank, partitions)
+    return catalog.subspace_flags(5)
 
 
 def sub_system(C, chambers, J):
@@ -168,8 +158,8 @@ def random_partitions(rng, rank, n, sizes=(1, 2, 3)):
 
 def random_flags(rng, rank, n, size):
     """Chambers are distinct random tuples over range(size)."""
-    return flag_system(sorted({tuple(rng.randrange(size) for _ in range(rank))
-                               for _ in range(n)}))
+    return catalog._flag_system({tuple(rng.randrange(size) for _ in range(rank))
+                                 for _ in range(n)}, rank)
 
 
 def random_connected_system(rng):

@@ -125,13 +125,13 @@ def test_criterion_5_neumaier_geometry():
     plane_res = neu.residue(frozenset(neu.types) - {t}, 0)
     sub, _ = corpus.sub_system(neu, plane_res.chambers, sorted(frozenset(neu.types) - {t}))
     assert len(plane_res.chambers) == 21
-    assert chamber.polygon_parameter(sub) == 3
+    assert chamber.infer_type_matrix(sub).order(1, 2) == 3
     assert all(len(p) == 3 for i in sub.types for p in sub.panels[i])  # order 2
 
     point_res = neu.residue(frozenset(neu.types) - {q}, 0)
     sub, _ = corpus.sub_system(neu, point_res.chambers, sorted(frozenset(neu.types) - {q}))
     assert len(point_res.chambers) == 45
-    assert chamber.polygon_parameter(sub) == 4
+    assert chamber.infer_type_matrix(sub).order(1, 2) == 4
 
     geom = verify.incidence_geometry(neu)
     ll, wit = verify.check_LL(geom, q, r)
@@ -275,7 +275,7 @@ def test_criterion_9_word_problem_suite():
     assert moves_tested > 1000
     # the sixteen reduced words of the longest element of W(A3)
     ta3 = tables[coxeter.A3]
-    w0 = ta3.element(ta3.longest_id())
+    w0 = ta3.element(corpus.longest_id(ta3))
     assert len(coxeter.reduced_words(coxeter.A3, w0)) == 16
     # group laws through the word API
     for _ in range(100):

@@ -9,7 +9,7 @@ import pytest
 
 import chambers
 import corpus
-from chambers import catalog, chamber, cli, groups, verify
+from chambers import catalog, chamber, cli, coxeter, groups, verify
 from chambers.errors import ResidueCollision
 
 # sha256 of the bytes `chambers build <name> --out` writes; any change to a
@@ -81,6 +81,16 @@ def test_builds_deterministic():
     assert b1 == b2
 
 
+def test_symplectic_flags_of_rank_3_are_a_c3_geometry():
+    # the polar space W(5,2): 63 points, 315 totally isotropic lines and
+    # 135 totally isotropic planes of F2^6
+    C = catalog.subspace_flags(6, symplectic=True)
+    assert C.n == 2835
+    assert [len(C.residues(J)) for J in ((2, 3), (1, 3), (1, 2))] == [63, 315, 135]
+    assert coxeter.matrix_name(chamber.infer_type_matrix(C)) == "C3"
+    assert verify.is_c3_geometry(C)[0]
+
+
 def test_fano_planes_enumeration():
     planes = catalog.fano_planes_on_7()
     assert len(planes) == 30
@@ -118,7 +128,7 @@ def test_explicit_isomorphisms():
     # labels are its coset representatives
     neu, spec = catalog.build_neumaier_a7()
     for cosets, flags, act in (
-            (catalog.build_a3_f2("cosets"), catalog.build_a3_f2(), catalog.a3_f2_label_action),
+            (catalog.build_a3_f2_cosets(), catalog.build_a3_f2(), catalog.a3_f2_label_action),
             (chamber.from_cosets(spec), neu, catalog.neumaier_label_action)):
         f0 = min(flags.labels)
         m = catalog.label_map(cosets.labels, flags, lambda g: act(g, f0))
@@ -127,7 +137,7 @@ def test_explicit_isomorphisms():
 
 def test_generic_isomorphism_search_a3f2():
     a3 = catalog.build_a3_f2()
-    a3c = catalog.build_a3_f2("cosets")
+    a3c = catalog.build_a3_f2_cosets()
     assert chamber.isomorphism(a3, a3c) is not None
 
 
@@ -152,7 +162,7 @@ def test_neumaier_point_residue_is_gq22():
     res = neu.residue((2, 3), 0)
     assert len(res.chambers) == 45
     sub, _ = corpus.sub_system(neu, res.chambers, (2, 3))
-    assert chamber.polygon_parameter(sub) == 4
+    assert chamber.infer_type_matrix(sub).order(1, 2) == 4
     assert chamber.is_isomorphic(sub, catalog.build_gq22())
     # a generalized quadrangle of order (2,2): panels of size 3 throughout
     assert all(len(p) == 3 for i in sub.types for p in sub.panels[i])
@@ -163,7 +173,7 @@ def test_neumaier_plane_residue_is_fano():
     res = neu.residue((1, 2), 0)
     assert len(res.chambers) == 21
     sub, _ = corpus.sub_system(neu, res.chambers, (1, 2))
-    assert chamber.polygon_parameter(sub) == 3
+    assert chamber.infer_type_matrix(sub).order(1, 2) == 3
     assert all(len(p) == 3 for i in sub.types for p in sub.panels[i])
 
 
@@ -172,4 +182,4 @@ def test_line_residues_are_digons():
     res = neu.residue((1, 3), 0)
     assert len(res.chambers) == 9
     sub, _ = corpus.sub_system(neu, res.chambers, (1, 3))
-    assert chamber.polygon_parameter(sub) == 2
+    assert chamber.infer_type_matrix(sub).order(1, 2) == 2

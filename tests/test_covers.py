@@ -51,6 +51,15 @@ def test_map_of_bools_is_not_into_the_base():
         False, "map not into base chamber set")
 
 
+def test_missing_chamber_is_named_in_one_pass():
+    # the map misses only the last chamber; a scan that rebuilt the image
+    # set for each chamber took seconds at this size
+    n = 20_000
+    dots = chamber.from_partitions(n, 1, {1: [(c,) for c in range(n)]})
+    ok, diag = covers.is_covering(CoveringMap(dots, dots, tuple(range(n - 1)) + (0,)))
+    assert (ok, diag) == (False, f"not surjective: base chamber {n - 1} has empty fiber")
+
+
 def test_split_panel_breaks_adjacency():
     fano = catalog.build_fano_flags()
     split = {i: list(fano.panels[i]) for i in fano.types}

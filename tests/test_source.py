@@ -32,6 +32,14 @@ def _references(tree, name, where):
     return found
 
 
+def test_flag_systems_come_from_two_builders():
+    # subspace flags have one builder; the A7 geometry lists its own flags
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _references(ast.parse(path.read_text(), str(path)), "_flag_system", path.stem)
+    assert found == ["catalog.subspace_flags", "catalog.build_neumaier_a7"]
+
+
 def test_braid_closure_serves_only_group_enumeration():
     # the word API walks group tables; braid closure names new elements
     # while `enumerate_group` builds a table, and nowhere else

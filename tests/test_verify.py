@@ -430,7 +430,7 @@ def test_c3_roles():
 
 def test_check_star():
     spec = catalog.a3_f2_spec()
-    ok, wit = verify.check_star(spec, 1, 2, system=catalog.build_a3_f2("cosets"))
+    ok, wit = verify.check_star(spec, 1, 2, system=catalog.build_a3_f2_cosets())
     assert ok and wit is None
     neu, nspec = catalog.build_neumaier_a7()
     ok, wit = verify.check_star(nspec, 1, 2)
@@ -456,7 +456,7 @@ def test_check_star_pinned_for_every_role_pair():
                      (False, ((1, 0), (3, 0), (3, 1), (1, 2, 0, 3, 5, 6, 4))),
                      (True, None)],
     }
-    specs = {"a3": (catalog.a3_f2_spec(), catalog.build_a3_f2("cosets")),
+    specs = {"a3": (catalog.a3_f2_spec(), catalog.build_a3_f2_cosets()),
              "neumaier": (catalog.build_neumaier_a7()[1], None)}
     roles = [(p, l) for p in (1, 2, 3) for l in (1, 2, 3) if p != l]
     for name, (spec, system) in specs.items():
