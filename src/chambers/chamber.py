@@ -133,6 +133,8 @@ class ChamberSystem:
             return cached
         comp = [None] * self.n
         cid = 0
+        # per type its panels, the panel index and which panels were walked
+        sides = [(self.panels[i], self._panel_idx[i], [False] * len(self.panels[i])) for i in J]
         for start in range(self.n):
             if comp[start] is not None:
                 continue
@@ -140,8 +142,12 @@ class ChamberSystem:
             stack = [start]
             while stack:
                 c = stack.pop()
-                for i in J:
-                    for d in self.panel_of(i, c):
+                for panels, idx, walked in sides:
+                    p = idx[c]
+                    if walked[p]:
+                        continue
+                    walked[p] = True
+                    for d in panels[p]:
                         if comp[d] is None:
                             comp[d] = cid
                             stack.append(d)

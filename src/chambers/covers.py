@@ -2,14 +2,16 @@
 
 A 2-covering is a type-preserving surjection of chamber systems that maps
 every rank-2 residue isomorphically onto a rank-2 residue.  The universal
-cover is built by incremental residue gluing with union-find.  A cover
-panel is one dict from the base panel's chambers to nodes, opened once and
-shared by all its members; merging two nodes pairs up their panels by base
-chamber.  Closing a rank-2 residue walks the base residue from one node,
-placing one node per base chamber: a panel opened on the walk takes the
-nodes already placed, and two nodes placed over one base chamber are
-merged, exactly as the covering axioms force.  A walk that merged nothing
-closes the residue for every chamber it placed.
+cover is built by incremental residue gluing with union-find.  The gluer's
+state is flat lists over dense node ids; each root holds one bitmask of
+the type pairs whose residue is closed at it.  A cover panel is one dict
+from the base panel's chambers to nodes, opened once and shared by all its
+members; merging two nodes pairs up their panels by base chamber.  Closing
+a rank-2 residue walks the base residue from one node, placing one node
+per base chamber and reading each base panel's cover panel once: a panel
+opened on the walk takes the nodes already placed, and two nodes placed
+over one base chamber are merged, exactly as the covering axioms force.
+A walk that merged nothing closes the residue for every chamber it placed.
 """
 
 import weakref
@@ -48,6 +50,8 @@ class CoverResult:
     deck: tuple                 # cover automorphisms commuting with the map
     regular: bool
     root: int                   # cover chamber of the trivial gallery class
+    nodes: int = 0              # union-find nodes the gluer made
+    unions: int = 0             # unions the gluer made
 
 
 def is_covering(p):
@@ -61,14 +65,20 @@ def is_covering(p):
     if any(type(b) is bool or not 0 <= b < base.n for b in mp):
         return False, "map not into base chamber set"
     for i in cover.types:
+        pid = base._panel_idx[i]
         for panel in cover.panels[i]:
-            ids = {base.panel_id(i, mp[c]) for c in panel}
+            ids = {pid[mp[c]] for c in panel}
             if len(ids) > 1:
                 return False, f"type-{i} panel {panel} does not map into one panel"
     hit = set(mp)
     if len(hit) != base.n:
         missing = next(b for b in range(base.n) if b not in hit)
         return False, f"not surjective: base chamber {missing} has empty fiber"
+    # each panel maps into one base panel, so a type can break adjacency
+    # only if some panel of it differs in size from its image's panel
+    resized = {i for i in cover.types
+               if any(len(panel) != len(base.panel_of(i, mp[panel[0]]))
+                      for panel in cover.panels[i])}
     for P in combinations(cover.types, 2):
         base_comp = base.component_map(P)
         base_size = Counter(base_comp)      # chambers per base P-residue
@@ -80,8 +90,8 @@ def is_covering(p):
                                f"{res.chambers[0]} is not bijective onto its image")
             # bijective on the residue, so t-panels map onto t-panels iff sizes agree
             for t in P:
-                if any(len(cover.panel_of(t, x)) != len(base.panel_of(t, mp[x]))
-                       for x in res.chambers):
+                if t in resized and any(len(cover.panel_of(t, x)) != len(base.panel_of(t, mp[x]))
+                                        for x in res.chambers):
                     return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
                                    f"{res.chambers[0]} breaks type-{t} adjacency")
     return True, None
@@ -115,20 +125,33 @@ def lift_gallery(p, gal, start):
 
 
 class _Gluer:
+    """Union-find over cover nodes, each lying over one base chamber.  Node
+    state is in flat lists over dense node ids: `proj` (base chamber),
+    `parent`, `rank_`, `panels` (on roots, {type: shared panel dict}; None
+    once merged away) and `done` (on roots, one bitmask of closed pairs, bit
+    k for pairs[k]).  A task is the int node << len(pairs) | mask: close
+    the pairs in mask at that node's class, in order."""
+
     def __init__(self, base, c0, max_chambers):
         self.base = base
         self.max = max_chambers
         self.pairs = list(combinations(base.types, 2))
+        self.sides = [tuple((t, base._panel_idx[t]) for t in P) for P in self.pairs]
+        self.all_pairs = (1 << len(self.pairs)) - 1
         self.proj = []
         self.parent = []
         self.rank_ = []
-        self.panels = []            # root -> {type: {base chamber: node}}, shared by the panel
-        self.done = []              # root -> set of closed pairs
+        self.panels = []
+        self.done = []
         self.live = 0
+        self.peak = 0               # most live nodes at once; over max truncates
         self.unions = 0
-        self.truncated = False
         self.tasks = deque()
         self.root0 = self._new_node(c0)
+
+    @property
+    def truncated(self):
+        return self.peak > self.max
 
     def _new_node(self, b):
         nid = len(self.proj)
@@ -136,96 +159,117 @@ class _Gluer:
         self.parent.append(nid)
         self.rank_.append(0)
         self.panels.append({})
-        self.done.append(set())
+        self.done.append(0)
         self.live += 1
-        if self.live > self.max:
-            self.truncated = True
-        for P in self.pairs:
-            self.tasks.append((nid, P))
+        if self.live > self.peak:
+            self.peak = self.live
+        self.tasks.append(nid << len(self.pairs) | self.all_pairs)
         return nid
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def union(self, a, b):
+        find, proj, panels, done, rank_ = self.find, self.proj, self.panels, self.done, self.rank_
         pend = [(a, b)]
         while pend:
             x, y = pend.pop()
-            rx, ry = self.find(x), self.find(y)
+            rx, ry = find(x), find(y)
             if rx == ry:
                 continue
-            if self.proj[rx] != self.proj[ry]:
+            if proj[rx] != proj[ry]:
                 raise NotCovering("gluing merged chambers over different base chambers")
-            if self.rank_[rx] < self.rank_[ry]:
+            if rank_[rx] < rank_[ry]:
                 rx, ry = ry, rx
-            elif self.rank_[rx] == self.rank_[ry]:
-                self.rank_[rx] += 1
+            elif rank_[rx] == rank_[ry]:
+                rank_[rx] += 1
             self.parent[ry] = rx
             self.live -= 1
             self.unions += 1
             # both panels of a type copy one base panel: pair them up by base
             # chamber, and re-point the members of ry's panel to rx's
-            for t, mp_y in self.panels[ry].items():
-                mp_x = self.panels[rx].setdefault(t, mp_y)
+            pan_x = panels[rx]
+            for t, mp_y in panels[ry].items():
+                mp_x = pan_x.setdefault(t, mp_y)
                 if mp_x is mp_y:
                     continue
                 for bch, nd in mp_y.items():
-                    self.panels[self.find(nd)][t] = mp_x
-                    if self.find(mp_x[bch]) != self.find(nd):
+                    panels[find(nd)][t] = mp_x
+                    if find(mp_x[bch]) != find(nd):
                         pend.append((mp_x[bch], nd))
-            self.panels[ry] = None
-            merged = self.done[rx] & self.done[ry]
-            self.done[rx] = merged
-            self.done[ry] = None
-            for P in self.pairs:
-                if P not in merged:
-                    self.tasks.append((rx, P))
+            panels[ry] = None
+            merged = done[rx] = done[rx] & done[ry]
+            if merged != self.all_pairs:
+                self.tasks.append(rx << len(self.pairs) | self.all_pairs & ~merged)
 
-    def get_panel(self, x, t, slot):
-        """The type-t panel of x.  Opened on first use, it takes the walk's
-        `slot` chamber over each base chamber where that chamber has no
-        t-panel yet, and a new node elsewhere."""
-        rx = self.find(x)
-        mp = self.panels[rx].get(t)
-        if mp is None:
-            mp = {}
-            for bch in self.base.panel_of(t, self.proj[rx]):
-                nd = slot.get(bch)
-                if nd is None or t in self.panels[self.find(nd)]:
-                    nd = self._new_node(bch)
-                mp[bch] = nd
-            for nd in mp.values():
-                self.panels[self.find(nd)][t] = mp
+    def _open_panel(self, rx, t, slot):
+        """Open the type-t panel of root rx.  It takes the walk's `slot`
+        node over each base chamber where that node has no t-panel yet, and
+        a new node elsewhere."""
+        find, panels = self.find, self.panels
+        mp = {}
+        for bch in self.base.panel_of(t, self.proj[rx]):
+            nd = slot.get(bch)
+            if nd is None or t in panels[find(nd)]:
+                nd = self._new_node(bch)
+            mp[bch] = nd
+        for nd in mp.values():
+            panels[find(nd)][t] = mp
         return mp
 
-    def close_residue(self, x, P):
-        rx = self.find(x)
-        if P in self.done[rx]:
-            return
+    def close_residue(self, rx, k):
+        """Walk the pairs[k]-residue from root rx, placing one node per base
+        chamber.  Each base panel's cover panel is read once: a second read
+        would meet only nodes placed already, or merged with them."""
+        find, parent, panels = self.find, self.parent, self.panels
         unions = self.unions
-        slot = {self.proj[rx]: rx}
-        queue = [self.proj[rx]]
+        b0 = self.proj[rx]
+        slot = {b0: rx}
+        queue = [b0]
+        sides = [(t, pid, set()) for t, pid in self.sides[k]]
         for y in queue:
-            for t in P:
-                for z, nz in self.get_panel(slot[y], t, slot).items():
-                    if z not in slot:
+            for t, pid, read in sides:
+                p = pid[y]
+                if p in read:
+                    continue
+                read.add(p)
+                x = slot[y]
+                if parent[x] != x:
+                    x = find(x)
+                mp = panels[x].get(t)
+                if mp is None:
+                    mp = self._open_panel(x, t, slot)
+                for z, nz in mp.items():
+                    sz = slot.get(z)
+                    if sz is None:
                         slot[z] = nz
                         queue.append(z)
-                    elif self.find(slot[z]) != self.find(nz):
-                        self.union(slot[z], nz)
+                    elif sz != nz and find(sz) != find(nz):
+                        self.union(sz, nz)
         # a walk without unions found the residue closed, from any of its chambers
+        done, bit = self.done, 1 << k
         for nd in (slot.values() if self.unions == unions else (rx,)):
-            self.done[self.find(nd)].add(P)
+            if parent[nd] != nd:
+                nd = find(nd)
+            done[nd] |= bit
 
     def run(self):
-        while self.tasks:
-            if self.truncated:
-                return
-            x, P = self.tasks.popleft()
-            self.close_residue(x, P)
+        tasks, parent, done, find = self.tasks, self.parent, self.done, self.find
+        k = len(self.pairs)
+        while tasks:
+            task = tasks.popleft()
+            x = task >> k
+            for j in range(k):
+                if task >> j & 1:
+                    rx = x if parent[x] == x else find(x)
+                    if not done[rx] >> j & 1:
+                        self.close_residue(rx, j)
+                        if self.truncated:
+                            return
 
 
 def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
@@ -233,10 +277,13 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     classes of galleries from c0.  Truncation at max_chambers is reported,
     never silent.
 
-    max_chambers bounds the gluer's live union-find nodes, not the cover's
-    chambers.  The nodes opened for panels are live until residue walks
-    merge them, so the peak can exceed the answer: the 315-chamber cover of
-    neumaier-a7 truncates at 2,834 and finishes at 2,835."""
+    The gluer keeps its nodes in flat lists over dense ids with a bitmask
+    of closed pairs per root, and a residue walk reads each shared panel
+    dict once.  max_chambers bounds the gluer's live union-find nodes, not
+    the cover's chambers.  The nodes opened for panels are live until
+    residue walks merge them, so the peak can exceed the answer: the
+    315-chamber cover of neumaier-a7 truncates at 2,834 and finishes at
+    2,835.  The result counts the gluer's nodes and unions either way."""
     c0 = C._chamber(c0, "base chamber")
     if max_chambers < 1:
         raise ValueError(f"chamber budget {max_chambers} is not positive")
@@ -246,28 +293,32 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
         raise ValueError("universal cover requires rank >= 2")
     g = _Gluer(C, c0, max_chambers)
     g.run()
+    nodes = len(g.proj)
+    work = (nodes, nodes - g.live)      # each union retires one live node
     if g.truncated:
-        return CoverResult(None, c0, True, (), False, -1)
-    roots = list(dict.fromkeys(g.find(nd) for nd in range(len(g.proj))))  # by least member
-    dense = {r: i for i, r in enumerate(roots)}
-    n = len(roots)
+        return CoverResult(None, c0, True, (), False, -1, *work)
+    find = g.find
+    dense = {}                          # root -> cover chamber, by least member
+    chamber_of = [dense.setdefault(find(nd), len(dense)) for nd in range(nodes)]
     partitions = {}
     for t in C.types:
-        panels = set()
-        for r in roots:
+        read, panels = set(), set()
+        for r in dense:
             mp = g.panels[r].get(t)
             if mp is None:
                 raise NotCovering(f"type-{t} panel missing after closure")
-            panels.add(tuple(sorted({dense[g.find(nd)] for nd in mp.values()})))
+            if id(mp) not in read:
+                read.add(id(mp))
+                panels.add(tuple(sorted(chamber_of[nd] for nd in mp.values())))
         partitions[t] = sorted(panels)
-    cover = ChamberSystem(n, C.rank, partitions)
-    chamber_map = tuple(g.proj[r] for r in roots)
+    cover = ChamberSystem(len(dense), C.rank, partitions)
+    chamber_map = tuple(g.proj[r] for r in dense)
     p = CoveringMap(cover, C, chamber_map)
     ok, diag = is_covering(p)
     if not ok:
         raise NotCovering(f"universal cover failed its own covering check: {diag}")
     deck, regular = deck_transformations(p) if with_deck else ((), False)
-    return CoverResult(p, c0, False, tuple(deck), regular, dense[g.find(g.root0)])
+    return CoverResult(p, c0, False, tuple(deck), regular, chamber_of[g.root0], *work)
 
 
 def deck_transformations(p):
@@ -292,33 +343,40 @@ def deck_transformations(p):
 def _extend_commuting(A, mpA, B, mpB, a0, b0):
     """Extend a0 -> b0 to a map f: A -> B with mpB(f(x)) = mpA(x), using
     that panels of B embed into base panels.  Requires A connected; the
-    result need not be injective."""
-    f = {a0: b0}
+    result need not be injective.  Each panel of A is matched once: from
+    another of its chambers it would meet the same panel of B."""
+    f = [None] * A.n
+    f[a0] = b0
+    placed = 1
     queue = [a0]
+    sides = [(A.panels[i], A._panel_idx[i], B.panels[i], B._panel_idx[i], [False] * len(A.panels[i]))
+             for i in A.types]
     while queue:
         x = queue.pop()
         y = f[x]
-        for i in A.types:
-            Px = A.panel_of(i, x)
-            Py = B.panel_of(i, y)
+        for a_panels, a_idx, b_panels, b_idx, walked in sides:
+            p = a_idx[x]
+            if walked[p]:
+                continue
+            walked[p] = True
             by_base = {}
-            for w in Py:
+            for w in b_panels[b_idx[y]]:
                 if mpB[w] in by_base:
                     return None
                 by_base[mpB[w]] = w
-            for z in Px:
+            for z in a_panels[p]:
                 w = by_base.get(mpA[z])
                 if w is None:
                     return None
-                if z in f:
-                    if f[z] != w:
-                        return None
-                else:
+                if f[z] is None:
                     f[z] = w
+                    placed += 1
                     queue.append(z)
-    if len(f) != A.n:
+                elif f[z] != w:
+                    return None
+    if placed != A.n:
         return None
-    return tuple(f[c] for c in range(A.n))
+    return tuple(f)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +394,9 @@ def homotopic(C, g1, g2, budget=10 ** 5):
     Decided by lifting both galleries from one cover chamber over their
     common start: the universal cover is simply 2-connected, so the
     galleries are homotopic iff their lifts share an endpoint.  The cover is
-    built once per system.  Raises BudgetExceeded if it cannot be built
-    within `budget` chambers (undecided, distinct from False).
+    built once per system.  `budget` bounds the gluer's live union-find
+    nodes, as universal_cover's max_chambers does; past it, BudgetExceeded
+    says how far the gluer got (undecided, distinct from False).
     """
     validate_gallery(C, g1)
     validate_gallery(C, g2)
@@ -349,7 +408,9 @@ def homotopic(C, g1, g2, budget=10 ** 5):
     if hit is None:
         res = universal_cover(C, max_chambers=budget, with_deck=False)
         if res.truncated:
-            raise BudgetExceeded(f"universal cover exceeded {budget} chambers; homotopy undecided")
+            raise BudgetExceeded(
+                f"universal cover needs more than {budget} live gluer nodes (stopped after "
+                f"{res.nodes} nodes and {res.unions} unions); homotopy undecided")
         hit = _COVERS[C] = (res.covering.cover, res.covering.chamber_map)
     cover, chamber_map = hit
     p = CoveringMap(cover, C, chamber_map)

@@ -76,6 +76,97 @@ def test_singer_projection_is_covering():
     assert ok, diag
 
 
+def _reference_is_covering(p):
+    """is_covering as it was before it picked out the resized types: every
+    residue compares the panel sizes of its chambers for both its types."""
+    cover, base, mp = p.cover, p.base, p.chamber_map
+    if cover.rank != base.rank:
+        return False, "rank mismatch"
+    if any(type(b) is bool or not 0 <= b < base.n for b in mp):
+        return False, "map not into base chamber set"
+    for i in cover.types:
+        for panel in cover.panels[i]:
+            ids = {base.panel_id(i, mp[c]) for c in panel}
+            if len(ids) > 1:
+                return False, f"type-{i} panel {panel} does not map into one panel"
+    hit = set(mp)
+    if len(hit) != base.n:
+        missing = next(b for b in range(base.n) if b not in hit)
+        return False, f"not surjective: base chamber {missing} has empty fiber"
+    for P in itertools.combinations(cover.types, 2):
+        base_comp = base.component_map(P)
+        base_size = collections.Counter(base_comp)
+        for res in cover.residues(P):
+            images = [mp[c] for c in res.chambers]
+            size = base_size[base_comp[images[0]]]
+            if len(res.chambers) != size or len(set(images)) != len(images):
+                return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
+                               f"{res.chambers[0]} is not bijective onto its image")
+            for t in P:
+                if any(len(cover.panel_of(t, x)) != len(base.panel_of(t, mp[x]))
+                       for x in res.chambers):
+                    return False, (f"{{{P[0]},{P[1]}}}-residue at cover chamber "
+                                   f"{res.chambers[0]} breaks type-{t} adjacency")
+    return True, None
+
+
+def _perturbed(p, rng):
+    """Seeded perturbations of a covering map: one panel of the cover split
+    in two, one chamber collapsed onto a panel partner's image, and the
+    fibers over two base chambers swapped."""
+    cover, base, mp = p.cover, p.base, p.chamber_map
+    i = rng.choice(cover.types)
+    big = [panel for panel in cover.panels[i] if len(panel) > 1]
+    if big:
+        panel = rng.choice(big)
+        cut = rng.randrange(1, len(panel))
+        parts = {t: list(cover.panels[t]) for t in cover.types}
+        parts[i].remove(panel)
+        parts[i] += [panel[:cut], panel[cut:]]
+        yield CoveringMap(chamber.from_partitions(cover.n, cover.rank, parts), base, mp)
+    c = rng.randrange(cover.n)
+    collapsed = list(mp)
+    collapsed[c] = mp[rng.choice(cover.panel_of(i, c))]
+    yield CoveringMap(cover, base, tuple(collapsed))
+    u, v = rng.sample(range(base.n), 2) if base.n > 1 else (0, 0)
+    swap = {u: v, v: u}
+    yield CoveringMap(cover, base, tuple(swap.get(b, b) for b in mp))
+
+
+def test_is_covering_matches_reference():
+    # the per-type size screen changes no verdict and no diagnostic: on the
+    # identity of every corpus system, on real coverings (universal covers,
+    # the z5 projection) and on seeded perturbations of all of them
+    rng = random.Random(20261019)
+    maps = [identity_cover(C) for C in corpus.named_systems() + [corpus.pg42()]]
+    maps += [covers.universal_cover(C, 0).covering for C in corpus.named_systems()]
+    maps.append(catalog.build("singer-quotient-z5")["projection"])
+    maps += [identity_cover(corpus.random_connected_system(rng)) for _ in range(200)]
+    kinds = collections.Counter()
+    for p in list(maps):
+        for _ in range(3):
+            maps.extend(_perturbed(p, rng))
+    for p in maps:
+        got = covers.is_covering(p)
+        assert got == _reference_is_covering(p), (p.cover.panels, p.chamber_map)
+        kinds[got[1] and got[1].split(" ")[-1]] += 1
+    # every verdict is seen: covering, adjacency, bijectivity, panels, fibers
+    assert {None, "adjacency", "image", "panel", "fiber"} <= set(kinds), kinds
+
+
+def test_is_covering_of_rank_1_ignores_panel_sizes():
+    # with no rank-2 residues there is nothing to compare panel sizes in, so
+    # a split panel still covers, as it always did
+    rng = random.Random(7)
+    for _ in range(100):
+        C = corpus.random_partitions(rng, 1, rng.randint(1, 8))
+        for p in [identity_cover(C), *_perturbed(identity_cover(C), rng)]:
+            assert covers.is_covering(p) == _reference_is_covering(p)
+    two = chamber.from_partitions(2, 1, {1: [(0, 1)]})
+    split = chamber.from_partitions(2, 1, {1: [(0,), (1,)]})
+    assert covers.is_covering(CoveringMap(split, two, (0, 1))) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -418,6 +509,24 @@ def test_gluer_matches_reference_on_named_systems(monkeypatch):
             assert len(gluer.proj) < len(old_gluer.proj) and _panels_shared(gluer)
 
 
+# the gluer's work per corpus.named_systems() entry, the same from chambers
+# 0, n // 2 and n - 1: (nodes made, unions, peak live nodes).  Catalog
+# fano, gq22, a3-f2, neumaier-a7 and singer-quotient-z5; thin A3, C3, H3, A4
+# and D4; central quotients of C3, H3, D4 and A1x3.
+GLUER_WORK = [(21, 0, 21), (45, 0, 45), (427, 112, 319), (2835, 2520, 2835), (427, 112, 319),
+              (27, 3, 25), (48, 0, 48), (130, 10, 120), (152, 32, 121), (230, 38, 192),
+              (48, 0, 48), (130, 10, 120), (230, 38, 192), (8, 0, 8)]
+
+
+def test_gluer_work_is_pinned(monkeypatch):
+    for C, work in zip(corpus.named_systems(), GLUER_WORK, strict=True):
+        for c0 in sorted({0, C.n // 2, C.n - 1}):
+            _, gluer = _cover_by(monkeypatch, _GLUER, C, c0)
+            assert (len(gluer.proj), gluer.unions, gluer.peak) == work, (C, c0)
+            res = covers.universal_cover(C, c0, with_deck=False)
+            assert (res.nodes, res.unions) == work[:2]
+
+
 def test_gluer_matches_reference_on_random_systems(monkeypatch):
     rng = random.Random(20121205)
     truncated = collections.Counter()
@@ -440,7 +549,7 @@ def test_universal_cover_pg42(monkeypatch):
     assert not truncated and len(chamber_map) == C.n == 9765
     assert sorted(chamber_map) == list(range(C.n))
     assert len(deck) == 1 and regular
-    assert len(gluer.proj) <= 2 * C.n
+    assert (len(gluer.proj), gluer.unions, gluer.peak) == (15237, 5472, 9773)
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +782,18 @@ def test_homotopic_distinguishes_classes():
 
 
 def test_homotopic_budget():
-    # a freshly loaded system, so no cover is kept for it yet
-    a3 = chamber.system_from_json(chamber.system_to_json(catalog.build_a3_f2()))
+    # the budget bounds live gluer nodes, not chambers, and the message says
+    # how far the gluer got: the 315-chamber neumaier-a7 needs 2,835 nodes,
+    # all made before the first union.  Freshly loaded systems, so no cover
+    # is kept for them yet.
     g = TypedGallery((0,), ())
-    with pytest.raises(BudgetExceeded):
-        covers.homotopic(a3, g, g, budget=10)
+    for C, budget, work in ((catalog.build_a3_f2(), 10, "21 nodes and 0 unions"),
+                            (catalog.build_neumaier_a7()[0], 2834, "2835 nodes and 0 unions")):
+        C = chamber.system_from_json(chamber.system_to_json(C))
+        with pytest.raises(BudgetExceeded) as err:
+            covers.homotopic(C, g, g, budget=budget)
+        assert str(err.value) == (f"universal cover needs more than {budget} live gluer nodes "
+                                  f"(stopped after {work}); homotopy undecided")
 
 
 def test_homotopic_one_cover_lifted_from_any_start(monkeypatch):
