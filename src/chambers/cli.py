@@ -5,6 +5,7 @@ stdout), 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -187,7 +188,9 @@ def cmd_report(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser():
+    """The one parser of this process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="chambers",
                                  description="finite chamber systems and their verification")
     sub = ap.add_subparsers(dest="command", required=True)

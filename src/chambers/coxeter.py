@@ -3,8 +3,9 @@
 Group elements are canonical (ShortLex-least) reduced words over the type
 set I = {1, ..., k}.  W(M) must be finite: `enumerate_group` builds its
 multiplication table level by level, naming each new element by the least
-word of its braid class, and the word problem is a walk of that table.  No
-reflection representation; everything here is exact integer combinatorics.
+word of its braid class, closed once per element, and the word problem is
+a walk of that table.  No reflection representation; everything here is
+exact integer combinatorics.
 """
 
 import operator
@@ -361,8 +362,12 @@ def enumerate_group(M, cap=10 ** 6):
     """Enumerate W(M) breadth-first by length.  Refuses infinite groups.
 
     Placing a level sets every edge from it to the level below, so an entry
-    still unset when its element's level is scanned is a non-descent: w * r_i
-    is one letter longer, and the least word of its braid class names it."""
+    still unset when its element's level is scanned is a non-descent: the
+    candidate w + (i,) is a reduced word of an element one letter longer.
+    The first candidate of each new element is closed under braid moves;
+    that class is all the element's reduced words (Tits), so its least word
+    names every candidate in it, and each element costs one closure.  An
+    element past `cap` raises BudgetExceeded before its closure runs."""
     if not is_finite(M):
         raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
     k = M.rank
@@ -371,21 +376,27 @@ def enumerate_group(M, cap=10 ** 6):
     right = [[None] * k]
     level = [()]
     while level:
-        pending = []
-        for w in level:
-            e = index[w]
-            for i in range(1, k + 1):
-                if right[e][i - 1] is None:
-                    pending.append((e, i, min(_braid_class(M, w + (i,)))))
-        level = sorted({target for _, _, target in pending})
+        pending = [(index[w], i, w + (i,)) for w in level for i in range(1, k + 1)
+                   if right[index[w]][i - 1] is None]
+        candidates = {word for _, _, word in pending}
+        target = {}  # candidate -> least word of its class
+        new = []
+        for _, _, word in pending:
+            if word not in target:
+                if len(elements) + len(new) >= cap:
+                    raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
+                cls = _braid_class(M, word)
+                least = min(cls)
+                new.append(least)
+                for c in candidates & cls:
+                    target[c] = least
+        level = sorted(new)
         for word in level:
-            if len(elements) >= cap:
-                raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
             index[word] = len(elements)
             elements.append(word)
             right.append([None] * k)
-        for e, i, target in pending:
-            t = index[target]
+        for e, i, word in pending:
+            t = index[target[word]]
             right[e][i - 1] = t
             right[t][i - 1] = e
     return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])

@@ -338,3 +338,33 @@ def test_check_all_on_non_polygonal_residue(capsys, tmp_path):
     assert verdict["building"] is False and "violations" not in verdict
     assert verdict["ll"] == {"holds": False, "error": "no rank-3 type matrix"}
     assert verdict["c3"] is False
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    # a usage error from the shared parser leaves it as a fresh one would be
+    assert cli.make_parser() is cli.make_parser()
+    f, mfile = tmp_path / "fano.json", tmp_path / "d4.json"
+    run(capsys, "build", "fano", "--out", str(f))
+    mfile.write_text(json.dumps({"m": [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]}))
+    calls = [("check", str(f), "--no-such-flag"),
+             ("check", str(f), "--building", "--simplicial"),
+             ("cover", str(f), "--max-chambers", "100"),
+             ("coxeter", "--matrix", str(mfile), "--order"),
+             ("coxeter", "--bogus")]
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.make_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2]
+    assert shared[3][1] == "192\n" and "unrecognized arguments" in shared[0][2]

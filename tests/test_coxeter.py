@@ -565,6 +565,35 @@ def test_enumerate_matches_reference_engine():
             engine(H3, cap=50)
 
 
+def test_one_braid_closure_per_element(monkeypatch):
+    calls = []
+    closure = coxeter._braid_class
+    monkeypatch.setattr(coxeter, "_braid_class", lambda M, word: calls.append(word) or closure(M, word))
+    for M in _cross_check_matrices():
+        calls.clear()
+        table = enumerate_group(M)
+        assert len(calls) == table.order - 1, M
+    # the cap refuses exactly the groups larger than it
+    for M in (coxeter.A1, A3, H3, corpus.A4):
+        order = enumerate_group(M).order
+        assert enumerate_group(M, cap=order).order == order
+        with pytest.raises(BudgetExceeded, match=f"^group enumeration exceeded cap {order - 1}$"):
+            enumerate_group(M, cap=order - 1)
+    # the cap bounds the closures run, not only the elements kept
+    for cap in (1, 50, 119):
+        calls.clear()
+        with pytest.raises(BudgetExceeded, match=f"^group enumeration exceeded cap {cap}$"):
+            enumerate_group(H3, cap=cap)
+        assert len(calls) <= cap
+
+
+def test_braid_budget_stops_both_engines(monkeypatch):
+    monkeypatch.setattr(coxeter, "DEFAULT_BUDGET", 20)
+    for engine in (enumerate_group, _reference_enumerate_group):
+        with pytest.raises(BudgetExceeded, match="^braid closure exceeded 20 words$"):
+            engine(H3)
+
+
 def _relabelling_families():
     """(M, relabellings of M other than M): every distinct one for the small
     diagrams, the two of `_cross_check_matrices` for A4 and D4."""
