@@ -2,13 +2,17 @@
 coset constructions, generalized-polygon residues, simpliciality, quotients.
 
 Chambers are dense ids 0..n-1.  A system is immutable after construction;
-derived data (adjacency, residue partitions) is cached internally.
+derived data (adjacency, residue partitions, rank-2 residue gonalities) is
+cached internally.  A rank-2 residue is a generalized m-gon when its panel
+graph has girth 2m and diameter m >= 2; one level-synchronous bitset pass
+per type pair measures both for all of the pair's residues at once.
 """
 
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial, reduce
+from itertools import chain, combinations, compress, repeat
 
 from . import groups
 from .coxeter import CoxeterMatrix, _int
@@ -28,6 +32,9 @@ from .errors import (
 
 
 _TYPE_SET_CAP = 10 ** 4      # type words per chamber; past it, is_building's type-set-budget
+_map_or = partial(map, operator.or_)
+_map_add = partial(map, operator.add)
+_first = operator.itemgetter(0)
 
 
 class ChamberSystem:
@@ -171,12 +178,14 @@ class ChamberSystem:
 
     def _residue_gonalities(self, i, j):
         """Per {i,j}-residue, ordered by least member, (least chamber, m)
-        with the residue a generalized m-gon, or m None.  Cached."""
+        with the residue a generalized m-gon, or m None: girth 2m and
+        diameter m >= 2, read from one `_residue_girths_and_diameters` pass
+        over the pair.  Cached."""
         J = frozenset((i, j))
         if J not in self._gon_cache:
             self._gon_cache[J] = tuple(
-                (res.chambers[0], _gonality(*_panel_graph(self, res.chambers, i, j)))
-                for res in self.residues(J))
+                (least, diameter if diameter >= 2 and girth == 2 * diameter else None)
+                for least, girth, diameter in _residue_girths_and_diameters(self, i, j))
         return self._gon_cache[J]
 
     def is_connected(self):
@@ -386,67 +395,112 @@ def from_cosets(spec):
 # rank-2 residues as generalized polygons
 
 
-def _panel_graph(C, chambers, i, j):
-    """Integer adjacency lists of the type-i/type-j panel graph of a panel-closed
-    chamber set, an edge per chamber, and whether it has a multi-edge (kept once)."""
-    pi, pj = C._panel_idx[i], C._panel_idx[j]
-    vi, vj, adj, multi = {}, {}, [], False
-    for c in chambers:
-        u = vi.setdefault(pi[c], len(adj))
-        if u == len(adj):
-            adj.append([])
-        v = vj.setdefault(pj[c], len(adj))
-        if v == len(adj):
-            adj.append([])
-        if v in adj[u]:
-            multi = True
-        else:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj, multi
+def _sides(C, comp, i, j):
+    """Per type t of the pair, (panels, [(size, count)], residue per panel,
+    position per panel id or None): the type-t panels sorted by size, so
+    that each size class is one run, and kept in place when all sizes agree."""
+    sides = []
+    for t in (i, j):
+        P = C.panels[t]
+        sizes = list(map(len, P))
+        res = list(map(comp.__getitem__, map(_first, P)))
+        if sizes.count(sizes[0]) == len(sizes):
+            sides.append((P, [(sizes[0], len(P))], res, None))
+            continue
+        order = sorted(range(len(P)), key=sizes.__getitem__)
+        sides.append((list(map(P.__getitem__, order)), sorted(Counter(sizes).items()),
+                      list(map(res.__getitem__, order)),
+                      sorted(range(len(P)), key=order.__getitem__)))
+    return sides
 
 
-def _girth_and_diameter(adj):
-    """(girth, diameter) of a bipartite graph, None for no cycle resp. a
-    disconnected graph, by one breadth-first search per vertex: a vertex
-    reached twice at level d closes a cycle of length at most 2d, exactly
-    the girth when the search starts on a shortest cycle."""
-    n = len(adj)
-    girth, diameter = None, 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        frontier, level = [s], 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = level
-                        nxt.append(v)
-                    elif dist[v] == level and (girth is None or 2 * level < girth):
-                        girth = 2 * level
-            frontier = nxt
-        diameter = None if diameter is None or -1 in dist else max(diameter, level - 1)
-    return girth, diameter
+def _residue_girths_and_diameters(C, i, j):
+    """Per {i,j}-residue, ordered by least member, (least chamber, girth,
+    diameter) of its panel graph; girth 2 is a multi-edge, None no cycle.
 
-
-def _gonality(adj, multi):
-    """The m for a panel graph of girth 2m and diameter m >= 2, else None;
-    a multi-edge gives None at once."""
-    girth, diameter = (None, None) if multi else _girth_and_diameter(adj)
-    return diameter if diameter is not None and diameter >= 2 and girth == 2 * diameter else None
+    All residues of the pair advance one level at a time.  Panel u holds
+    its ball B_L(u), the panels within distance L, as a bitmask over its
+    own residue's panels: B_1(u) is u and its neighbours, B_L(u) for L >= 2
+    the OR of B_{L-1}(v) over the neighbours v.  Every B_{L-1}(v) holds
+    B_{L-2}(u) (empty for L = 1), and the sets B_{L-1}(v) - B_{L-2}(u) are
+    disjoint unless two paths of length <= L from u meet, closing a cycle.
+    So as integers the sum of the B_{L-1}(v) less (deg u - 1) B_{L-2}(u)
+    exceeds their OR exactly when u closes a cycle at level L; the first
+    such level is half the girth, and level 1 finds a repeated neighbour,
+    a multi-edge.  The diameter is the first level at which every ball
+    of the residue is the whole residue."""
+    comp = C.component_map((i, j))
+    least = [0]
+    for k in range(1, max(comp) + 1):
+        least.append(comp.index(k, least[-1]))
+    size = [0] * len(least)
+    sides = _sides(C, comp, i, j)
+    # the graph is bipartite: a type-i panel gathers the balls of the
+    # type-j panels through its chambers, and the other way round
+    state = []
+    for (P, classes, res, _), (_, _, _, pos), t in zip(sides, sides[::-1], (j, i)):
+        other = C._panel_idx[t] if pos is None else list(map(pos.__getitem__, C._panel_idx[t]))
+        bits = []
+        for r in res:
+            bits.append(1 << size[r])
+            size[r] += 1
+        # the spare last index keeps the gathered balls a tuple
+        gather = operator.itemgetter(*map(other.__getitem__, chain.from_iterable(P)), 0)
+        state.append((gather, classes, res, bits))
+    whole = [(1 << s) - 1 for s in size]
+    full = [list(map(whole.__getitem__, res)) for _, _, res, _ in state]
+    girth, diameter = [None] * len(least), [None] * len(least)
+    open_ = set(range(len(least)))
+    two_down, one_down = [[0] * len(bits) for *_, bits in state], [bits for *_, bits in state]
+    level = 0
+    while open_:
+        level += 1
+        balls = []
+        for (gather, classes, res, bits), theirs, back in zip(state, one_down[::-1], two_down):
+            got = gather(theirs)
+            mine = []
+            lo = off = 0
+            for d, count in classes:
+                hi, end = lo + count, off + count * d
+                if d == 1:
+                    mine += got[off:end]
+                else:
+                    cols = [got[k:end:d] for k in range(off, off + d)]
+                    # fold 64 columns per nest of maps: a panel of many
+                    # chambers would otherwise nest them past the C stack
+                    ors = sums = cols[0]
+                    for k in range(1, d, 64):
+                        ors = list(reduce(_map_or, cols[k:k + 64], ors))
+                        sums = list(reduce(_map_add, cols[k:k + 64], sums))
+                    sums = map(operator.sub, sums, map(operator.mul, repeat(d - 1), back[lo:hi]))
+                    # the first level at which a panel of a residue closes
+                    # a cycle is half its girth; later levels, and the
+                    # repeats of a multi-edge that the OR ignores, close more
+                    for r in set(compress(res[lo:hi], map(operator.ne, sums, ors))):
+                        if girth[r] is None:
+                            girth[r] = 2 * level
+                    mine += ors
+                lo, off = hi, end
+            balls.append(mine if level > 1 else list(map(operator.or_, mine, bits)))
+        two_down, one_down = one_down, balls
+        unfinished = set()
+        for (_, _, res, _), mine, want in zip(state, balls, full):
+            unfinished.update(compress(res, map(operator.ne, mine, want)))
+        for r in open_ - unfinished:
+            diameter[r] = level
+        open_ = unfinished
+    return list(zip(least, girth, diameter))
 
 
 def incidence_graph_stats(C):
-    """(girth, diameter) of the panel incidence graph of a rank-2 system;
-    girth 2 encodes a multi-edge, None encodes no cycle / disconnected."""
+    """(girth, diameter) of the panel incidence graph of a rank-2 system:
+    the least girth over its components, 2 on a multi-edge, None with no
+    cycle; the diameter None unless the graph is connected."""
     if C.rank != 2:
         raise WrongRank(f"rank-2 system required, got rank {C.rank}")
-    adj, multi = _panel_graph(C, range(C.n), 1, 2)
-    girth, diameter = _girth_and_diameter(adj)
-    return (2 if multi else girth), diameter
+    stats = _residue_girths_and_diameters(C, 1, 2)
+    girth = min((g for _, g, _ in stats if g is not None), default=None)
+    return girth, (stats[0][2] if len(stats) == 1 else None)
 
 
 def infer_type_matrix(C):
@@ -724,6 +778,9 @@ def _tupled(xs):
 
 
 def system_from_json(obj):
+    if not isinstance(obj["panels"], dict):
+        raise TypeError(f"panels must be an object of type -> panel list, "
+                        f"got {type(obj['panels']).__name__}")
     partitions = {int(i): [tuple(p) for p in panels] for i, panels in obj["panels"].items()}
     labels = obj.get("labels")
     if labels is not None:

@@ -310,6 +310,12 @@ def test_incidence_graph_stats_edge_cases():
     double_edge = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0, 1)]})
     assert chamber.incidence_graph_stats(double_edge) == (2, 1)
     assert chamber.incidence_graph_stats(catalog.build_gq22()) == (8, 4)
+    # panels of more than 64 chambers: the pass folds their balls in chunks
+    star = chamber.from_partitions(200, 2, {1: [range(200)], 2: [(c,) for c in range(200)]})
+    assert chamber.incidence_graph_stats(star) == _reference_stats(star) == (None, 2)
+    grid = _digon(2, 150)
+    assert chamber.incidence_graph_stats(grid) == _reference_stats(grid) == (4, 2)
+    assert grid._residue_gonalities(1, 2) == ((0, 2),)
 
 
 def test_infer_type_matrix():
@@ -709,7 +715,7 @@ def _assert_residue_pass_matches_reference(C, ms):
             sub, _ = corpus.sub_system(C, res.chambers, (i, j))
             m = _reference_polygon(sub)
             assert chamber.incidence_graph_stats(sub) == _reference_stats(sub), C.panels
-            assert chamber._gonality(*chamber._panel_graph(sub, range(sub.n), 1, 2)) == m
+            assert sub._residue_gonalities(1, 2) == ((0, m),), C.panels
             want.append((res.chambers[0], m))
             ms[m] += 1
         assert list(C._residue_gonalities(i, j)) == want, (C.panels, i, j)
@@ -719,12 +725,17 @@ def _assert_residue_pass_matches_reference(C, ms):
 
 
 def test_residue_pass_matches_sub_system_route_on_named_systems():
-    systems = corpus.named_systems() + [corpus.pg42()]
+    # W(5,2) and the thin I2(m) for m >= 7 take the level-synchronous pass
+    # past the random pool's hexagons, up to level 12
+    pg42, w52 = corpus.pg42(), catalog.subspace_flags(6, symplectic=True)
+    thin = [coxeter.coxeter_complex(coxeter.dihedral(m)) for m in range(7, 13)]
     ms = collections.Counter()
-    for C in systems:
+    for C in corpus.named_systems() + [pg42, w52] + thin:
         _assert_residue_pass_matches_reference(C, ms)
-    assert systems[-1].n == 9765 and chamber.infer_type_matrix(systems[-1]) == corpus.A4
-    assert None not in ms and sum(ms.values()) > 4650
+    assert pg42.n == 9765 and chamber.infer_type_matrix(pg42) == corpus.A4
+    assert w52.n == 2835 and chamber.infer_type_matrix(w52) == coxeter.C3
+    assert [chamber.incidence_graph_stats(C) for C in thin] == [(2 * m, m) for m in range(7, 13)]
+    assert None not in ms and sum(ms.values()) > 5150 and all(ms[m] == 1 for m in range(7, 13))
 
 
 def _digon(a, b):
@@ -755,6 +766,31 @@ def test_residue_pass_matches_sub_system_route_on_random_systems():
     assert min(outcomes[k] for k in (None, "ResidueNotPolygon", "InconsistentResidues")) >= 20
 
 
+def test_rank2_pass_matches_reference_on_hypothesis_systems():
+    # panels of 1-4 chambers give multi-edges, trees and disconnected graphs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 14))
+        partitions = {}
+        for i in (1, 2):
+            order = data.draw(st.permutations(range(n)))
+            cuts = [0]
+            while cuts[-1] < n:
+                cuts.append(cuts[-1] + data.draw(st.integers(1, 4)))
+            partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        C = chamber.from_partitions(n, 2, partitions)
+        assert chamber.incidence_graph_stats(C) == _reference_stats(C), C.panels
+        want = tuple((r.chambers[0], _reference_polygon(corpus.sub_system(C, r.chambers, (1, 2))[0]))
+                     for r in C.residues((1, 2)))
+        assert C._residue_gonalities(1, 2) == want, C.panels
+
+    check()
+
+
 def test_check_computes_each_pair_once(capsys, monkeypatch, tmp_path):
     # chambers check --building --c3 --ll --simplicial: type inference, the
     # building check and the C3 check read one residue pass per type pair
@@ -762,27 +798,18 @@ def test_check_computes_each_pair_once(capsys, monkeypatch, tmp_path):
     f = tmp_path / "a3.json"
     f.write_text(json.dumps(chamber.system_to_json(catalog.build_a3_f2())))
     calls = collections.Counter()
-    kernel, graph = chamber._girth_and_diameter, chamber._panel_graph
+    kernel = chamber._residue_girths_and_diameters
 
-    def counted_graph(C, chambers, i, j):
-        calls["graph", i, j, min(chambers)] += 1
-        return graph(C, chambers, i, j)
+    def counted_kernel(C, i, j):
+        calls[i, j] += 1
+        return kernel(C, i, j)
 
-    def counted_kernel(adj):
-        calls["kernel"] += 1
-        return kernel(adj)
-
-    monkeypatch.setattr(chamber, "_panel_graph", counted_graph)
-    monkeypatch.setattr(chamber, "_girth_and_diameter", counted_kernel)
+    monkeypatch.setattr(chamber, "_residue_girths_and_diameters", counted_kernel)
     assert not hasattr(chamber, "sub_system") and not hasattr(verify, "sub_system")
     code = cli.main(["check", str(f), "--building", "--c3", "--ll", "--simplicial",
                      "--points", "1", "--lines", "2"])
     verdict = json.loads(capsys.readouterr().out)
     assert code == 1 and verdict["type"] == "A3" and verdict["building"] and verdict["ll"]["holds"]
     assert verdict["c3"] is False and verdict["c3_report"]["type_matrix"] == verdict["type_matrix"]
-    a3 = catalog.build_a3_f2()
-    residues = sum(len(a3.residues(p)) for p in itertools.combinations(a3.types, 2))
-    assert residues == 15 + 35 + 15
-    assert calls["kernel"] == residues
-    # each residue's graph built once
-    assert len(calls) - 1 == residues and set(calls.values()) == {1, residues}
+    # one level-synchronous kernel call per type pair, for all its residues
+    assert calls == {(1, 2): 1, (1, 3): 1, (2, 3): 1}

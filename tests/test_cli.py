@@ -258,6 +258,18 @@ def test_json_booleans_are_input_errors(capsys, tmp_path):
     assert code == 2 and out == "" and "input error" in err and "bool" in err
 
 
+def test_panels_that_are_not_an_object_are_input_errors(capsys, tmp_path):
+    # every command that reads a system refuses a panels list, string or null
+    system, auto = tmp_path / "system.json", tmp_path / "auto.json"
+    auto.write_text(json.dumps({"generators": [[0, 1]]}))
+    for panels in ([[0, 1]], "01", None):
+        system.write_text(json.dumps({"rank": 2, "n": 2, "panels": panels}))
+        for argv in (("check", str(system)), ("cover", str(system)),
+                     ("quotient", str(system), "--auto", str(auto)), ("report", str(system))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "input error" in err and "panels" in err, argv
+
+
 def test_check_rejects_bad_counts_and_types(capsys, tmp_path):
     system = tmp_path / "system.json"
     for obj in ({"rank": 2, "n": -1, "panels": {"1": [], "2": []}},

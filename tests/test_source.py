@@ -47,3 +47,16 @@ def test_braid_closure_serves_only_group_enumeration():
     for path in sorted(SRC.glob("*.py")):
         found += _references(ast.parse(path.read_text(), str(path)), "_braid_class", path.stem)
     assert found == ["coxeter.enumerate_group"]
+
+
+def test_rank2_kernel_serves_residue_gonalities_and_incidence_stats():
+    # one level-synchronous pass per type pair: the cached residue
+    # gonalities (type inference, building and C3 checks) and the rank-2
+    # incidence statistics call it, and nothing else does
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _references(ast.parse(path.read_text(), str(path)),
+                             "_residue_girths_and_diameters", path.stem)
+    assert found == ["chamber.ChamberSystem._residue_gonalities", "chamber.incidence_graph_stats"]
+    for gone in ("_panel_graph", "_girth_and_diameter", "_gonality"):
+        assert all(gone not in path.read_text() for path in SRC.glob("*.py")), gone
