@@ -37,13 +37,10 @@ from .covers import (
     universal_cover,
 )
 from .verify import (
-    IncidenceGeometry,
     check_LL,
     check_star,
-    incidence_geometry,
     is_building,
     is_c3_geometry,
-    shadow,
     w_distance,
 )
 

@@ -139,13 +139,16 @@ def subspace_flags(dim, symplectic=False):
     def orthogonal(x, y):       # the form is the parity of x & (y, halves swapped)
         return bin(x & (y >> half | (y & ((1 << half) - 1)) << half)).count("1") % 2 == 0
 
+    members = {}        # each subspace once, shared by every chain through it
     chains = [(frozenset(),)]
     for _ in range(half if symplectic else dim - 1):
-        chains = [c + (c[-1] | {s ^ v for s in c[-1]} | {v},)
+        chains = [c + (members.setdefault(S, S),)
                   for c in chains for v in range(1, 1 << dim)
                   if all(v < v ^ s for s in c[-1])     # also v not in c[-1]: v ^ v = 0
-                  and (not symplectic or all(orthogonal(v, s) for s in c[-1]))]
-    flags = [(min(c[1]),) + tuple(tuple(sorted(S)) for S in c[2:]) for c in chains]
+                  and (not symplectic or all(orthogonal(v, s) for s in c[-1]))
+                  for S in (c[-1] | {s ^ v for s in c[-1]} | {v},)]
+    labels = {S: tuple(sorted(S)) for S in members}
+    flags = [(min(c[1]),) + tuple(labels[S] for S in c[2:]) for c in chains]
     return _flag_system(flags, len(flags[0]))
 
 

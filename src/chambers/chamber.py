@@ -791,9 +791,9 @@ def system_from_json(obj):
 _DOT_COLORS = ["red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta"]
 
 
-def adjacency_dot(C, name="chambers"):
+def adjacency_dot(C):
     """DOT multigraph of chamber adjacency, one color per type."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph chambers {"]
     for c in range(C.n):
         lines.append(f"  c{c};")
     for i in C.types:
@@ -805,11 +805,11 @@ def adjacency_dot(C, name="chambers"):
     return "\n".join(lines) + "\n"
 
 
-def incidence_dot(C, name="incidence"):
+def incidence_dot(C):
     """DOT bipartite incidence graph of a rank-2 system."""
     if C.rank != 2:
         raise WrongRank("incidence DOT requires a rank-2 system")
-    lines = [f"graph {name} {{"]
+    lines = ["graph incidence {"]
     for p in range(len(C.panels[1])):
         lines.append(f"  a{p} [shape=circle];")
     for p in range(len(C.panels[2])):

@@ -53,6 +53,20 @@ def cmd_build(args):
     return 0
 
 
+def _vertex_labels(C, vertices):
+    """Per (type, id) vertex, the common type-th entry of its chambers'
+    labels; None unless every label is a rank-tuple and its chambers agree."""
+    if C.labels is None or not all(
+            isinstance(x, tuple) and len(x) == C.rank for x in C.labels):
+        return [None] * len(vertices)
+    verts = chamber.chamber_vertices(C)
+    out = []
+    for t, k in vertices:
+        labs = [C.labels[c][t - 1] for c, vs in enumerate(verts) if vs[t - 1] == k]
+        out.append(labs[0] if all(x == labs[0] for x in labs) else None)
+    return out
+
+
 def cmd_check(args):
     C = chamber.system_from_json(_load_json(args.file))
     roles = [t for t in (args.points, args.lines) if t is not None]
@@ -90,16 +104,11 @@ def cmd_check(args):
             verdict["ll"] = {"holds": False, "error": "no rank-3 type matrix"}
             failed = True
         else:
-            geom = verify.incidence_geometry(C)
-            holds, witness = verify.check_LL(geom, *roles)
+            holds, witness = verify.check_LL(C, *roles)
             if witness is not None:
-                def describe(v):
-                    lab = geom.label(v)
-                    return {"type": v[0], "id": v[1],
-                            "label": chamber._jsonable(lab) if lab is not None else None}
-                p1, p2, x1, x2 = witness
-                witness = {"points": [describe(p1), describe(p2)],
-                           "lines": [describe(x1), describe(x2)]}
+                described = [{"type": t, "id": k, "label": chamber._jsonable(lab)}
+                             for (t, k), lab in zip(witness, _vertex_labels(C, witness))]
+                witness = {"points": described[:2], "lines": described[2:]}
             verdict["ll"] = {"holds": holds, "witness": witness}
             failed |= not holds
     if args.c3:

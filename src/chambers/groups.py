@@ -126,9 +126,9 @@ def group_from_generators(gens, cap=DEFAULT_CAP):
     return PermGroup(degree, gens, elements)
 
 
-def symmetric_group(n, cap=DEFAULT_CAP):
+def symmetric_group(n):
     gens = [perm_from_cycles(n, [(i, i + 1)]) for i in range(n - 1)] or [identity(n)]
-    return group_from_generators(gens, cap=cap)
+    return group_from_generators(gens)
 
 
 def alternating_group(n):

@@ -1,7 +1,8 @@
 """Building verification via the W-valued distance, and rank-3 geometry
-checks: point/line axiom (LL), the isotropy-containment criterion, shadows."""
+checks: point/line axiom (LL) and the isotropy-containment criterion, both
+read on the vertex map chamber.chamber_vertices (a vertex is a corank-1
+residue, two vertices are incident iff their residues share a chamber)."""
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import getitem
 
@@ -199,70 +200,32 @@ def is_building(C, M=None, budget=2000):
 
 
 # ---------------------------------------------------------------------------
-# incidence geometries
+# rank-3 geometry checks on the vertex map
 
 
-@dataclass
-class IncidenceGeometry:
-    """Vertices are corank-1 residues, one family per type; two vertices of
-    different types are incident iff their residues share a chamber."""
-
-    system: object
-    adjacency: dict = field(repr=False)
-    labels: dict = field(repr=False)
-    _chambers: dict = field(repr=False)     # per vertex, its chambers in ascending order
-
-    def vertices_of_type(self, t):
-        return sorted({v for v in self.adjacency if v[0] == t})
-
-    @property
-    def vertices(self):
-        return sorted(self.adjacency)
-
-    def incident(self, u, v):
-        return v in self.adjacency[u]
-
-    def chambers_of(self, v):
-        return self._chambers[v]
-
-    def label(self, v):
-        return self.labels.get(v)
+def _roles(C, point_type, line_type):
+    """The point and line types as ints in 1..rank; they must differ."""
+    p, l = (min(C._types((t,))) for t in (point_type, line_type))
+    if p == l:
+        raise ValueError(f"point and line types must differ, both are {p}")
+    return p, l
 
 
-def incidence_geometry(C):
-    adjacency, chambers = {}, {}
-    for c, vs in enumerate(chamber_vertices(C)):
-        vs = tuple(zip(C.types, vs))
-        for t, v in enumerate(vs):
-            chambers.setdefault(v, []).append(c)
-            adjacency.setdefault(v, set()).update(vs[:t] + vs[t + 1:])
-    labels = {}
-    if C.labels is not None and all(
-            isinstance(x, tuple) and len(x) == C.rank for x in C.labels):
-        for (t, k), cs in chambers.items():
-            lab = C.labels[cs[0]][t - 1]
-            if lab is not None and all(C.labels[c][t - 1] == lab for c in cs):
-                labels[t, k] = lab
-    return IncidenceGeometry(C, adjacency, labels, chambers)
-
-
-def shadow(geom, v, t):
-    """All type-t vertices incident to v."""
-    if v[0] == t:
-        raise ValueError("shadow type must differ from the vertex's own type")
-    return {w for w in geom.adjacency[v] if w[0] == t}
-
-
-def check_LL(geom, point_type, line_type):
-    """Axiom (LL): two distinct lines share at most one point.
-    Returns (bool, witness) with witness = (p, q, x, x') on failure."""
-    lines = geom.vertices_of_type(line_type)
-    shadows = {x: frozenset(shadow(geom, x, point_type)) for x in lines}
-    for x, x2 in combinations(lines, 2):
-        common = shadows[x] & shadows[x2]
+def check_LL(C, point_type, line_type):
+    """Axiom (LL): two distinct lines share at most one point.  A vertex is
+    (type, id) with its id from chamber_vertices, and a line's points are
+    the point vertices of its chambers.  Returns (bool, witness) with
+    witness = (p, q, x, x') on failure: the least two common points of the
+    first pair of lines, in id order, that share two."""
+    p, l = _roles(C, point_type, line_type)
+    points = {}
+    for vs in chamber_vertices(C):
+        points.setdefault(vs[l - 1], set()).add(vs[p - 1])
+    for x, x2 in combinations(sorted(points), 2):
+        common = points[x] & points[x2]
         if len(common) >= 2:
-            p, q = sorted(common)[:2]
-            return False, (p, q, x, x2)
+            a, b = sorted(common)[:2]
+            return False, ((p, a), (p, b), (l, x), (l, x2))
     return True, None
 
 
@@ -290,25 +253,29 @@ def check_star(spec, point_type, line_type, system=None):
         raise ValueError("system has no labels to read coset representatives from")
     elif any(g not in G for g in system.labels):
         raise ValueError("a system label is not an element of the group")
-    geom = incidence_geometry(system)
+    p, l = _roles(system, point_type, line_type)
+    least, points = {}, {}
+    for c, vs in enumerate(chamber_vertices(system)):
+        q, x = (p, vs[p - 1]), (l, vs[l - 1])
+        least.setdefault(q, c)
+        least.setdefault(x, c)
+        points.setdefault(x, set()).add(q)
 
     stab_cache = {}
 
     def vertex_stab(v):
         got = stab_cache.get(v)
         if got is None:
-            t, _ = v
-            rep = system.labels[geom.chambers_of(v)[0]]
+            rep = system.labels[least[v]]
             # rep h rep^-1 sends rep[x] to rep[h[x]]
             back = groups._right_mul(groups.inv(rep))
-            got = frozenset(back(groups.mul(rep, h)) for h in spec.vertex_group(t).elements)
+            got = frozenset(back(groups.mul(rep, h)) for h in spec.vertex_group(v[0]).elements)
             stab_cache[v] = got
         return got
 
-    for x in geom.vertices_of_type(line_type):
+    for x in sorted(points):
         Sx = vertex_stab(x)
-        points = sorted(shadow(geom, x, point_type))
-        for q1, q2 in combinations(points, 2):
+        for q1, q2 in combinations(sorted(points[x]), 2):
             lhs = vertex_stab(q1) & vertex_stab(q2)
             if not lhs <= Sx:
                 bad = sorted(lhs - Sx)[0]

@@ -16,7 +16,7 @@ import time
 import pytest
 
 import corpus
-from chambers import catalog, chamber, covers, coxeter, groups, verify
+from chambers import catalog, chamber, cli, covers, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import ResidueCollision
 
@@ -133,12 +133,12 @@ def test_criterion_5_neumaier_geometry():
     assert len(point_res.chambers) == 45
     assert chamber.infer_type_matrix(sub).order(1, 2) == 4
 
-    geom = verify.incidence_geometry(neu)
-    ll, wit = verify.check_LL(geom, q, r)
+    ll, wit = verify.check_LL(neu, q, r)
     assert not ll and wit is not None
-    p1, p2, x1, x2 = wit
-    assert {geom.label(p1), geom.label(p2)} == {1, 2}
-    assert {geom.label(x1), geom.label(x2)} == {(1, 2, 3), (1, 2, 4)}
+    # the witness labels, read with the CLI's rule
+    p1, p2, x1, x2 = cli._vertex_labels(neu, wit)
+    assert {p1, p2} == {1, 2}
+    assert {x1, x2} == {(1, 2, 3), (1, 2, 4)}
 
     ok_b, _ = verify.is_building(neu, M)
     assert not ok_b

@@ -40,7 +40,8 @@ def test_group_from_generators():
     with pytest.raises(DegreeMismatch):
         groups.group_from_generators([groups.identity(3), groups.identity(4)])
     with pytest.raises(CapExceeded):
-        groups.symmetric_group(6, cap=100)
+        groups.group_from_generators(
+            [groups.perm_from_cycles(6, [(i, i + 1)]) for i in range(5)], cap=100)
 
 
 def test_alternating_7():

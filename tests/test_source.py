@@ -60,3 +60,20 @@ def test_rank2_kernel_serves_residue_gonalities_and_incidence_stats():
     assert found == ["chamber.ChamberSystem._residue_gonalities", "chamber.incidence_graph_stats"]
     for gone in ("_panel_graph", "_girth_and_diameter", "_gonality"):
         assert all(gone not in path.read_text() for path in SRC.glob("*.py")), gone
+
+
+def test_rank3_checks_read_the_one_vertex_map():
+    # a vertex is a corank-1 residue, read off chamber_vertices by the
+    # simpliciality check, the (LL) and isotropy checks and the CLI's
+    # witness labels; no second vertex map (an incidence-geometry class,
+    # its constructor and shadows) is left in the library
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += _references(tree, "chamber_vertices", path.stem)
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for gone in ("IncidenceGeometry", "incidence_geometry", "shadow"):
+            assert gone not in defined and not _references(tree, gone, path.stem), gone
+    assert found == ["chamber.is_simplicial", "cli._vertex_labels",
+                     "verify", "verify.check_LL", "verify.check_star"]

@@ -362,59 +362,64 @@ def test_cover_transfer():
     assert chamber.infer_type_matrix(quot) == chamber.infer_type_matrix(base)
 
 
-def test_incidence_geometry_counts():
+def _vertices(C, t):
+    """The type-t vertices of C as (t, id) pairs, read off chamber_vertices."""
+    return sorted({(t, vs[t - 1]) for vs in chamber.chamber_vertices(C)})
+
+
+def _shadow(C, v, t):
+    """The type-t vertices incident to v: those of v's chambers."""
+    return {(t, vs[t - 1]) for vs in chamber.chamber_vertices(C) if vs[v[0] - 1] == v[1]}
+
+
+def test_vertex_counts():
     single = chamber.from_partitions(1, 3, {1: [(0,)], 2: [(0,)], 3: [(0,)]})
-    geom = verify.incidence_geometry(single)
-    assert len(geom.vertices) == 3
-    for v in geom.vertices:
-        assert len(geom.adjacency[v]) == 2
+    assert chamber.chamber_vertices(single) == [(0, 0, 0)]
     fano = catalog.build_fano_flags()
-    gf = verify.incidence_geometry(fano)
-    assert len(gf.vertices_of_type(1)) == 7
-    assert len(gf.vertices_of_type(2)) == 7
-    incidences = sum(len(gf.adjacency[v]) for v in gf.vertices_of_type(1))
-    assert incidences == 21
+    assert len(_vertices(fano, 1)) == len(_vertices(fano, 2)) == 7
+    # a flag is one incidence, and the vertex tuples of the flags differ
+    assert len(set(chamber.chamber_vertices(fano))) == 21
     neu, _ = catalog.build_neumaier_a7()
-    gn = verify.incidence_geometry(neu)
-    assert len(gn.vertices_of_type(1)) == 7
-    assert len(gn.vertices_of_type(2)) == 35
-    assert len(gn.vertices_of_type(3)) == 15
+    assert [len(_vertices(neu, t)) for t in neu.types] == [7, 35, 15]
 
 
 def test_shadow():
     fano = catalog.build_fano_flags()
-    geom = verify.incidence_geometry(fano)
-    line = geom.vertices_of_type(2)[0]
-    assert len(verify.shadow(geom, line, 1)) == 3
+    assert len(_shadow(fano, _vertices(fano, 2)[0], 1)) == 3
     neu, _ = catalog.build_neumaier_a7()
-    gn = verify.incidence_geometry(neu)
-    plane = gn.vertices_of_type(3)[0]
-    assert len(verify.shadow(gn, plane, 2)) == 7
-    assert len(verify.shadow(gn, plane, 1)) == 7
-    with pytest.raises(ValueError):
-        verify.shadow(gn, plane, 3)
+    plane = _vertices(neu, 3)[0]
+    assert len(_shadow(neu, plane, 2)) == 7
+    assert len(_shadow(neu, plane, 1)) == 7
 
 
 def test_check_LL():
     a3 = catalog.build_a3_f2()
-    geom = verify.incidence_geometry(a3)
-    holds, _ = verify.check_LL(geom, 1, 2)
+    holds, _ = verify.check_LL(a3, 1, 2)
     assert holds
     # buildings of type C3 satisfy (LL) too
     cc3 = coxeter.coxeter_complex(coxeter.C3)
-    gc3 = verify.incidence_geometry(cc3)
     q, r, _ = verify.c3_roles(coxeter.C3)
-    assert verify.check_LL(gc3, q, r)[0]
+    assert verify.check_LL(cc3, q, r)[0]
     neu, _ = catalog.build_neumaier_a7()
-    gn = verify.incidence_geometry(neu)
-    holds, wit = verify.check_LL(gn, 1, 2)
+    holds, wit = verify.check_LL(neu, 1, 2)
     assert not holds
     p, q, x, x2 = wit
-    labels = {gn.label(p), gn.label(q)}
-    lines = {gn.label(x), gn.label(x2)}
+    assert p[0] == q[0] == 1 and x[0] == x2[0] == 2
+    assert {p, q} <= _shadow(neu, x, 1) & _shadow(neu, x2, 1)
+    labels = cli._vertex_labels(neu, wit)
     # two symbols lying on two distinct triples
-    assert labels == {1, 2}
-    assert lines == {(1, 2, 3), (1, 2, 4)}
+    assert set(labels[:2]) == {1, 2}
+    assert set(labels[2:]) == {(1, 2, 3), (1, 2, 4)}
+
+
+@pytest.mark.parametrize("roles", [(1, 5), (5, 2), (0, 2), (True, 2), (1, True), (2, 2)])
+@pytest.mark.parametrize("check", ["check_LL", "check_star"])
+def test_role_types_are_checked(check, roles):
+    # a role outside 1..rank used to pass vacuously, and True read as type 1
+    neu, spec = catalog.build_neumaier_a7()
+    args = (neu, *roles) if check == "check_LL" else (spec, *roles)
+    with pytest.raises(TypeError if bool in map(type, roles) else ValueError):
+        getattr(verify, check)(*args)
 
 
 def test_c3_roles():
@@ -464,19 +469,12 @@ def test_check_star_pinned_for_every_role_pair():
         assert got == pinned[name], name
 
 
-def test_incidence_geometry_matches_scans_on_named_systems():
-    # each vertex's chambers against a scan of its corank-1 component map,
-    # and its label against a chamber-by-chamber merge of the label tuples
+def test_vertex_labels_match_a_merge_on_named_systems():
+    # the CLI's witness labels against a chamber-by-chamber merge of the
+    # label tuples, for every vertex
     labelled = 0
     for C in corpus.named_systems():
-        geom = verify.incidence_geometry(C)
-        full = frozenset(C.types)
         verts = chamber.chamber_vertices(C)
-        for t in C.types:
-            comp = C.component_map(full - {t})
-            assert geom.vertices_of_type(t) == [(t, k) for k in range(max(comp) + 1)]
-            for v in geom.vertices_of_type(t):
-                assert geom.chambers_of(v) == [c for c in range(C.n) if comp[c] == v[1]]
         labels = {}
         if C.labels is not None and all(isinstance(x, tuple) and len(x) == C.rank
                                         for x in C.labels):
@@ -484,17 +482,9 @@ def test_incidence_geometry_matches_scans_on_named_systems():
                 for ti, vid in enumerate(verts[c]):
                     v, lab = (ti + 1, vid), C.labels[c][ti]
                     labels[v] = None if v in labels and labels[v] != lab else labels.get(v, lab)
-        assert geom.labels == {v: lab for v, lab in labels.items() if lab is not None}
-        labelled += bool(geom.labels)
-        adjacency = {}
-        for vs in verts:
-            vs = tuple(zip(C.types, vs))
-            for v in vs:
-                adjacency.setdefault(v, set())
-            for u, w in itertools.combinations(vs, 2):
-                adjacency[u].add(w)
-                adjacency[w].add(u)
-        assert geom.adjacency == adjacency
+        vertices = sorted({(t, vs[t - 1]) for vs in verts for t in C.types})
+        assert cli._vertex_labels(C, vertices) == [labels.get(v) for v in vertices]
+        labelled += any(v is not None for v in labels.values())
     assert labelled >= 3
 
 
@@ -563,9 +553,8 @@ def test_central_quotient_needs_gate_axiom():
     # a second C3 geometry that is not a building, with the (LL) failure
     # and the 2-fold cover round trip to match
     assert verify.is_c3_geometry(Q)[0]
-    geom = verify.incidence_geometry(Q)
     q, r, _ = verify.c3_roles(coxeter.C3)
-    assert not verify.check_LL(geom, q, r)[0]
+    assert not verify.check_LL(Q, q, r)[0]
     res = covers.universal_cover(Q, 0, max_chambers=1000)
     assert res.covering.cover.n == 48
     assert len(res.deck) == 2 and res.regular
