@@ -18,7 +18,6 @@ from . import groups
 from .coxeter import CoxeterMatrix, _int
 from .errors import (
     ActionNotFree,
-    BudgetExceeded,
     CapExceeded,
     Disconnected,
     DuplicateChamber,
@@ -31,7 +30,6 @@ from .errors import (
 )
 
 
-_TYPE_SET_CAP = 10 ** 4      # type words per chamber; past it, is_building's type-set-budget
 _map_or = partial(map, operator.or_)
 _map_add = partial(map, operator.add)
 _first = operator.itemgetter(0)
@@ -224,26 +222,6 @@ class ChamberSystem:
             chambers.append(c)
             types.append(i)
         return TypedGallery(tuple(reversed(chambers)), tuple(reversed(types)))
-
-    def minimal_type_sets_from(self, x):
-        """For every chamber y, the set of type words of minimal galleries
-        x -> y.  Unreachable chambers get None."""
-        adj = self.adjacency()
-        order, dist = self._distances_from(x)
-        tsets = [None] * self.n
-        tsets[x] = {()}
-        for c in order[1:]:
-            dc = dist[c] - 1
-            words = set()
-            for i, u in adj[c]:
-                if dist[u] == dc:
-                    for w in tsets[u]:
-                        words.add(w + (i,))
-                        if len(words) > _TYPE_SET_CAP:
-                            raise BudgetExceeded(
-                                f"minimal-gallery type set exceeded {_TYPE_SET_CAP}")
-            tsets[c] = words
-        return [frozenset(t) if t is not None else None for t in tsets]
 
     def __repr__(self):
         return f"ChamberSystem(n={self.n}, rank={self.rank})"

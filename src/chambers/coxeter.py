@@ -269,7 +269,6 @@ class CoxeterGroupTable:
         self.descents = tuple(    # right descents: the i with e * r_i shorter than e
             frozenset(i for i, t in enumerate(r, 1) if len(elements[t]) < len(elements[e]))
             for e, r in enumerate(right))
-        self._rwsets = None
 
     @property
     def order(self):
@@ -305,13 +304,6 @@ class CoxeterGroupTable:
                               for w in self.reduced_words(self.right[e][i - 1], memo))
             memo[e] = words or frozenset({()})  # the identity: no descent, the empty word
         return memo[e]
-
-    def reduced_word_sets(self):
-        """Per element, the frozenset of all its reduced words."""
-        if self._rwsets is None:
-            memo = {}
-            self._rwsets = [self.reduced_words(e, memo) for e in range(self.order)]
-        return self._rwsets
 
 
 def _patterns(M):

@@ -93,14 +93,19 @@ class IncompatibleOnH(ChambersError):
 # --- verification ---
 
 class NoSuchW(ChambersError):
-    """Minimal-gallery type set does not match the reduced-word set of any
-    group element.  Carries both sets for diagnosis."""
+    """No element's reduced words are the minimal-gallery types from x to y.
+    The local witness: `pair`, (x, y); `chamber`, where it shows on a minimal
+    gallery; `closer`, its closer neighbours u in i-panels as (i, u, word of
+    e_u r_i), e_u the element u's types spell; `missing`, the least reduced
+    word of their one element that no gallery has, or None if they give two
+    elements or a non-reduced word."""
 
-    def __init__(self, message, gallery_types=None, candidate=None, candidate_words=None):
+    def __init__(self, message, pair=None, chamber=None, closer=None, missing=None):
         super().__init__(message)
-        self.gallery_types = gallery_types
-        self.candidate = candidate
-        self.candidate_words = candidate_words
+        self.pair = pair
+        self.chamber = chamber
+        self.closer = closer
+        self.missing = missing
 
 
 class MissingVertexGroups(ChambersError):

@@ -34,20 +34,24 @@ _MAX_VIOLATIONS = 25
 
 
 def _w_distances_from(C, table, x):
-    """Per chamber y, the table id of delta(x, y), or None for no element or
-    no gallery; and the minimal-gallery type sets from x if needed, else None.
+    """Per chamber y, the table id of delta(x, y) or None; and the local
+    failures (y, [(i, u, delta(x, u) r_i), ...]) in breadth-first order.
 
-    In breadth-first order, the neighbours u of y one step closer to x, in
-    i-panels, must all give one w = delta(x, u) r_i whose right descents are
-    those i.  Reduced-word sets split by last letter over right descents, so
-    this holds everywhere iff every type set is an element's reduced-word
-    set.  Where it fails, each type set is identified by its least word."""
+    Once the closer neighbours u of y, in i-panels, are all determined, they
+    must give one w = delta(x, u) r_i whose right descents are exactly those
+    i: reduced-word sets split by last letter over right descents, so then
+    y's type set is RW(w).  Otherwise it holds words of two elements or a
+    non-reduced word, or misses w's words ending in a descent no neighbour
+    gives; y is a failure and stays undetermined, and so does every chamber
+    past it, unreported."""
     adj = C.adjacency()
     right, descents = table.right, table.descents
     dist = [None] * C.n
     delta = [None] * C.n
-    dist[x], delta[x] = 0, 0
-    order = [x]
+    # per chamber the table row of its delta; an undetermined one gives None
+    rows = [(None,) * C.rank] * C.n
+    dist[x], delta[x], rows[x] = 0, 0, right[0]
+    order, failures = [x], []
     for y in order:
         closer = []
         for i, u in adj[y]:
@@ -55,21 +59,16 @@ def _w_distances_from(C, table, x):
                 dist[u] = dist[y] + 1
                 order.append(u)
             elif dist[u] == dist[y] - 1:
-                closer.append((i, right[delta[u]][i - 1]))
+                closer.append((i, u, rows[u][i - 1]))
         if y == x:
             continue
-        w = closer[0][1]
-        if any(v != w for _, v in closer) or {i for i, _ in closer} != descents[w]:
-            break
-        delta[y] = w
-    else:
-        return delta, None
-    tsets = C.minimal_type_sets_from(x)
-    rwsets = table.reduced_word_sets()
-    for y, t in enumerate(tsets):
-        e = None if t is None else table.canonical_id(min(t))
-        delta[y] = e if e is not None and rwsets[e] == t else None
-    return delta, tsets
+        w = closer[0][2]
+        if (w is not None and all(v == w for _, _, v in closer)
+                and {i for i, _, _ in closer} == descents[w]):
+            delta[y], rows[y] = w, right[w]
+        elif None not in [v for _, _, v in closer]:
+            failures.append((y, closer))
+    return delta, failures
 
 
 def _check_rank(C, M):
@@ -79,19 +78,43 @@ def _check_rank(C, M):
 
 def w_distance(C, M, x, y):
     """The W-element whose reduced words are exactly the minimal-gallery
-    types from x to y; raises NoSuchW (with both sets) otherwise."""
+    types from x to y; raises NoSuchW with a local witness otherwise.
+
+    Past a failure of propagation, the chambers z on minimal galleries
+    x -> y are walked in distance order.  z's type set T(z) holds prefixes
+    of T(y)'s words, so if T(y) is a reduced-word set, T(z) lies in the
+    reduced words RW(e_z) of one element e_z: a step that gives two
+    elements or steps down proves NoSuchW at z.  So T(z) stays inside
+    RW(e_z), which bounds the work, and the answer is e_y iff T(y) = RW(e_y)."""
     _check_rank(C, M)
     x, y = C._chamber(x), C._chamber(y)
     table = coxeter.group_table(M)
-    delta, tsets = _w_distances_from(C, table, x)
+    delta, _ = _w_distances_from(C, table, x)
     if delta[y] is not None:
         return table.element(delta[y])
-    if tsets is None or tsets[y] is None:
+    order, dist = C._distances_from(x)
+    if dist[y] is None:
         raise Disconnected(f"no gallery from {x} to {y}")
-    cand = table.canonical_id(min(tsets[y]))
-    raise NoSuchW(f"minimal gallery types from {x} to {y} match no group element",
-                  gallery_types=tsets[y], candidate=table.element(cand),
-                  candidate_words=table.reduced_word_sets()[cand])
+    _, back = C._distances_from(y)
+    adj = C.adjacency()
+    right, descents = table.right, table.descents
+    elem, words = {x: 0}, {x: {()}}
+    for z in [z for z in order if dist[z] + back[z] == dist[y]][1:]:   # ends at y
+        closer = [(i, u, right[elem[u]][i - 1]) for i, u in adj[z] if dist[u] == dist[z] - 1]
+        e = closer[0][2]
+        if any(v != e or i in descents[elem[u]] for i, u, v in closer):
+            missing = None
+            break
+        elem[z] = e
+        words[z] = {s + (i,) for i, u, _ in closer for s in words[u]}
+    else:
+        missing = min(table.reduced_words(elem[y]) - words[y], default=None)
+        if missing is None:
+            return table.element(elem[y])
+    raise NoSuchW(f"minimal gallery types from {x} to {y} match no group element "
+                  f"(failure at chamber {z})", pair=(x, y), chamber=z,
+                  closer=tuple((i, u, table.elements[v]) for i, u, v in closer),
+                  missing=missing)
 
 
 def is_building(C, M=None, budget=2000):
@@ -118,6 +141,11 @@ def is_building(C, M=None, budget=2000):
     violations and truncation are the full scan's; pairs_checked counts C.n
     per scanned source.  `budget` is the chamber count past which the check
     refuses with BudgetExceeded.
+
+    From x, (c) fails iff the propagation of delta(x, .) has a local
+    failure at some y; each is a violation {"kind": "no-such-w", "pair":
+    [x, y], "closer": [[i, u, word of delta(x, u) r_i], ...]}, and a source
+    with one skips (d).
     """
     _check_rank(C, M)
     report = {"building": False, "violations": [], "pairs_checked": 0, "truncated": False}
@@ -160,17 +188,12 @@ def is_building(C, M=None, budget=2000):
             break
         if covered[x]:
             continue
-        try:
-            delta, tsets = _w_distances_from(C, table, x)
-        except BudgetExceeded:
-            add({"kind": "type-set-budget", "source": x})
-            ok = False
-            continue
+        delta, failures = _w_distances_from(C, table, x)
         report["pairs_checked"] += C.n
-        if tsets is not None:
-            for y, t in enumerate(tsets):
-                if delta[y] is None:
-                    add({"kind": "no-such-w", "pair": [x, y], "types": sorted(map(list, t))[:8]})
+        if failures:
+            for y, closer in failures:
+                add({"kind": "no-such-w", "pair": [x, y],
+                     "closer": [[i, u, list(table.elements[v])] for i, u, v in closer]})
             ok = False
             continue
         gated = True

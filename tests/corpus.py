@@ -80,6 +80,26 @@ def pg42():
     return catalog.subspace_flags(5)
 
 
+def minimal_type_sets(C, x):
+    """Per chamber y, the frozenset of the type words of the minimal
+    galleries x -> y, None if y is unreachable: the W-distance oracle,
+    read against `reduced_word_lookup`."""
+    order, dist = C._distances_from(x)
+    adj = C.adjacency()
+    tsets = [None] * C.n
+    tsets[x] = frozenset({()})
+    for c in order[1:]:
+        tsets[c] = frozenset(w + (i,) for i, u in adj[c] if dist[u] == dist[c] - 1
+                             for w in tsets[u])
+    return tsets
+
+
+def reduced_word_lookup(table):
+    """Each element's reduced-word set, mapped to its table id."""
+    memo = {}
+    return {table.reduced_words(e, memo): e for e in range(table.order)}
+
+
 def sub_system(C, chambers, J):
     """The restriction to a chamber subset and type subset, types relabelled
     1..|J| in increasing order of J, and the map from old to new chamber

@@ -210,7 +210,6 @@ _ID_CALLS = {
     "component_map": lambda C, p, b: C.component_map((b,)),
     "min_gallery-start": lambda C, p, b: C.min_gallery(b, 3),
     "min_gallery-end": lambda C, p, b: C.min_gallery(0, b),
-    "minimal_type_sets_from": lambda C, p, b: C.minimal_type_sets_from(b),
     "validate_gallery-chamber":
         lambda C, p, b: chamber.validate_gallery(C, TypedGallery((1, b), (1,))),
     "validate_gallery-type":
@@ -253,7 +252,7 @@ def test_min_gallery():
     a2 = coxeter.coxeter_complex(coxeter.A2)
     g = a2.min_gallery(0, 0)
     assert g.chambers == (0,) and g.types == ()
-    tsets = a2.minimal_type_sets_from(0)
+    tsets = corpus.minimal_type_sets(a2, 0)
     assert tsets[0] == frozenset({()})
     table = coxeter.enumerate_group(coxeter.A2)
     w0 = corpus.longest_id(table)
@@ -266,7 +265,7 @@ def test_min_gallery():
     chamber.validate_gallery(a2, g)
     # a minimal gallery's type word is one of the minimal type words
     a3 = catalog.build_a3_f2()
-    tsets = a3.minimal_type_sets_from(5)
+    tsets = corpus.minimal_type_sets(a3, 5)
     for y in range(0, a3.n, 7):
         g = a3.min_gallery(5, y)
         chamber.validate_gallery(a3, g)

@@ -77,3 +77,15 @@ def test_rank3_checks_read_the_one_vertex_map():
             assert gone not in defined and not _references(tree, gone, path.stem), gone
     assert found == ["chamber.is_simplicial", "cli._vertex_labels",
                      "verify", "verify.check_LL", "verify.check_star"]
+
+
+def test_one_w_distance_engine():
+    # delta(x, .) is propagated on the group table and a failure is its own
+    # witness; no minimal-gallery type sets, whole-group reduced-word sets
+    # or type-set budget are left in the library (tests/corpus.py keeps the
+    # type sets as the oracle)
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for gone in ("minimal_type_sets_from", "_TYPE_SET_CAP", "reduced_word_sets",
+                     "type-set-budget"):
+            assert gone not in text, (path.name, gone)
