@@ -139,13 +139,22 @@ def subspace_flags(dim, symplectic=False):
     def orthogonal(x, y):       # the form is the parity of x & (y, halves swapped)
         return bin(x & (y >> half | (y & ((1 << half) - 1)) << half)).count("1") % 2 == 0
 
+    @lru_cache(maxsize=None)
+    def spanning(S):
+        """The vectors v that span a member above S, once per member: v < v ^ s
+        misses the leading bit of s, so v is the least of v + S, and also
+        outside S, when it misses the leading bits of all of S."""
+        leading = 0
+        for s in S:
+            leading |= 1 << s.bit_length() - 1
+        return [v for v in range(1, 1 << dim) if not v & leading
+                and (not symplectic or all(orthogonal(v, s) for s in S))]
+
     members = {}        # each subspace once, shared by every chain through it
     chains = [(frozenset(),)]
     for _ in range(half if symplectic else dim - 1):
         chains = [c + (members.setdefault(S, S),)
-                  for c in chains for v in range(1, 1 << dim)
-                  if all(v < v ^ s for s in c[-1])     # also v not in c[-1]: v ^ v = 0
-                  and (not symplectic or all(orthogonal(v, s) for s in c[-1]))
+                  for c in chains for v in spanning(c[-1])
                   for S in (c[-1] | {s ^ v for s in c[-1]} | {v},)]
     labels = {S: tuple(sorted(S)) for S in members}
     flags = [(min(c[1]),) + tuple(labels[S] for S in c[2:]) for c in chains]

@@ -2,10 +2,11 @@
 coset constructions, generalized-polygon residues, simpliciality, quotients.
 
 Chambers are dense ids 0..n-1.  A system is immutable after construction;
-derived data (adjacency, residue partitions, rank-2 residue gonalities) is
-cached internally.  A rank-2 residue is a generalized m-gon when its panel
-graph has girth 2m and diameter m >= 2; one level-synchronous bitset pass
-per type pair measures both for all of the pair's residues at once.
+derived data (adjacency, residue partitions, rank-2 residue gonalities,
+the simpliciality verdict) is cached internally.  A rank-2 residue is a
+generalized m-gon when its panel graph has girth 2m and diameter m >= 2;
+one level-synchronous bitset pass per type pair measures both for all of
+the pair's residues at once.
 """
 
 import operator
@@ -84,6 +85,7 @@ class ChamberSystem:
         self._adj = None
         self._comp_cache = {}
         self._gon_cache = {}
+        self._simp_cache = None
         self._inv_cache = None
 
     # --- basic queries ------------------------------------------------
@@ -508,42 +510,54 @@ def infer_type_matrix(C):
 
 def chamber_vertices(C):
     """Per chamber, the tuple of its corank-1 residue ids (its vertices),
-    one per type."""
+    one per type: one zip of the corank-1 component maps."""
+    if not C.rank:
+        return [()] * C.n
     full = frozenset(C.types)
-    maps = [C.component_map(full - {i}) for i in C.types]
-    return [tuple(maps[t][c] for t in range(C.rank)) for c in range(C.n)]
+    return list(zip(*(C.component_map(full - {i}) for i in C.types)))
+
+
+def _least_per_key(keys):
+    """Per position, the least position with an equal key: a dict filled
+    from the back keeps each key's first position."""
+    n = len(keys)
+    first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    return list(map(first.__getitem__, keys))
 
 
 def is_simplicial(C):
     """Whether the system is a simplicial complex: chambers are determined
     by their vertex tuples, and any two chambers sharing vertex types S lie
-    in a common (I minus S)-residue.  Returns (bool, witness).
+    in a common (I minus S)-residue.  Returns (bool, witness).  Cached.
 
-    One pass per S with 2 <= |S| < rank groups the chambers by S-vertices.
-    A group spanning two (I minus S)-residues fails, and so do those pairs
-    for the exact types they share, whose residues are finer.  The witness
-    is the least failing pair.  |S| = 1 is vacuous: the type-t vertex is
-    the (I minus t)-residue."""
+    One pass per S with 2 <= |S| < rank maps each chamber x to the least
+    chamber with x's S-vertices.  A pair of them in two (I minus S)-residues
+    fails, and so do those pairs for the exact types they share, whose
+    residues are finer.  The witness is the least failing pair.  |S| = 1
+    is vacuous: the type-t vertex is the (I minus t)-residue."""
+    if C._simp_cache is not None:
+        return C._simp_cache
     verts = chamber_vertices(C)
-    seen = {}
-    for c, v in enumerate(verts):
-        if v in seen:
-            return False, ("duplicate-vertices", seen[v], c)
-        seen[v] = c
+    chambers = range(C.n)
+    least = _least_per_key(verts)
+    dup = next(compress(chambers, map(operator.ne, least, chambers)), None)
+    if dup is not None:
+        C._simp_cache = False, ("duplicate-vertices", least[dup], dup)
+        return C._simp_cache
     fails = []
     for k in range(2, C.rank):
         for S in combinations(C.types, k):
             comp = C.component_map(set(C.types) - set(S))
-            first = {}
-            for c, v in enumerate(verts):
-                x = first.setdefault(tuple(v[i - 1] for i in S), c)
-                if comp[x] != comp[c]:
-                    fails.append((x, c))
+            least = _least_per_key(list(map(operator.itemgetter(*(i - 1 for i in S)), verts)))
+            fails += compress(zip(least, chambers),
+                              map(operator.ne, map(comp.__getitem__, least), comp))
     if not fails:
-        return True, None
+        C._simp_cache = True, None
+        return C._simp_cache
     x, y = min(fails)
     S = tuple(i for i in C.types if verts[x][i - 1] == verts[y][i - 1])
-    return False, ("no-common-face", x, y, S)
+    C._simp_cache = False, ("no-common-face", x, y, S)
+    return C._simp_cache
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -351,10 +352,23 @@ def test_is_simplicial():
     assert not ok and wit[0] == "duplicate-vertices"
 
 
+def _residue_vertices(C):
+    """Per chamber, its vertex ids read from membership in the corank-1
+    residues: the k-th (I minus t)-residue of C.residues is type-t vertex k."""
+    verts = [[None] * C.rank for _ in range(C.n)]
+    full = frozenset(C.types)
+    for t in C.types:
+        for k, r in enumerate(C.residues(full - {t})):
+            for c in r.chambers:
+                verts[c][t - 1] = k
+    return [tuple(v) for v in verts]
+
+
 def _pair_scan(C):
-    """Simpliciality by the quadratic pair scan: the reference for the
-    grouping pass of chamber.is_simplicial."""
-    verts = chamber.chamber_vertices(C)
+    """Simpliciality by the quadratic pair scan over vertices read from the
+    corank-1 residues: the reference for chamber.chamber_vertices and the
+    grouping pass of chamber.is_simplicial, with no code shared."""
+    verts = _residue_vertices(C)
     seen = {}
     for c, v in enumerate(verts):
         if v in seen:
@@ -381,6 +395,57 @@ def test_is_simplicial_matches_pair_scan():
         assert got == _pair_scan(C), C.panels
         kinds[got[1][0] if got[1] else "simplicial"] += 1
     assert min(kinds[k] for k in ("simplicial", "duplicate-vertices", "no-common-face")) >= 50
+
+
+def test_chamber_vertices_of_rank_0_and_1():
+    # no types: every chamber has the empty vertex tuple, so two chambers
+    # are one simplex twice; one type: each chamber is its own vertex
+    bare = chamber.from_partitions(3, 0, {})
+    assert chamber.chamber_vertices(bare) == [(), (), ()]
+    assert chamber.is_simplicial(bare) == (False, ("duplicate-vertices", 0, 1))
+    assert chamber.is_simplicial(chamber.from_partitions(1, 0, {})) == (True, None)
+    line = chamber.from_partitions(3, 1, {1: [(0, 2), (1,)]})
+    assert chamber.chamber_vertices(line) == [(0,), (1,), (2,)]
+    assert chamber.is_simplicial(line) == (True, None)
+
+
+def test_is_simplicial_matches_pair_scan_on_hypothesis_systems():
+    # random partitions of ranks 0-4 into panels of 1-4 chambers are mostly
+    # simplicial or repeat a vertex tuple; closed galleries of ranks 3 and 4,
+    # like the hexagon below, also share vertices with no common face
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @hypothesis.given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            # the gallery 0, 1, ..., n - 1, 0, no type twice in a row
+            rank, n = data.draw(st.integers(3, 4)), data.draw(st.integers(6, 12))
+            word = [data.draw(st.integers(1, rank))]
+            for _ in range(n - 1):
+                word.append(data.draw(st.sampled_from([t for t in range(1, rank + 1)
+                                                       if t != word[-1]])))
+            hypothesis.assume(word[-1] != word[0])
+            steps = [(k, (k + 1) % n) for k in range(n)]
+            partitions = {i: [p for p, t in zip(steps, word) if t == i] for i in range(1, rank + 1)}
+            for panels in partitions.values():
+                paired = set(itertools.chain.from_iterable(panels))
+                panels += [(c,) for c in range(n) if c not in paired]
+        else:
+            rank, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 12))
+            partitions = {}
+            for i in range(1, rank + 1):
+                order = data.draw(st.permutations(range(n)))
+                cuts = [0]
+                while cuts[-1] < n:
+                    cuts.append(cuts[-1] + data.draw(st.integers(1, 4)))
+                partitions[i] = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        C = chamber.from_partitions(n, rank, partitions)
+        assert chamber.chamber_vertices(C) == _residue_vertices(C), C.panels
+        assert chamber.is_simplicial(C) == _pair_scan(C), C.panels
+
+    check()
 
 
 def test_is_simplicial_no_common_face():
@@ -812,3 +877,25 @@ def test_check_computes_each_pair_once(capsys, monkeypatch, tmp_path):
     assert verdict["c3"] is False and verdict["c3_report"]["type_matrix"] == verdict["type_matrix"]
     # one level-synchronous kernel call per type pair, for all its residues
     assert calls == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
+
+def test_check_judges_simpliciality_once(capsys, monkeypatch, tmp_path):
+    # chambers check --building --c3 --ll --simplicial on the A7 geometry:
+    # the C3 check and --simplicial read one cached verdict, so the
+    # grouping pass reads the vertex map once; the (LL) witness labels
+    # read it once more
+    f = tmp_path / "a7.json"
+    f.write_text(json.dumps(chamber.system_to_json(catalog.build("neumaier-a7")["system"])))
+    calls = collections.Counter()
+    vertices = chamber.chamber_vertices
+
+    def counted_vertices(C):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return vertices(C)
+
+    monkeypatch.setattr(chamber, "chamber_vertices", counted_vertices)
+    code = cli.main(["check", str(f), "--building", "--c3", "--ll", "--simplicial"])
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 1 and verdict["type"] == "C3" and not verdict["building"]
+    assert verdict["c3"] and verdict["simplicial"] and not verdict["ll"]["holds"]
+    assert calls == {"is_simplicial": 1, "_vertex_labels": 1}

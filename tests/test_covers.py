@@ -755,6 +755,46 @@ def test_homotopic_matches_bfs_off_simply_connected():
     assert reordered >= 3
 
 
+def test_homotopic_matches_bfs_on_hypothesis_systems():
+    # small connected systems of rank 2-4 and two short galleries with
+    # common extremities, the second closed off by a shortest gallery.  A
+    # homotopy the search finds is one, so homotopic must not deny it; its
+    # False (exhaustion within 4 extra steps) is no proof and is not
+    # compared.  Every pair is homotopic in a rank-2 system, its one rank-2
+    # residue.  Either engine may run out of budget: an infinite universal
+    # cover, or too many galleries to search
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    outcomes = collections.Counter()
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(st.randoms(use_true_random=False), st.integers(0, 2), st.integers(0, 2))
+    def check(rng, steps1, steps2):
+        C = corpus.random_connected_system(rng)
+        hypothesis.assume(C.n > 1)      # a lone chamber has no step to take
+        start = rng.randrange(C.n)
+        g1 = corpus.random_gallery(C, start, steps1, rng)
+        g2 = corpus.random_gallery(C, start, steps2, rng)
+        tail = C.min_gallery(g2.end, g1.end)
+        g2 = TypedGallery(g2.chambers + tail.chambers[1:], g2.types + tail.types)
+        try:
+            fast = covers.homotopic(C, g1, g2, budget=2000)
+        except BudgetExceeded:
+            fast = None
+        try:
+            slow = _homotopic_bfs(C, g1, g2, budget=1000)
+        except BudgetExceeded:
+            slow = None
+        if slow:
+            assert fast is not False, (C.panels, g1, g2)
+        if C.rank == 2:
+            assert fast and slow is not False, (C.panels, g1, g2)
+        outcomes[fast, slow] += 1
+
+    check()
+    assert outcomes[True, True] >= 75
+
+
 def test_homotopic_in_buildings():
     a3 = catalog.build_a3_f2()
     rng = random.Random(12)

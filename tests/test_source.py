@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import sys
 
 import chambers
 
@@ -15,6 +16,20 @@ def test_library_has_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) >= 9
     assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the runtime stays dependency-free: every absolute import names a
+    # standard-library module; the library's own modules import relatively
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((path.name, node.module))
+    assert len(found) >= 20
+    assert [(f, m) for f, m in found if m.partition(".")[0] not in sys.stdlib_module_names] == []
 
 
 def _references(tree, name, where):
