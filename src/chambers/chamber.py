@@ -2,11 +2,12 @@
 coset constructions, generalized-polygon residues, simpliciality, quotients.
 
 Chambers are dense ids 0..n-1.  A system is immutable after construction;
-derived data (adjacency, residue partitions, rank-2 residue gonalities,
-the simpliciality verdict) is cached internally.  A rank-2 residue is a
-generalized m-gon when its panel graph has girth 2m and diameter m >= 2;
-one level-synchronous bitset pass per type pair measures both for all of
-the pair's residues at once.
+its one layout is the sorted panels and one panel index per type, which
+every engine walks to reach a chamber's neighbours.  Derived data (residue
+partitions, rank-2 residue gonalities, the simpliciality verdict) is
+cached internally.  A rank-2 residue is a generalized m-gon when its panel
+graph has girth 2m and diameter m >= 2; one level-synchronous bitset pass
+per type pair measures both for all of the pair's residues at once.
 """
 
 import operator
@@ -82,7 +83,8 @@ class ChamberSystem:
                 for c in panel:
                     idx[c] = p
             self._panel_idx[i] = tuple(idx)
-        self._adj = None
+        # the engines reach c's neighbours as panels[idx[c]] per (type, panels, idx)
+        self._type_panels = tuple((i, self.panels[i], self._panel_idx[i]) for i in self.types)
         self._comp_cache = {}
         self._gon_cache = {}
         self._simp_cache = None
@@ -117,17 +119,11 @@ class ChamberSystem:
         return self._panel_idx[i][c]
 
     def adjacency(self):
-        """Per chamber, the list of (type, other chamber) adjacencies."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for i in self.types:
-                for panel in self.panels[i]:
-                    for c in panel:
-                        for d in panel:
-                            if d != c:
-                                adj[c].append((i, d))
-            self._adj = [tuple(a) for a in adj]
-        return self._adj
+        """Per chamber, the tuple of (type, other chamber) adjacencies, type by
+        type and within a type in panel member order.  A view built from the
+        panels on each call; no engine reads it."""
+        return [tuple((i, d) for i, panels, idx in self._type_panels for d in panels[idx[c]]
+                      if d != c) for c in range(self.n)]
 
     # --- residues -----------------------------------------------------
 
@@ -198,16 +194,16 @@ class ChamberSystem:
         """The chambers reachable from x in breadth-first order, and per
         chamber its gallery distance from x, None if unreachable."""
         x = self._chamber(x)
-        adj = self.adjacency()
         dist = [None] * self.n
         dist[x] = 0
         order = [x]
         for c in order:
             dc = dist[c] + 1
-            for _, d in adj[c]:
-                if dist[d] is None:
-                    dist[d] = dc
-                    order.append(d)
+            for _, panels, idx in self._type_panels:
+                for d in panels[idx[c]]:
+                    if dist[d] is None:
+                        dist[d] = dc
+                        order.append(d)
         return order, dist
 
     def min_gallery(self, x, y):
@@ -216,11 +212,11 @@ class ChamberSystem:
         _, dist = self._distances_from(x)
         if dist[y] is None:
             raise Disconnected(f"no gallery from {x} to {y}")
-        adj = self.adjacency()
         chambers, types = [y], []
         c = y
         while c != x:
-            i, c = next((i, u) for i, u in adj[c] if dist[u] == dist[c] - 1)
+            i, c = next((i, u) for i, panels, idx in self._type_panels for u in panels[idx[c]]
+                        if dist[u] == dist[c] - 1)
             chambers.append(c)
             types.append(i)
         return TypedGallery(tuple(reversed(chambers)), tuple(reversed(types)))
@@ -645,7 +641,7 @@ def isomorphism(A, B, start=None, budget=None):
     # also tells apart systems of different size or rank
     if sorted(inv_a) != sorted(inv_b):
         return None
-    adj = A.adjacency()
+    sides = A._type_panels
     fwd, bwd, trail = [-1] * A.n, [-1] * B.n, []
 
     def options(x):
@@ -672,14 +668,15 @@ def isomorphism(A, B, start=None, budget=None):
         fwd[x], bwd[y] = y, x
         trail.append(x)
         while head < len(trail):
-            for _, z in adj[trail[head]]:
-                if fwd[z] < 0:
-                    opts = options(z)
-                    if not opts:
-                        return False
-                    if len(opts) == 1:
-                        fwd[z], bwd[opts[0]] = opts[0], z
-                        trail.append(z)
+            for _, panels, idx in sides:
+                for z in panels[idx[trail[head]]]:
+                    if fwd[z] < 0:
+                        opts = options(z)
+                        if not opts:
+                            return False
+                        if len(opts) == 1:
+                            fwd[z], bwd[opts[0]] = opts[0], z
+                            trail.append(z)
             head += 1
         return True
 
@@ -689,8 +686,8 @@ def isomorphism(A, B, start=None, budget=None):
         if start is not None and not branches:
             x, opts = start[0], [y for y in options(start[0]) if y == start[1]]
         else:
-            x = next((z for z in range(A.n) if fwd[z] < 0 and any(fwd[w] >= 0 for _, w in adj[z])),
-                     fwd.index(-1))
+            x = next((z for z in range(A.n) if fwd[z] < 0 and any(
+                fwd[w] >= 0 for _, panels, idx in sides for w in panels[idx[z]])), fwd.index(-1))
             opts = options(x)
         branches.append((x, iter(opts), len(trail)))
         while True:
@@ -774,6 +771,8 @@ def system_from_json(obj):
         raise TypeError(f"panels must be an object of type -> panel list, "
                         f"got {type(obj['panels']).__name__}")
     partitions = {int(i): [tuple(p) for p in panels] for i, panels in obj["panels"].items()}
+    if len(partitions) < len(obj["panels"]):
+        raise ValueError(f"panels keys {sorted(obj['panels'])} name some type twice")
     labels = obj.get("labels")
     if labels is not None:
         labels = _tupled(labels)

@@ -34,8 +34,9 @@ _MAX_VIOLATIONS = 25
 
 
 def _w_distances_from(C, table, x):
-    """Per chamber y, the table id of delta(x, y) or None; and the local
-    failures (y, [(i, u, delta(x, u) r_i), ...]) in breadth-first order.
+    """Per chamber y, the table id of delta(x, y) or None; the local
+    failures (y, [(i, u, delta(x, u) r_i), ...]) in breadth-first order;
+    and the order and distances that C._distances_from(x) gives.
 
     Once the closer neighbours u of y, in i-panels, are all determined, they
     must give one w = delta(x, u) r_i whose right descents are exactly those
@@ -44,7 +45,6 @@ def _w_distances_from(C, table, x):
     non-reduced word, or misses w's words ending in a descent no neighbour
     gives; y is a failure and stays undetermined, and so does every chamber
     past it, unreported."""
-    adj = C.adjacency()
     right, descents = table.right, table.descents
     dist = [None] * C.n
     delta = [None] * C.n
@@ -54,12 +54,13 @@ def _w_distances_from(C, table, x):
     order, failures = [x], []
     for y in order:
         closer = []
-        for i, u in adj[y]:
-            if dist[u] is None:
-                dist[u] = dist[y] + 1
-                order.append(u)
-            elif dist[u] == dist[y] - 1:
-                closer.append((i, u, rows[u][i - 1]))
+        for i, panels, idx in C._type_panels:
+            for u in panels[idx[y]]:
+                if dist[u] is None:
+                    dist[u] = dist[y] + 1
+                    order.append(u)
+                elif dist[u] == dist[y] - 1:
+                    closer.append((i, u, rows[u][i - 1]))
         if y == x:
             continue
         w = closer[0][2]
@@ -68,7 +69,7 @@ def _w_distances_from(C, table, x):
             delta[y], rows[y] = w, right[w]
         elif None not in [v for _, _, v in closer]:
             failures.append((y, closer))
-    return delta, failures
+    return delta, failures, order, dist
 
 
 def _check_rank(C, M):
@@ -89,18 +90,17 @@ def w_distance(C, M, x, y):
     _check_rank(C, M)
     x, y = C._chamber(x), C._chamber(y)
     table = coxeter.group_table(M)
-    delta, _ = _w_distances_from(C, table, x)
+    delta, _, order, dist = _w_distances_from(C, table, x)
     if delta[y] is not None:
         return table.element(delta[y])
-    order, dist = C._distances_from(x)
     if dist[y] is None:
         raise Disconnected(f"no gallery from {x} to {y}")
     _, back = C._distances_from(y)
-    adj = C.adjacency()
     right, descents = table.right, table.descents
     elem, words = {x: 0}, {x: {()}}
     for z in [z for z in order if dist[z] + back[z] == dist[y]][1:]:   # ends at y
-        closer = [(i, u, right[elem[u]][i - 1]) for i, u in adj[z] if dist[u] == dist[z] - 1]
+        closer = [(i, u, right[elem[u]][i - 1]) for i, panels, idx in C._type_panels
+                  for u in panels[idx[z]] if dist[u] == dist[z] - 1]
         e = closer[0][2]
         if any(v != e or i in descents[elem[u]] for i, u, v in closer):
             missing = None
@@ -188,7 +188,7 @@ def is_building(C, M=None, budget=2000):
             break
         if covered[x]:
             continue
-        delta, failures = _w_distances_from(C, table, x)
+        delta, failures, _, _ = _w_distances_from(C, table, x)
         report["pairs_checked"] += C.n
         if failures:
             for y, closer in failures:

@@ -80,11 +80,42 @@ def pg42():
     return catalog.subspace_flags(5)
 
 
+def distances_from(C, x):
+    """The chambers reachable from x in breadth-first order over
+    `C.adjacency()`, and per chamber its gallery distance from x, None if
+    unreachable: the reference for `C._distances_from`, which walks the
+    panels instead."""
+    adj = C.adjacency()
+    dist = [None] * C.n
+    dist[x] = 0
+    order = [x]
+    for c in order:
+        for _, d in adj[c]:
+            if dist[d] is None:
+                dist[d] = dist[c] + 1
+                order.append(d)
+    return order, dist
+
+
+def min_gallery(C, x, y):
+    """The gallery y -> x that steps to the first closer entry of each
+    chamber's adjacency list, reversed: the reference for `C.min_gallery`."""
+    adj = C.adjacency()
+    _, dist = distances_from(C, x)
+    chambers, types = [y], []
+    while chambers[-1] != x:
+        c = chambers[-1]
+        i, u = next((i, u) for i, u in adj[c] if dist[u] == dist[c] - 1)
+        chambers.append(u)
+        types.append(i)
+    return TypedGallery(tuple(reversed(chambers)), tuple(reversed(types)))
+
+
 def minimal_type_sets(C, x):
     """Per chamber y, the frozenset of the type words of the minimal
     galleries x -> y, None if y is unreachable: the W-distance oracle,
     read against `reduced_word_lookup`."""
-    order, dist = C._distances_from(x)
+    order, dist = distances_from(C, x)
     adj = C.adjacency()
     tsets = [None] * C.n
     tsets[x] = frozenset({()})

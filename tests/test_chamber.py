@@ -276,6 +276,29 @@ def test_min_gallery():
         disc.min_gallery(0, 1)
 
 
+def test_gallery_walks_match_the_adjacency_reference():
+    # the panel walks visit a chamber's neighbours type by type and within a
+    # type in panel member order, the order of the adjacency lists, so the
+    # breadth-first orders, distances and galleries equal the reference's;
+    # random partitions put some chamber pairs in panels of two types, so a
+    # neighbour shows up twice in the walk
+    rng = random.Random(28)
+    systems = corpus.named_systems() + [
+        corpus.random_partitions(rng, rng.randint(1, 4), rng.randint(1, 12)) for _ in range(300)]
+    repeated = 0
+    for C in systems:
+        adj = C.adjacency()
+        assert adj == [tuple((i, d) for i in C.types for d in C.panel_of(i, c) if d != c)
+                       for c in range(C.n)]
+        repeated += any(len({d for _, d in a}) < len(a) for a in adj)
+        for x in sorted({0, C.n - 1, rng.randrange(C.n)}):
+            order, dist = corpus.distances_from(C, x)
+            assert C._distances_from(x) == (order, dist)
+            for y in order[::max(1, len(order) // 25)] + order[-1:]:
+                assert C.min_gallery(x, y) == corpus.min_gallery(C, x, y), (C, x, y)
+    assert repeated >= 100
+
+
 def test_gallery_normalize():
     g = TypedGallery((0, 0, 1), (1, 1))
     assert g.normalized().chambers == (0, 1)

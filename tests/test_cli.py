@@ -259,10 +259,12 @@ def test_json_booleans_are_input_errors(capsys, tmp_path):
 
 
 def test_panels_that_are_not_an_object_are_input_errors(capsys, tmp_path):
-    # every command that reads a system refuses a panels list, string or null
+    # every command that reads a system refuses a panels list, string or
+    # null, and two keys naming one type ("1" and "01"), where one partition
+    # would silently win
     system, auto = tmp_path / "system.json", tmp_path / "auto.json"
     auto.write_text(json.dumps({"generators": [[0, 1]]}))
-    for panels in ([[0, 1]], "01", None):
+    for panels in ([[0, 1]], "01", None, {"1": [[0], [1]], "01": [[0, 1]], "2": [[0, 1]]}):
         system.write_text(json.dumps({"rank": 2, "n": 2, "panels": panels}))
         for argv in (("check", str(system)), ("cover", str(system)),
                      ("quotient", str(system), "--auto", str(auto)), ("report", str(system))):

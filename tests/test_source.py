@@ -104,3 +104,19 @@ def test_one_w_distance_engine():
         for gone in ("minimal_type_sets_from", "_TYPE_SET_CAP", "reduced_word_sets",
                      "type-set-budget"):
             assert gone not in text, (path.name, gone)
+
+
+def test_engines_walk_panels_not_adjacency_lists():
+    # the sorted panels and one panel index per type are the one layout:
+    # breadth-first walks, galleries, the W-distance and the isomorphism
+    # search read panels[idx[c]], and `adjacency()` is a view no library
+    # code calls; no per-chamber neighbour list is cached
+    found, defined = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(name, where) for name in ("adjacency", "_adj")
+                  for where in _references(tree, name, path.stem)]
+        defined += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "adjacency"]
+    assert defined == ["chamber.adjacency"]
+    assert found == []

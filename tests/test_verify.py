@@ -54,8 +54,8 @@ def _assert_real_witness(C, table, lookup, exc):
     lacks that reduced word of the one element it spells."""
     x, y = exc.pair
     z, tsets = exc.chamber, corpus.minimal_type_sets(C, x)
-    _, dist = C._distances_from(x)
-    _, back = C._distances_from(z)
+    _, dist = corpus.distances_from(C, x)
+    _, back = corpus.distances_from(C, z)
     assert dist[z] + back[y] == dist[y] and tsets[y] not in lookup
     near = [(i, u) for i, u in C.adjacency()[z] if dist[u] == dist[z] - 1]
     assert [(i, u) for i, u, _ in exc.closer] == near
@@ -112,7 +112,9 @@ def test_w_distance_propagation_matches_type_sets():
         table = coxeter.group_table(M or chamber.infer_type_matrix(C))
         lookup = corpus.reduced_word_lookup(table)
         for x in range(C.n):
-            row, failures = verify._w_distances_from(C, table, x)
+            row, failures, order, dist = verify._w_distances_from(C, table, x)
+            # the propagation's walk is the breadth-first search w_distance reuses
+            assert (order, dist) == corpus.distances_from(C, x)
             types = corpus.minimal_type_sets(C, x)
             want = [None if t is None else lookup.get(t) for t in types]
             # a determined chamber's type set is its element's reduced words
@@ -160,10 +162,15 @@ def test_w_distance_matches_type_sets_on_every_pair():
     assert outcomes[True] > 1000 and outcomes["local"] > 1000 and outcomes["missing"] > 50
 
 
-def test_w_distance_past_a_local_failure():
+def test_w_distance_past_a_local_failure(monkeypatch):
     # of 600 random draws, the three pairs whose type set is an element's
     # reduced words although a chamber on a minimal gallery between them
-    # fails locally; propagation leaves them undetermined
+    # fails locally; propagation leaves them undetermined, and the interval
+    # walk reuses its breadth-first order from x, walking once more from y
+    walks = []
+    walk = chamber.ChamberSystem._distances_from
+    monkeypatch.setattr(chamber.ChamberSystem, "_distances_from",
+                        lambda C, x: walks.append(x) or walk(C, x))
     rng = random.Random(4)
     draws = [corpus.random_system(rng) for _ in range(504)]
     for k, n, name, (x, y) in ((48, 11, "A3", (7, 2)), (164, 9, "C3", (5, 6)),
@@ -171,9 +178,11 @@ def test_w_distance_past_a_local_failure():
         C, M = draws[k]
         assert (C.n, coxeter.matrix_name(M)) == (n, name)
         table = coxeter.group_table(M)
-        delta, failures = verify._w_distances_from(C, table, x)
+        delta, failures, _, _ = verify._w_distances_from(C, table, x)
         assert delta[y] is None and failures
+        walks.clear()
         assert verify.w_distance(C, M, x, y).word == (1, 3, 2)
+        assert walks == [y]
         w = table.canonical_id((1, 3, 2))
         assert corpus.minimal_type_sets(C, x)[y] == table.reduced_words(w)
 
@@ -191,7 +200,7 @@ def test_chambers_at_each_w_distance_in_thick_buildings():
         want = {e: math.prod(q[i] for i in word) for e, word in enumerate(table.elements)}
         assert sum(want.values()) == C.n
         for x in (0, C.n // 2, C.n - 1):
-            delta, failures = verify._w_distances_from(C, table, x)
+            delta, failures, _, _ = verify._w_distances_from(C, table, x)
             assert not failures and Counter(delta) == want, (C, x)
 
 
@@ -304,7 +313,7 @@ def _all_sources_is_building(C, M):
     for x in range(C.n):
         if report["truncated"]:
             break
-        delta, failures = verify._w_distances_from(C, table, x)
+        delta, failures, _, _ = verify._w_distances_from(C, table, x)
         report["pairs_checked"] += C.n
         if failures:
             for y, closer in failures:
