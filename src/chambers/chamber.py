@@ -770,7 +770,7 @@ def system_from_json(obj):
     if not isinstance(obj["panels"], dict):
         raise TypeError(f"panels must be an object of type -> panel list, "
                         f"got {type(obj['panels']).__name__}")
-    partitions = {int(i): [tuple(p) for p in panels] for i, panels in obj["panels"].items()}
+    partitions = {int(i): panels for i, panels in obj["panels"].items()}
     if len(partitions) < len(obj["panels"]):
         raise ValueError(f"panels keys {sorted(obj['panels'])} name some type twice")
     labels = obj.get("labels")

@@ -2,6 +2,12 @@
 
 Exit codes: 0 verified success, 1 verification failure (JSON verdict on
 stdout), 2 usage or input error.
+
+`check`, `cover` and `report` read a system's labels only to name (LL)
+witness vertices or to write them back, so they keep them as parsed JSON
+beside an unlabelled system; `chamber.system_from_json` would copy every
+nested label list into tuples.  `quotient` loads through it, as
+`chamber.quotient` carries labels into its output.
 """
 
 import argparse
@@ -18,6 +24,29 @@ def _load_json(path):
         return json.load(sys.stdin)
     with open(path) as fh:
         return json.load(fh)
+
+
+def _load_system(path):
+    """The system in a JSON file and its labels as parsed: a tuple of the
+    file's label values, or None.  The system itself is built without
+    labels, so no label is copied into nested tuples; only the labels
+    outlive the parsed file."""
+    obj = _load_json(path)
+    labels = obj.pop("labels", None) if isinstance(obj, dict) else None
+    C = chamber.system_from_json(obj)
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != C.n:
+            raise ValueError("labels length mismatch")
+    return C, labels
+
+
+def _system_json(C, labels):
+    """system_to_json of an unlabelled C, with the parsed labels put back."""
+    obj = chamber.system_to_json(C)
+    if labels is not None:
+        obj["labels"] = list(labels)
+    return obj
 
 
 def _emit(obj, out=None):
@@ -53,22 +82,24 @@ def cmd_build(args):
     return 0
 
 
-def _vertex_labels(C, vertices):
+def _vertex_labels(C, labels, vertices):
     """Per (type, id) vertex, the common type-th entry of its chambers'
-    labels; None unless every label is a rank-tuple and its chambers agree."""
-    if C.labels is None or not all(
-            isinstance(x, tuple) and len(x) == C.rank for x in C.labels):
+    labels; None unless every label is a list or tuple of length rank and
+    its chambers agree.  A catalog system's tuples and a parsed file's
+    lists give the same names."""
+    if labels is None or not all(
+            isinstance(x, (list, tuple)) and len(x) == C.rank for x in labels):
         return [None] * len(vertices)
     verts = chamber.chamber_vertices(C)
     out = []
     for t, k in vertices:
-        labs = [C.labels[c][t - 1] for c, vs in enumerate(verts) if vs[t - 1] == k]
+        labs = [labels[c][t - 1] for c, vs in enumerate(verts) if vs[t - 1] == k]
         out.append(labs[0] if all(x == labs[0] for x in labs) else None)
     return out
 
 
 def cmd_check(args):
-    C = chamber.system_from_json(_load_json(args.file))
+    C, labels = _load_system(args.file)
     roles = [t for t in (args.points, args.lines) if t is not None]
     if args.ll and roles and (len(set(roles)) < 2 or not set(roles) <= set(C.types)):
         print(f"--points/--lines must be two different types in 1..{C.rank}", file=sys.stderr)
@@ -106,8 +137,8 @@ def cmd_check(args):
         else:
             holds, witness = verify.check_LL(C, *roles)
             if witness is not None:
-                described = [{"type": t, "id": k, "label": chamber._jsonable(lab)}
-                             for (t, k), lab in zip(witness, _vertex_labels(C, witness))]
+                described = [{"type": t, "id": k, "label": lab}
+                             for (t, k), lab in zip(witness, _vertex_labels(C, labels, witness))]
                 witness = {"points": described[:2], "lines": described[2:]}
             verdict["ll"] = {"holds": holds, "witness": witness}
             failed |= not holds
@@ -126,7 +157,7 @@ def cmd_check(args):
 
 
 def cmd_cover(args):
-    C = chamber.system_from_json(_load_json(args.file))
+    C, labels = _load_system(args.file)
     res = covers.universal_cover(C, c0=args.base_chamber, max_chambers=args.max_chambers)
     out = {"truncated": res.truncated}
     if not res.truncated:
@@ -139,7 +170,7 @@ def cmd_cover(args):
             "fiber_size": fibers[res.base_chamber],
             "deck_order": len(res.deck),
             "regular": res.regular,
-            "base": chamber.system_to_json(p.base),
+            "base": _system_json(p.base, labels),
             "cover": chamber.system_to_json(p.cover),
             "map": list(p.chamber_map),
             "deck": [list(d) for d in res.deck],
@@ -183,9 +214,9 @@ def cmd_coxeter(args):
 
 
 def cmd_report(args):
-    C = chamber.system_from_json(_load_json(args.file))
+    C, labels = _load_system(args.file)
     if args.format == "json":
-        _emit(chamber.system_to_json(C), args.out)
+        _emit(_system_json(C, labels), args.out)
     else:
         text = (chamber.incidence_dot(C) if args.incidence
                 else chamber.adjacency_dot(C))

@@ -302,15 +302,15 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     chamber_of = [dense.setdefault(find(nd), len(dense)) for nd in range(nodes)]
     partitions = {}
     for t in C.types:
-        read, panels = set(), set()
+        read, panels = set(), []
         for r in dense:
             mp = g.panels[r].get(t)
             if mp is None:
                 raise NotCovering(f"type-{t} panel missing after closure")
             if id(mp) not in read:
                 read.add(id(mp))
-                panels.add(tuple(sorted(chamber_of[nd] for nd in mp.values())))
-        partitions[t] = sorted(panels)
+                panels.append([chamber_of[nd] for nd in mp.values()])
+        partitions[t] = panels
     cover = ChamberSystem(len(dense), C.rank, partitions)
     chamber_map = tuple(g.proj[r] for r in dense)
     p = CoveringMap(cover, C, chamber_map)

@@ -136,7 +136,7 @@ def test_criterion_5_neumaier_geometry():
     ll, wit = verify.check_LL(neu, q, r)
     assert not ll and wit is not None
     # the witness labels, read with the CLI's rule
-    p1, p2, x1, x2 = cli._vertex_labels(neu, wit)
+    p1, p2, x1, x2 = cli._vertex_labels(neu, neu.labels, wit)
     assert {p1, p2} == {1, 2}
     assert {x1, x2} == {(1, 2, 3), (1, 2, 4)}
 

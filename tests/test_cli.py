@@ -2,7 +2,7 @@ import functools
 import json
 import time
 
-from chambers import catalog, cli
+from chambers import catalog, chamber, cli
 
 
 def run(capsys, *argv):
@@ -270,6 +270,58 @@ def test_panels_that_are_not_an_object_are_input_errors(capsys, tmp_path):
                      ("quotient", str(system), "--auto", str(auto)), ("report", str(system))):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and "input error" in err and "panels" in err, argv
+
+
+LOADER_COMMANDS = (("check", "--building", "--c3", "--ll", "--simplicial"), ("cover",),
+                   ("report", "--format", "json"))
+
+
+def test_system_commands_refuse_bad_labels(capsys, tmp_path):
+    # check, cover and report keep the file's labels as parsed, and refuse
+    # what system_from_json refuses: labels that are no sequence, a label
+    # count other than n, a file that is no JSON object
+    fano = chamber.system_to_json(catalog.build_fano_flags())
+    system = tmp_path / "system.json"
+    for obj, message in (({**fano, "labels": 5}, "'int' object is not iterable"),
+                         ({**fano, "labels": fano["labels"][:-1]}, "labels length mismatch"),
+                         ([fano], "input error")):
+        system.write_text(json.dumps(obj))
+        for command, *flags in LOADER_COMMANDS:
+            code, out, err = run(capsys, command, str(system), *flags)
+            assert code == 2 and out == "" and message in err, (command, message)
+            assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_system_commands_echo_labels_as_parsed(capsys, tmp_path):
+    # labels given as a string or an object are a sequence of characters
+    # or of keys: report and cover write them back as such, and they name
+    # no (LL) witness vertex, as they are no rank-tuples
+    system = tmp_path / "system.json"
+
+    def run_on(obj, command, *flags):
+        system.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, command, str(system), *flags)
+        return code, out
+
+    check, cover, report = LOADER_COMMANDS
+    for C in (catalog.build_fano_flags(), catalog.build_neumaier_a7()[0]):
+        bare = chamber.system_to_json(C)
+        del bare["labels"]
+        letters = "".join(chr(ord("a") + c % 26) for c in range(C.n))
+        for labels in (letters, {f"k{c}": c for c in range(C.n)}):
+            labelled = {**bare, "labels": labels}
+            code, out = run_on(labelled, *check)
+            assert (code, out) == run_on(bare, *check)
+            if C.rank == 3:
+                wit = json.loads(out)["ll"]["witness"]
+                assert [v["label"] for v in wit["points"] + wit["lines"]] == [None] * 4
+                continue
+            code, out = run_on(labelled, *report)
+            assert code == 0 and json.loads(out) == {**bare, "labels": list(labels)}
+            expected = json.loads(run_on(bare, *cover)[1])
+            expected["base"]["labels"] = list(labels)
+            code, out = run_on(labelled, *cover)
+            assert code == 0 and json.loads(out) == expected
 
 
 def test_check_rejects_bad_counts_and_types(capsys, tmp_path):

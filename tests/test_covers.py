@@ -335,7 +335,7 @@ def test_elementary_homotopy_single_moves():
         if gn == g2:
             continue
         assert covers.homotopic(cc3, gn, g2)
-        assert _homotopic_bfs(cc3, gn, g2, budget=5000)
+        assert _homotopic_bfs(cc3, gn, g2, budget=5 * 10 ** 4)
         hits += 1
     assert hits >= 10
 
@@ -362,7 +362,9 @@ def test_homotopy_invariance_of_lifting():
 class _ReferenceGluer:
     """The gluer as it was before panels were shared: each node opens its own
     copy of every base panel it needs, and a residue walk closes its pair
-    only on the node it started from.  Same covers, many more nodes."""
+    only on the node it started from.  Same covers, many more nodes.  Once
+    closed, the roots of each cover panel are handed one copy of it, as
+    universal_cover reads each panel dict once."""
 
     def __init__(self, base, c0, max_chambers):
         self.base = base
@@ -468,6 +470,11 @@ class _ReferenceGluer:
                 return
             x, P = self.tasks.popleft()
             self.close_residue(x, P)
+        shared = {}
+        for r in {self.find(x) for x in range(len(self.proj))}:
+            for t, mp in self.panels[r].items():
+                key = t, frozenset(self.find(nd) for nd in mp.values())
+                self.panels[r][t] = shared.setdefault(key, mp)
 
 
 _GLUER = covers._Gluer
@@ -651,8 +658,9 @@ def test_universal_property():
 # gallery homotopy, against the breadth-first reference engine
 
 
-def _segment_galleries(C, u, v, P, max_len):
-    """All galleries u -> v with types within the pair P, length <= max_len."""
+def _segment_galleries(C, u, v, P, max_len, charge=lambda: None):
+    """All galleries u -> v with types within the pair P, length <= max_len.
+    Each stack push first calls charge(), which may raise to stop."""
     out = []
     stack = [((u,), ())]
     while stack:
@@ -665,6 +673,7 @@ def _segment_galleries(C, u, v, P, max_len):
         for i in P:
             for d in C.panel_of(i, c):
                 if d != c:
+                    charge()
                     stack.append((chambers + (d,), types + (i,)))
     return out
 
@@ -672,8 +681,16 @@ def _segment_galleries(C, u, v, P, max_len):
 def _homotopic_bfs(C, g1, g2, budget=10 ** 5):
     """The reference engine for covers.homotopic: bounded breadth-first
     search over the elementary-homotopy graph of galleries, at most 4 steps
-    longer than the longer input.  Exact on small systems.
+    longer than the longer input.  Exact on small systems.  Every stack
+    push of the segment enumerations is charged to `budget`, which so
+    bounds the galleries kept too: each came from a push.
     True / False-by-exhaustion / BudgetExceeded."""
+    spent = itertools.count(1)
+
+    def charge():
+        if next(spent) > budget:
+            raise BudgetExceeded("gallery BFS budget exhausted")
+
     chamber.validate_gallery(C, g1)
     chamber.validate_gallery(C, g2)
     g1 = g1.normalized()
@@ -699,15 +716,13 @@ def _homotopic_bfs(C, g1, g2, budget=10 ** 5):
                         if C.component_map(P)[u] != C.component_map(P)[v]:
                             continue
                         room = max_len - (n - (e - s))
-                        for seg in _segment_galleries(C, u, v, P, room):
+                        for seg in _segment_galleries(C, u, v, P, room, charge):
                             g2new = TypedGallery(
                                 g.chambers[:s] + seg.chambers + g.chambers[e + 1:],
                                 g.types[:s] + seg.types + g.types[e:]).normalized()
                             if g2new == g2:
                                 return True
                             if g2new not in seen:
-                                if len(seen) >= budget:
-                                    raise BudgetExceeded("gallery BFS budget exhausted")
                                 seen.add(g2new)
                                 nxt.append(g2new)
         frontier = nxt
@@ -736,7 +751,7 @@ def test_homotopic_matches_bfs_off_simply_connected():
     trivial = TypedGallery((0,), ())
     assert q.n == 4 and loop.end == 0
     fast = covers.homotopic(q, loop, trivial)
-    slow = _homotopic_bfs(q, loop, trivial, budget=2000)
+    slow = _homotopic_bfs(q, loop, trivial, budget=3 * 10 ** 5)
     assert (fast, slow) == (False, False)
     with pytest.raises(BudgetExceeded):
         _homotopic_bfs(q, loop, trivial, budget=500)
@@ -749,10 +764,34 @@ def test_homotopic_matches_bfs_off_simply_connected():
         g1 = corpus.gallery_from_types(q, c, word)
         g2 = corpus.gallery_from_types(q, c, rng.sample(word, len(word)))
         fast = covers.homotopic(q, g1, g2)
-        slow = _homotopic_bfs(q, g1, g2, budget=2000)
+        slow = _homotopic_bfs(q, g1, g2, budget=3 * 10 ** 5)
         assert (fast, slow) == (True, True), (c, g1.types, g2.types)
         reordered += g1 != g2
     assert reordered >= 3
+
+
+def test_homotopic_bfs_charges_segment_pushes(monkeypatch):
+    # two galleries of lengths 1 and 3 in a 4-chamber rank-3 system: the
+    # reference kept under 2,000 galleries but pushed about 5.2 million
+    # segment galleries before answering False.  Each push is charged to
+    # the budget, so the search stops at the first push past it
+    C = chamber.ChamberSystem(4, 3, {1: [[0], [1], [2, 3]], 2: [[0, 3], [1, 2]],
+                                     3: [[0, 1, 2], [3]]})
+    g1 = TypedGallery((1, 2), (2,))
+    g2 = TypedGallery((1, 0, 3, 2), (3, 2, 1))
+    pushes = []
+    segments = _segment_galleries
+
+    def counted(C, u, v, P, max_len, charge):
+        def counted_charge():
+            pushes.append(P)
+            charge()
+        return segments(C, u, v, P, max_len, counted_charge)
+
+    monkeypatch.setitem(globals(), "_segment_galleries", counted)
+    with pytest.raises(BudgetExceeded):
+        _homotopic_bfs(C, g1, g2, budget=2000)
+    assert len(pushes) == 2001
 
 
 def test_homotopic_matches_bfs_on_hypothesis_systems():
@@ -762,7 +801,7 @@ def test_homotopic_matches_bfs_on_hypothesis_systems():
     # False (exhaustion within 4 extra steps) is no proof and is not
     # compared.  Every pair is homotopic in a rank-2 system, its one rank-2
     # residue.  Either engine may run out of budget: an infinite universal
-    # cover, or too many galleries to search
+    # cover, or too many segment galleries to enumerate
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     outcomes = collections.Counter()
@@ -782,7 +821,7 @@ def test_homotopic_matches_bfs_on_hypothesis_systems():
         except BudgetExceeded:
             fast = None
         try:
-            slow = _homotopic_bfs(C, g1, g2, budget=1000)
+            slow = _homotopic_bfs(C, g1, g2, budget=2 * 10 ** 5)
         except BudgetExceeded:
             slow = None
         if slow:

@@ -535,7 +535,7 @@ def test_check_LL():
     p, q, x, x2 = wit
     assert p[0] == q[0] == 1 and x[0] == x2[0] == 2
     assert {p, q} <= _shadow(neu, x, 1) & _shadow(neu, x2, 1)
-    labels = cli._vertex_labels(neu, wit)
+    labels = cli._vertex_labels(neu, neu.labels, wit)
     # two symbols lying on two distinct triples
     assert set(labels[:2]) == {1, 2}
     assert set(labels[2:]) == {(1, 2, 3), (1, 2, 4)}
@@ -600,9 +600,11 @@ def test_check_star_pinned_for_every_role_pair():
 
 def test_vertex_labels_match_a_merge_on_named_systems():
     # the CLI's witness labels against a chamber-by-chamber merge of the
-    # label tuples, for every vertex
+    # label tuples, for every vertex; the labels as a parsed file gives them
+    # (lists in place of tuples) name each vertex alike
     labelled = 0
     for C in corpus.named_systems():
+        parsed = json.loads(json.dumps(chamber.system_to_json(C))).get("labels")
         verts = chamber.chamber_vertices(C)
         labels = {}
         if C.labels is not None and all(isinstance(x, tuple) and len(x) == C.rank
@@ -612,7 +614,9 @@ def test_vertex_labels_match_a_merge_on_named_systems():
                     v, lab = (ti + 1, vid), C.labels[c][ti]
                     labels[v] = None if v in labels and labels[v] != lab else labels.get(v, lab)
         vertices = sorted({(t, vs[t - 1]) for vs in verts for t in C.types})
-        assert cli._vertex_labels(C, vertices) == [labels.get(v) for v in vertices]
+        expected = [labels.get(v) for v in vertices]
+        assert cli._vertex_labels(C, C.labels, vertices) == expected
+        assert cli._vertex_labels(C, parsed, vertices) == chamber._jsonable(expected)
         labelled += any(v is not None for v in labels.values())
     assert labelled >= 3
 
