@@ -45,7 +45,7 @@ class ChamberSystem:
             raise PartitionNotCovering(f"empty system: chamber count {self.n} is not positive")
         if self.rank < 0:
             raise PartitionNotCovering(f"negative rank {self.rank}")
-        if not set(partitions) <= set(range(1, self.rank + 1)):
+        if not all(isinstance(i, int) and 1 <= i <= self.rank for i in partitions):
             raise PartitionNotCovering(f"a partition type lies outside 1..{self.rank}")
         pans = {}
         for i in range(1, self.rank + 1):
@@ -739,44 +739,31 @@ def verify_isomorphism(A, B, mapping):
 # serialization
 
 
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(_jsonable(v) for v in x)
-    return x
-
-
 def system_to_json(C):
+    """C as a JSON object.  The labels are written as C holds them:
+    json.dumps writes tuples and lists as the same arrays."""
     obj = {
         "rank": C.rank,
         "n": C.n,
         "panels": {str(i): [list(p) for p in C.panels[i]] for i in C.types},
     }
     if C.labels is not None:
-        obj["labels"] = [_jsonable(x) for x in C.labels]
+        obj["labels"] = list(C.labels)
     return obj
 
 
-def _tupled(xs):
-    """A list as a tuple, with every list in it at any depth a tuple too."""
-    for x in xs:
-        if type(x) is list:
-            return tuple([_tupled(v) if type(v) is list else v for v in xs])
-    return tuple(xs)
-
-
 def system_from_json(obj):
+    """The system of a parsed JSON object.  Its labels are the parsed
+    values, carried without conversion, so nested labels stay lists: a
+    loaded system's labels cannot key a dict, so `catalog.label_map`
+    cannot index it and `verify.check_star` on it raises TypeError."""
     if not isinstance(obj["panels"], dict):
         raise TypeError(f"panels must be an object of type -> panel list, "
                         f"got {type(obj['panels']).__name__}")
     partitions = {int(i): panels for i, panels in obj["panels"].items()}
     if len(partitions) < len(obj["panels"]):
         raise ValueError(f"panels keys {sorted(obj['panels'])} name some type twice")
-    labels = obj.get("labels")
-    if labels is not None:
-        labels = _tupled(labels)
-    return ChamberSystem(obj["n"], obj["rank"], partitions, labels=labels)
+    return ChamberSystem(obj["n"], obj["rank"], partitions, labels=obj.get("labels"))
 
 
 _DOT_COLORS = ["red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta"]

@@ -2,12 +2,6 @@
 
 Exit codes: 0 verified success, 1 verification failure (JSON verdict on
 stdout), 2 usage or input error.
-
-`check`, `cover` and `report` read a system's labels only to name (LL)
-witness vertices or to write them back, so they keep them as parsed JSON
-beside an unlabelled system; `chamber.system_from_json` would copy every
-nested label list into tuples.  `quotient` loads through it, as
-`chamber.quotient` carries labels into its output.
 """
 
 import argparse
@@ -26,36 +20,16 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _load_system(path):
-    """The system in a JSON file and its labels as parsed: a tuple of the
-    file's label values, or None.  The system itself is built without
-    labels, so no label is copied into nested tuples; only the labels
-    outlive the parsed file."""
-    obj = _load_json(path)
-    labels = obj.pop("labels", None) if isinstance(obj, dict) else None
-    C = chamber.system_from_json(obj)
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != C.n:
-            raise ValueError("labels length mismatch")
-    return C, labels
-
-
-def _system_json(C, labels):
-    """system_to_json of an unlabelled C, with the parsed labels put back."""
-    obj = chamber.system_to_json(C)
-    if labels is not None:
-        obj["labels"] = list(labels)
-    return obj
-
-
-def _emit(obj, out=None):
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _write(text, out=None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj, out=None):
+    _write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
 
 
 def cmd_list(args):
@@ -99,7 +73,7 @@ def _vertex_labels(C, labels, vertices):
 
 
 def cmd_check(args):
-    C, labels = _load_system(args.file)
+    C = chamber.system_from_json(_load_json(args.file))
     roles = [t for t in (args.points, args.lines) if t is not None]
     if args.ll and roles and (len(set(roles)) < 2 or not set(roles) <= set(C.types)):
         print(f"--points/--lines must be two different types in 1..{C.rank}", file=sys.stderr)
@@ -138,7 +112,7 @@ def cmd_check(args):
             holds, witness = verify.check_LL(C, *roles)
             if witness is not None:
                 described = [{"type": t, "id": k, "label": lab}
-                             for (t, k), lab in zip(witness, _vertex_labels(C, labels, witness))]
+                             for (t, k), lab in zip(witness, _vertex_labels(C, C.labels, witness))]
                 witness = {"points": described[:2], "lines": described[2:]}
             verdict["ll"] = {"holds": holds, "witness": witness}
             failed |= not holds
@@ -157,7 +131,7 @@ def cmd_check(args):
 
 
 def cmd_cover(args):
-    C, labels = _load_system(args.file)
+    C = chamber.system_from_json(_load_json(args.file))
     res = covers.universal_cover(C, c0=args.base_chamber, max_chambers=args.max_chambers)
     out = {"truncated": res.truncated}
     if not res.truncated:
@@ -170,7 +144,7 @@ def cmd_cover(args):
             "fiber_size": fibers[res.base_chamber],
             "deck_order": len(res.deck),
             "regular": res.regular,
-            "base": _system_json(p.base, labels),
+            "base": chamber.system_to_json(p.base),
             "cover": chamber.system_to_json(p.cover),
             "map": list(p.chamber_map),
             "deck": [list(d) for d in res.deck],
@@ -214,17 +188,12 @@ def cmd_coxeter(args):
 
 
 def cmd_report(args):
-    C, labels = _load_system(args.file)
+    C = chamber.system_from_json(_load_json(args.file))
     if args.format == "json":
-        _emit(_system_json(C, labels), args.out)
+        _emit(chamber.system_to_json(C), args.out)
     else:
-        text = (chamber.incidence_dot(C) if args.incidence
-                else chamber.adjacency_dot(C))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(chamber.incidence_dot(C) if args.incidence else chamber.adjacency_dot(C),
+               args.out)
     return 0
 
 

@@ -287,10 +287,10 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     c0 = C._chamber(c0, "base chamber")
     if max_chambers < 1:
         raise ValueError(f"chamber budget {max_chambers} is not positive")
-    if not C.is_connected():
-        raise Disconnected("universal cover requires a connected base")
     if C.rank < 2:
         raise ValueError("universal cover requires rank >= 2")
+    if not C.is_connected():
+        raise Disconnected("universal cover requires a connected base")
     g = _Gluer(C, c0, max_chambers)
     g.run()
     nodes = len(g.proj)

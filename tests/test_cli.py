@@ -1,7 +1,15 @@
 import functools
+import importlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
+import pytest
+
+import chambers
 from chambers import catalog, chamber, cli
 
 
@@ -322,6 +330,49 @@ def test_system_commands_echo_labels_as_parsed(capsys, tmp_path):
             expected["base"]["labels"] = list(labels)
             code, out = run_on(labelled, *cover)
             assert code == 0 and json.loads(out) == expected
+
+
+def test_quotient_names_bad_panels_before_bad_labels(capsys, tmp_path):
+    # quotient loads like the other system commands: the panels are judged
+    # first, then the labels
+    system, auto = tmp_path / "system.json", tmp_path / "auto.json"
+    auto.write_text(json.dumps({"generators": [[0, 1]]}))
+    for panels, message in (({"1": [[0, 5]]}, "chamber id 5 out of range"),
+                            ({"1": [[0, 1]]}, "'int' object is not iterable")):
+        system.write_text(json.dumps({"rank": 1, "n": 2, "panels": panels, "labels": 5}))
+        code, out, err = run(capsys, "quotient", str(system), "--auto", str(auto))
+        assert code == 2 and out == "" and message in err, panels
+
+
+def test_sizes_given_only_as_numbers_are_refused_within_a_memory_cap(tmp_path):
+    # a rank or a chamber count that no panel backs is refused before
+    # anything of that size is built; the child runs under a 1 GB address
+    # space cap, so a regression fails with MemoryError instead of filling
+    # the host's memory
+    resource = pytest.importorskip("resource")
+    cap = 2 ** 30
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "from chambers import cli; sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(chambers.__file__).parents[1])}
+    for command, obj, message in (
+            ("check", {"rank": 10 ** 11, "n": 1, "panels": {}}, "no partition for type 1"),
+            ("cover", {"rank": 0, "n": 10 ** 11, "panels": {}}, "requires rank >= 2")):
+        system = tmp_path / f"{command}.json"
+        system.write_text(json.dumps(obj))
+        done = subprocess.run([sys.executable, "-c", code, command, str(system)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+        assert message in done.stderr and "Traceback" not in done.stderr, done.stderr
+
+
+def test_console_script_entry_point_lists_the_catalog(capsys):
+    # the `chambers` script that pyproject.toml installs runs the CLI
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["chambers"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr)(["list"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith(sorted(catalog.CATALOG)[0])
 
 
 def test_check_rejects_bad_counts_and_types(capsys, tmp_path):

@@ -120,3 +120,25 @@ def test_engines_walk_panels_not_adjacency_lists():
                     if isinstance(node, ast.FunctionDef) and node.name == "adjacency"]
     assert defined == ["chamber.adjacency"]
     assert found == []
+
+
+def test_one_json_loader_for_chamber_systems():
+    # labels are carried as given both ways, so no label converter or
+    # second system writer is left; every CLI command that reads a system
+    # file loads it with chamber.system_from_json
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for gone in ("_tupled", "_jsonable", "_system_json"):
+            assert gone not in text, (path.name, gone)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    readers, loaders = [], []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr == "file":
+                readers.append(node.name)
+            if (isinstance(sub, ast.Call) and ast.unparse(sub.func) == "chamber.system_from_json"
+                    and [ast.unparse(a) for a in sub.args] == ["_load_json(args.file)"]):
+                loaders.append(node.name)
+    assert readers == loaders == ["cmd_check", "cmd_cover", "cmd_quotient", "cmd_report"]

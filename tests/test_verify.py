@@ -384,6 +384,7 @@ def test_orbit_scan_matches_all_sources_on_hypothesis_systems():
     finite = {2: (coxeter.A1xA1, coxeter.A2, coxeter.C2, coxeter.dihedral(6)),
               3: (coxeter.A3, coxeter.C3, coxeter.H3)}
 
+    @hypothesis.seed(2012)
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @hypothesis.given(st.data())
     def check(data):
@@ -616,7 +617,7 @@ def test_vertex_labels_match_a_merge_on_named_systems():
         vertices = sorted({(t, vs[t - 1]) for vs in verts for t in C.types})
         expected = [labels.get(v) for v in vertices]
         assert cli._vertex_labels(C, C.labels, vertices) == expected
-        assert cli._vertex_labels(C, parsed, vertices) == chamber._jsonable(expected)
+        assert cli._vertex_labels(C, parsed, vertices) == json.loads(json.dumps(expected))
         labelled += any(v is not None for v in labels.values())
     assert labelled >= 3
 
