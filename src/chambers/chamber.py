@@ -14,7 +14,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, islice, repeat
 
 from . import groups
 from .coxeter import CoxeterMatrix, _int
@@ -625,15 +625,11 @@ def _chamber_invariant(C):
 
 
 def isomorphism(A, B, start=None, budget=None):
-    """A type-preserving isomorphism A -> B as a tuple chamber map, or None.
-
-    Backtracking over two arrays and an undo trail.  Matching x -> y also
-    matches every chamber whose image it forces.  The search branches on
-    the least unmatched chamber next to a matched one, else on the least
-    unmatched chamber, which starts each component.  A pair start = (x, y)
-    is the first branch, with y its one option.  Past `budget` chambers
-    matched, rematches after backtracking included, the search gives up
-    with None.
+    """A type-preserving isomorphism A -> B as a tuple chamber map, or None:
+    the search of `_isomorphism` with each chamber coloured by its panel
+    and rank-2 residue sizes.  A pair start = (x, y) is the first branch,
+    with y its one option.  Past `budget` chambers matched, rematches after
+    backtracking included, the search gives up with None.
     """
     if start is not None:
         start = A._chamber(start[0]), B._chamber(start[1])
@@ -641,53 +637,91 @@ def isomorphism(A, B, start=None, budget=None):
     # also tells apart systems of different size or rank
     if sorted(inv_a) != sorted(inv_b):
         return None
-    sides = A._type_panels
-    fwd, bwd, trail = [-1] * A.n, [-1] * B.n, []
+    return _isomorphism(A, B, inv_a, inv_b, start, budget)
+
+
+def _isomorphism(A, B, col_a, col_b, start=None, budget=None):
+    """An isomorphism A -> B of systems of one size and rank that maps each
+    chamber x to one of colour col_a[x] in col_b, or None.
+
+    Backtracking over two arrays and an undo trail.  Matching u -> v pairs
+    each A-panel through u once with the B-panel through v: a matched
+    member must lie in it, and a free one takes the one free chamber of
+    its colour there; given several, it takes its one `options` or waits.
+    A panel whose members all have images is marked walked; unmatching a
+    member clears the mark.  The search branches on the least unmatched
+    chamber next to a matched one, else on the least unmatched chamber; a
+    start pair is the first branch.
+    """
+    # per type: A's panels and index, B's, and which A-panels are walked
+    sides = [(pa, ia, pb, ib, [False] * len(pa))
+             for (_, pa, ia), (_, pb, ib) in zip(A._type_panels, B._type_panels)]
+    fwd, bwd, trail, by_colour = [-1] * A.n, [-1] * B.n, [], {}
 
     def options(x):
-        """The free chambers of B with x's invariant in the B-panel through
-        the image of each matched neighbour of x; the matched chambers of an
-        A-panel have images in one B-panel, so one per type suffices."""
-        opts = None
-        for i in A.types:
-            w = next((w for w in A.panel_of(i, x) if fwd[w] >= 0), None)
-            if w is None:
-                continue
-            if opts is None:
-                opts = [y for y in B.panel_of(i, fwd[w]) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
-            else:
-                opts = [y for y in opts if B.panel_id(i, y) == B.panel_id(i, fwd[w])]
+        """The free chambers of x's colour in the B-panel through the image
+        of a matched neighbour of x, per type; of all B without one."""
+        c, opts = col_a[x], None
+        for pa, ia, pb, ib, _ in sides:
+            for w in pa[ia[x]]:
+                if fwd[w] >= 0:
+                    q = ib[fwd[w]]
+                    opts = [y for y in (pb[q] if opts is None else opts)
+                            if ib[y] == q and bwd[y] < 0 and col_b[y] == c]
+                    break
         if opts is None:
-            opts = [y for y in range(B.n) if bwd[y] < 0 and inv_b[y] == inv_a[x]]
+            if not by_colour:
+                for y in range(B.n):
+                    by_colour.setdefault(col_b[y], []).append(y)
+            opts = [y for y in by_colour.get(c, ()) if bwd[y] < 0]
         return opts
 
     def match(x, y):
-        """Match x -> y, then each unmatched neighbour of the chambers it
-        matches that has one option; False at one left without options."""
-        head = len(trail)
+        """Match x -> y and walk the panels of each chamber matched;
+        False at a contradiction."""
         fwd[x], bwd[y] = y, x
         trail.append(x)
-        while head < len(trail):
-            for _, panels, idx in sides:
-                for z in panels[idx[trail[head]]]:
-                    if fwd[z] < 0:
-                        opts = options(z)
-                        if not opts:
+        for u in islice(trail, len(trail) - 1, None):
+            for pa, ia, pb, ib, walked in sides:
+                p, q = ia[u], ib[fwd[u]]
+                if walked[p]:
+                    continue
+                free = {}           # colour -> its one free chamber, or -1 for several
+                for w in pb[q]:
+                    if bwd[w] < 0:
+                        free[col_b[w]] = -1 if col_b[w] in free else w
+                full = True
+                for z in pa[p]:
+                    w = fwd[z]
+                    if w >= 0:
+                        if ib[w] != q:
                             return False
-                        if len(opts) == 1:
-                            fwd[z], bwd[opts[0]] = opts[0], z
-                            trail.append(z)
-            head += 1
+                        continue
+                    w = free.get(col_a[z], -2)
+                    if w == -1:
+                        opts = options(z)
+                        if len(opts) != 1:
+                            if not opts:
+                                return False
+                            full = False
+                            continue
+                        w = opts[0]
+                    elif w < 0 or bwd[w] >= 0:
+                        return False
+                    fwd[z], bwd[w] = w, z
+                    trail.append(z)
+                walked[p] = full
         return True
 
     # depth-first search over branch points (chamber, options left, trail length before it)
     branches, steps = [], 0
     while len(trail) < A.n:
         if start is not None and not branches:
-            x, opts = start[0], [y for y in options(start[0]) if y == start[1]]
+            x, y = start
+            opts = [y] if col_a[x] == col_b[y] else []
         else:
             x = next((z for z in range(A.n) if fwd[z] < 0 and any(
-                fwd[w] >= 0 for _, panels, idx in sides for w in panels[idx[z]])), fwd.index(-1))
+                fwd[w] >= 0 for pa, ia, _, _, _ in sides for w in pa[ia[z]])), fwd.index(-1))
             opts = options(x)
         branches.append((x, iter(opts), len(trail)))
         while True:
@@ -698,6 +732,8 @@ def isomorphism(A, B, start=None, budget=None):
                 z = trail.pop()
                 bwd[fwd[z]] = -1
                 fwd[z] = -1
+                for _, ia, _, _, walked in sides:
+                    walked[ia[z]] = False
             y = next(rest, None)
             if y is None:
                 branches.pop()
@@ -756,7 +792,11 @@ def system_from_json(obj):
     """The system of a parsed JSON object.  Its labels are the parsed
     values, carried without conversion, so nested labels stay lists: a
     loaded system's labels cannot key a dict, so `catalog.label_map`
-    cannot index it and `verify.check_star` on it raises TypeError."""
+    cannot index it and `verify.check_star` on it raises TypeError.  A
+    file of rank 0 has no panel to back a second chamber, so one with
+    n > 1 is refused before anything of size n is built."""
+    if _int(obj["rank"]) == 0 and _int(obj["n"]) > 1:
+        raise PartitionNotCovering(f"rank 0 with {obj['n']} chambers: no panel backs them")
     if not isinstance(obj["panels"], dict):
         raise TypeError(f"panels must be an object of type -> panel list, "
                         f"got {type(obj['panels']).__name__}")

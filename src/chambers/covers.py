@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import groups
-from .chamber import ChamberSystem, HomogeneousSpec, TypedGallery, from_cosets, validate_gallery
+from .chamber import (ChamberSystem, HomogeneousSpec, TypedGallery, _isomorphism, from_cosets,
+                      validate_gallery)
 from .errors import (
     BudgetExceeded,
     Disconnected,
@@ -322,61 +323,20 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
 
 
 def deck_transformations(p):
-    """All cover automorphisms commuting with the covering map, found by
-    extension from each fiber point over one base chamber.  Requires a
+    """All cover automorphisms commuting with the covering map: the
+    isomorphism search of the cover onto itself with each chamber coloured
+    by its base chamber, from one anchor to each point of its fiber.  A
+    2-covering maps each panel injectively into a base panel, so the
+    colours force every match and no search branches.  Requires a
     connected cover.  Returns (list, regular)."""
     cover, mp = p.cover, p.chamber_map
     if not cover.is_connected():
         raise ValueError("deck search requires a connected cover")
     anchor = 0
-    b0 = mp[anchor]
-    fiber = [x for x in range(cover.n) if mp[x] == b0]
-    autos = []
-    for f in fiber:
-        phi = _extend_commuting(cover, mp, cover, mp, anchor, f)
-        if phi is not None and len(set(phi)) == cover.n:
-            autos.append(phi)
-    regular = len(autos) == len(fiber)
-    return autos, regular
-
-
-def _extend_commuting(A, mpA, B, mpB, a0, b0):
-    """Extend a0 -> b0 to a map f: A -> B with mpB(f(x)) = mpA(x), using
-    that panels of B embed into base panels.  Requires A connected; the
-    result need not be injective.  Each panel of A is matched once: from
-    another of its chambers it would meet the same panel of B."""
-    f = [None] * A.n
-    f[a0] = b0
-    placed = 1
-    queue = [a0]
-    sides = [(A.panels[i], A._panel_idx[i], B.panels[i], B._panel_idx[i], [False] * len(A.panels[i]))
-             for i in A.types]
-    while queue:
-        x = queue.pop()
-        y = f[x]
-        for a_panels, a_idx, b_panels, b_idx, walked in sides:
-            p = a_idx[x]
-            if walked[p]:
-                continue
-            walked[p] = True
-            by_base = {}
-            for w in b_panels[b_idx[y]]:
-                if mpB[w] in by_base:
-                    return None
-                by_base[mpB[w]] = w
-            for z in a_panels[p]:
-                w = by_base.get(mpA[z])
-                if w is None:
-                    return None
-                if f[z] is None:
-                    f[z] = w
-                    placed += 1
-                    queue.append(z)
-                elif f[z] != w:
-                    return None
-    if placed != A.n:
-        return None
-    return tuple(f)
+    fiber = [x for x in range(cover.n) if mp[x] == mp[anchor]]
+    autos = [phi for f in fiber
+             if (phi := _isomorphism(cover, cover, mp, mp, (anchor, f))) is not None]
+    return autos, len(autos) == len(fiber)
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,13 @@ def enumerate_group(M, cap=10 ** 6):
     The first candidate of each new element is closed under braid moves;
     that class is all the element's reduced words (Tits), so its least word
     names every candidate in it, and each element costs one closure.  An
-    element past `cap` raises BudgetExceeded before its closure runs."""
+    element past `cap` raises BudgetExceeded before its closure runs, and
+    so does an entry m_ij > cap/2 before any closure: W(M) holds the
+    dihedral group of order 2 m_ij."""
     if not is_finite(M):
         raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
+    if 2 * max((M.order(i, j) for i, j in combinations(M.types, 2)), default=0) > cap:
+        raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
     k = M.rank
     elements = [()]
     index = {(): 0}

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -345,24 +346,49 @@ def test_quotient_names_bad_panels_before_bad_labels(capsys, tmp_path):
 
 
 def test_sizes_given_only_as_numbers_are_refused_within_a_memory_cap(tmp_path):
-    # a rank or a chamber count that no panel backs is refused before
-    # anything of that size is built; the child runs under a 1 GB address
-    # space cap, so a regression fails with MemoryError instead of filling
-    # the host's memory
+    # a rank, a chamber count or a Coxeter entry that no panel or table
+    # backs is refused before anything of that size is built; the child
+    # runs under a 1 GB address space cap, so a regression fails with
+    # MemoryError instead of filling the host's memory.  A row is (argv
+    # with {} for the input file, input, exit code, start of stdout, a
+    # phrase of stderr).
     resource = pytest.importorskip("resource")
     cap = 2 ** 30
     code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
             "from chambers import cli; sys.exit(cli.main(sys.argv[1:]))")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(chambers.__file__).parents[1])}
-    for command, obj, message in (
-            ("check", {"rank": 10 ** 11, "n": 1, "panels": {}}, "no partition for type 1"),
-            ("cover", {"rank": 0, "n": 10 ** 11, "panels": {}}, "requires rank >= 2")):
-        system = tmp_path / f"{command}.json"
+    huge = {"m": [[1, 10 ** 12], [10 ** 12, 1]]}
+    budget = '{"detail":"group enumeration exceeded cap'
+    for argv, obj, exit_code, stdout, message in (
+            (["check", "{}"], {"rank": 10 ** 11, "n": 1, "panels": {}}, 2, "",
+             "no partition for type 1"),
+            (["cover", "{}"], {"rank": 0, "n": 10 ** 11, "panels": {}}, 2, "",
+             "rank 0 with 100000000000 chambers"),
+            (["check", "{}", "--simplicial"], {"rank": 0, "n": 10 ** 11, "panels": {}}, 2, "",
+             "rank 0 with 100000000000 chambers"),
+            (["report", "{}", "--format", "dot"], {"rank": 0, "n": 10 ** 8, "panels": {}}, 2, "",
+             "rank 0 with 100000000 chambers"),
+            (["coxeter", "--order", "--matrix", "{}"], huge, 1, budget, ""),
+            (["coxeter", "--complex", "--matrix", "{}"], huge, 1, budget, "")):
+        system = tmp_path / "input.json"
         system.write_text(json.dumps(obj))
-        done = subprocess.run([sys.executable, "-c", code, command, str(system)],
+        argv = [str(system) if a == "{}" else a for a in argv]
+        done = subprocess.run([sys.executable, "-c", code, *argv],
                               capture_output=True, text=True, env=env, timeout=120)
-        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+        assert done.returncode == exit_code and done.stdout.startswith(stdout), (argv, done)
         assert message in done.stderr and "Traceback" not in done.stderr, done.stderr
+        assert stdout == "" or json.loads(done.stdout)["error"] == "BudgetExceeded"
+
+
+def test_rank_0_complex_of_the_empty_matrix_passes_check(capsys, monkeypatch, tmp_path):
+    # W of the empty matrix is the trivial group: its complex is one
+    # chamber of rank 0, which `check -` loads from the pipe and passes
+    matrix = tmp_path / "empty.json"
+    matrix.write_text(json.dumps({"m": []}))
+    code, out, _ = run(capsys, "coxeter", "--matrix", str(matrix), "--complex")
+    assert code == 0 and json.loads(out)["n"] == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    assert run(capsys, "check", "-")[0] == 0
 
 
 def test_console_script_entry_point_lists_the_catalog(capsys):

@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -298,6 +299,21 @@ def test_universal_cover_preconditions():
     rank1 = chamber.from_partitions(2, 1, {1: [(0, 1)]})
     with pytest.raises(ValueError):
         covers.universal_cover(rank1, 0)
+
+
+def test_universal_cover_refuses_rank_0_before_building_anything():
+    # a rank-0 system built in code has no panels, whatever its chamber
+    # count, and the rank test comes before anything of that size is made
+    # (a rank-0 file with n > 1 is refused when it is loaded)
+    tracemalloc.start()
+    try:
+        C = chamber.from_partitions(10 ** 11, 0, {})
+        with pytest.raises(ValueError, match="requires rank >= 2"):
+            covers.universal_cover(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
 
 
 def test_universal_cover_self_check_raises(monkeypatch):
@@ -618,6 +634,46 @@ def test_universal_cover_of_s6_quotient():
                for a in res.deck for b in res.deck)
 
 
+def _forced_extension(A, mpA, B, mpB, a0, b0):
+    """The reference extension of a0 -> b0 to a map f: A -> B with
+    mpB(f(x)) = mpA(x), using that panels of B embed into base panels.
+    Requires A connected; the result need not be injective, so it serves
+    covers of different sizes.  Each panel of A is matched once: from
+    another of its chambers it would meet the same panel of B."""
+    f = [None] * A.n
+    f[a0] = b0
+    placed = 1
+    queue = [a0]
+    sides = [(A.panels[i], A._panel_idx[i], B.panels[i], B._panel_idx[i], [False] * len(A.panels[i]))
+             for i in A.types]
+    while queue:
+        x = queue.pop()
+        y = f[x]
+        for a_panels, a_idx, b_panels, b_idx, walked in sides:
+            p = a_idx[x]
+            if walked[p]:
+                continue
+            walked[p] = True
+            by_base = {}
+            for w in b_panels[b_idx[y]]:
+                if mpB[w] in by_base:
+                    return None
+                by_base[mpB[w]] = w
+            for z in a_panels[p]:
+                w = by_base.get(mpA[z])
+                if w is None:
+                    return None
+                if f[z] is None:
+                    f[z] = w
+                    placed += 1
+                    queue.append(z)
+                elif f[z] != w:
+                    return None
+    if placed != A.n:
+        return None
+    return tuple(f)
+
+
 def _covering_between(p, q):
     """A covering map from p's total space onto q's, commuting with the two
     projections to their common base; None if no extension works.  Seeds
@@ -629,7 +685,7 @@ def _covering_between(p, q):
     for b0 in range(B.n):
         if mpB[b0] != mpA[0]:
             continue
-        f = covers._extend_commuting(A, mpA, B, mpB, 0, b0)
+        f = _forced_extension(A, mpA, B, mpB, 0, b0)
         if f is None:
             continue
         cm = CoveringMap(A, B, f)
@@ -1042,3 +1098,44 @@ def test_cover_from_lift_reads_connectivity_off_the_cover(monkeypatch):
         assert cmap.chamber_map == tuple(base_ct.coset_of[rep[:7]] for rep in cover.labels)
         ok, diag = covers.is_covering(cmap)
         assert ok, diag
+
+
+def _forced_deck(p):
+    """The reference deck search: the forced extensions from chamber 0 to
+    each point of its fiber that are bijections."""
+    cover, mp = p.cover, p.chamber_map
+    fiber = [x for x in range(cover.n) if mp[x] == mp[0]]
+    autos = [f for f in (_forced_extension(cover, mp, cover, mp, 0, y) for y in fiber)
+             if f is not None and len(set(f)) == cover.n]
+    return autos, len(autos) == len(fiber)
+
+
+def test_deck_search_agrees_with_the_forced_extension():
+    # deck_transformations runs the isomorphism engine coloured by the
+    # covering map; it finds the same maps, in fiber order, as the forced
+    # extension on universal covers, the non-regular S6 cover and the
+    # connected subgroup lifts of the Klein and Neumaier A7 specs
+    coverings = [covers.universal_cover(C, 0, max_chambers=10 ** 5).covering
+                 for C in corpus.named_systems()]
+    coverings.append(_s6_quotient_pair()[3])
+    G, triv, faces, gens = _klein_spec()
+    z = groups.perm_from_cycles(2, [(0, 1)])
+    pi = groups.group_from_generators([z])
+    e2 = groups.identity(2)
+    for images in itertools.product((e2, z), repeat=3):
+        phi = {i: {groups.identity(4): e2, g: w}
+               for i, g, w in zip((1, 2, 3), gens, images)}
+        cover, cmap, connected = covers.cover_from_lift(HomogeneousSpec(G, triv, faces), pi, phi)
+        if connected:
+            coverings.append(cmap)
+    _, spec = catalog.build_neumaier_a7()
+    e1 = groups.identity(1)
+    phi = {i: {g: e1 for g in F.elements} for i, F in spec.faces.items()}
+    coverings.append(covers.cover_from_lift(spec, groups.group_from_generators([e1]), phi)[1])
+    assert len(coverings) >= len(corpus.named_systems()) + 5
+    regular = collections.Counter()
+    for p in coverings:
+        deck, reg = covers.deck_transformations(p)
+        assert (deck, reg) == _forced_deck(p), p.base
+        regular[reg] += 1
+    assert regular[True] >= 10 and regular[False] >= 1

@@ -588,6 +588,21 @@ def test_one_braid_closure_per_element(monkeypatch):
         assert len(calls) <= cap
 
 
+def test_cap_refuses_a_large_entry_before_any_closure(monkeypatch):
+    # W(M) holds the dihedral group of order 2 m_ij, so an entry past cap/2
+    # is refused before a closure builds an m-letter word; an entry of
+    # exactly cap/2 is still enumerated
+    calls = []
+    closure = coxeter._braid_class
+    monkeypatch.setattr(coxeter, "_braid_class", lambda M, word: calls.append(word) or closure(M, word))
+    assert enumerate_group(CoxeterMatrix([[1, 6], [6, 1]]), cap=12).order == 12
+    for m, cap in ((6, 11), (10 ** 12, 10 ** 6)):
+        calls.clear()
+        with pytest.raises(BudgetExceeded, match=f"^group enumeration exceeded cap {cap}$"):
+            enumerate_group(CoxeterMatrix([[1, m, 2], [m, 1, 2], [2, 2, 1]]), cap=cap)
+        assert calls == []
+
+
 def test_braid_budget_stops_both_engines(monkeypatch):
     monkeypatch.setattr(coxeter, "DEFAULT_BUDGET", 20)
     for engine in (enumerate_group, _reference_enumerate_group):

@@ -142,3 +142,16 @@ def test_one_json_loader_for_chamber_systems():
                     and [ast.unparse(a) for a in sub.args] == ["_load_json(args.file)"]):
                 loaders.append(node.name)
     assert readers == loaders == ["cmd_check", "cmd_cover", "cmd_quotient", "cmd_report"]
+
+
+def test_one_map_extension_engine():
+    # the colouring search extends partial chamber maps through panels:
+    # the isomorphism search colours by panel and residue sizes, the deck
+    # search by the covering map; no second extension engine is left in
+    # the library (tests/test_covers.py keeps the forced extension as the
+    # factorization reference)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        assert "_extend_commuting" not in path.read_text(), path.name
+        found += _references(ast.parse(path.read_text(), str(path)), "_isomorphism", path.stem)
+    assert found == ["chamber.isomorphism", "covers", "covers.deck_transformations"]
