@@ -20,7 +20,7 @@ from . import groups
 from .coxeter import CoxeterMatrix, _int
 from .errors import (
     ActionNotFree,
-    CapExceeded,
+    BudgetExceeded,
     Disconnected,
     DuplicateChamber,
     InconsistentResidues,
@@ -561,44 +561,41 @@ def is_simplicial(C):
 
 
 def quotient(C, gens):
-    """Quotient by the group generated by type-preserving automorphisms,
+    """Quotient by the group G generated by type-preserving automorphisms,
     which must act freely with no invariant rank-2 residues.  Returns
-    (system, projection)."""
+    (system, projection).  G acts freely iff every orbit has |G| chambers
+    (orbit-stabilizer); then a g != 1 maps an {i,j}-residue into itself iff
+    the residue meets an orbit twice.  The witnesses are the least chamber
+    of a shorter orbit, and the least chamber sharing its residue and its
+    orbit with another."""
     gens = [tuple(map(_int, a)) for a in gens]
     if any(len(a) != C.n for a in gens):
         raise ValueError(f"automorphism generators must have one entry per chamber ({C.n})")
-    ident = groups.identity(C.n)
     try:
-        autos = groups.group_from_generators(gens or [ident], cap=C.n).elements
-    except CapExceeded:
+        order = groups.group_from_generators(gens or [groups.identity(C.n)], cap=C.n).order
+    except BudgetExceeded:
         # orbit-stabilizer: a group with more elements than chambers cannot act freely
         raise ActionNotFree(f"the automorphisms generate more than {C.n} elements") from None
     if not all(verify_isomorphism(C, C, a) for a in gens):
         raise ValueError("automorphism is not a type-preserving chamber permutation")
-    for a in autos:
-        if a == ident:
-            continue
-        for c in range(C.n):
-            if a[c] == c:
-                raise ActionNotFree(f"automorphism fixes chamber {c}")
-    for i, j in combinations(C.types, 2):
-        comp = C.component_map((i, j))
-        for a in autos:
-            if a == ident:
-                continue
-            for c in range(C.n):
-                if comp[a[c]] == comp[c]:
-                    raise ResidueCollision(
-                        f"automorphism maps the {{{i},{j}}}-residue of chamber {c} into itself")
     orbit = [None] * C.n
     reps = []
     for c in range(C.n):
         if orbit[c] is not None:
             continue
-        oid = len(reps)
+        members = groups.orbit(c, gens, operator.getitem, C.n)
+        if len(members) < order:
+            raise ActionNotFree(f"automorphism fixes chamber {c}")
+        for d in members:
+            orbit[d] = len(reps)
         reps.append(c)
-        for a in autos:
-            orbit[a[c]] = oid
+    for i, j in combinations(C.types, 2):
+        keys = list(zip(C.component_map((i, j)), orbit))
+        if len(set(keys)) < C.n:
+            least = _least_per_key(keys)
+            c = min(compress(least, map(operator.ne, least, range(C.n))))
+            raise ResidueCollision(
+                f"automorphism maps the {{{i},{j}}}-residue of chamber {c} into itself")
     partitions = {}
     for i in C.types:
         panels = {tuple(sorted({orbit[c] for c in panel})) for panel in C.panels[i]}
@@ -745,10 +742,6 @@ def _isomorphism(A, B, col_a, col_b, start=None, budget=None):
             if matched:
                 break
     return tuple(fwd)
-
-
-def is_isomorphic(A, B):
-    return isomorphism(A, B) is not None
 
 
 def verify_isomorphism(A, B, mapping):

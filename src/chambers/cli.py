@@ -136,12 +136,9 @@ def cmd_cover(args):
     out = {"truncated": res.truncated}
     if not res.truncated:
         p = res.covering
-        fibers = {}
-        for c in p.chamber_map:
-            fibers[c] = fibers.get(c, 0) + 1
         out.update({
             "chambers": p.cover.n,
-            "fiber_size": fibers[res.base_chamber],
+            "fiber_size": p.chamber_map.count(res.base_chamber),
             "deck_order": len(res.deck),
             "regular": res.regular,
             "base": chamber.system_to_json(p.base),

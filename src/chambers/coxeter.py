@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import groups
 from .errors import (
     BadDiagonal,
     BadOffDiagonal,
@@ -72,10 +73,6 @@ class CoxeterMatrix:
         return f"CoxeterMatrix({[list(r) for r in self.rows]})"
 
 
-def matrix_to_json(M):
-    return {"rank": M.rank, "m": [list(row) for row in M.rows]}
-
-
 def matrix_from_json(obj):
     M = CoxeterMatrix(obj["m"])
     if "rank" in obj and _int(obj["rank"]) != M.rank:
@@ -100,29 +97,14 @@ def dihedral(m):
 
 def diagram_components(M):
     """Connected components of the Coxeter diagram (edge iff m_ij != 2),
-    as a sorted list of sorted type tuples."""
-    adj = {i: set() for i in M.types}
-    for i, j in combinations(M.types, 2):
-        if M.order(i, j) != 2:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen = set()
+    as a sorted list of sorted type tuples: the orbits of the group one
+    transposition per edge generates, found in order of least type."""
+    edges = [groups.perm_from_cycles(M.rank + 1, [(i, j)])
+             for i, j in combinations(M.types, 2) if M.order(i, j) != 2]
     comps = []
     for i in M.types:
-        if i in seen:
-            continue
-        comp = []
-        stack = [i]
-        seen.add(i)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort()
+        if not any(i in comp for comp in comps):
+            comps.append(tuple(sorted(groups.orbit(i, edges, operator.getitem, M.rank))))
     return comps
 
 
@@ -212,9 +194,6 @@ class WElement:
     @property
     def length(self):
         return len(self.word)
-
-    def is_identity(self):
-        return not self.word
 
 
 def canonical_word(M, word):

@@ -33,8 +33,8 @@ class DegreeMismatch(ChambersError):
     pass
 
 
-class CapExceeded(ChambersError):
-    pass
+# one error for every cap; perfbench/workloads.py imports the old name
+CapExceeded = BudgetExceeded
 
 
 class NotSubgroup(ChambersError):

@@ -16,7 +16,7 @@ subgroup, and catches one that does not only on the elements it tests.
 from itertools import filterfalse, repeat
 from operator import itemgetter
 
-from .errors import CapExceeded, DegreeMismatch, NotSubgroup
+from .errors import BudgetExceeded, DegreeMismatch, NotSubgroup
 
 try:
     from operator import call as _apply
@@ -89,7 +89,7 @@ class PermGroup:
 
 def orbit(start, gens, act, cap):
     """The images of `start` under all words in `gens`, found breadth-first,
-    where `act(g, x)` applies one generator; raises CapExceeded past `cap`."""
+    where `act(g, x)` applies one generator; raises BudgetExceeded past `cap`."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -99,7 +99,7 @@ def orbit(start, gens, act, cap):
                 y = act(g, x)
                 if y not in seen:
                     if len(seen) >= cap:
-                        raise CapExceeded(f"orbit exceeded cap {cap}")
+                        raise BudgetExceeded(f"orbit exceeded cap {cap}")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -280,12 +280,12 @@ def direct_product(G1, G2):
     """G1 x G2 acting on the disjoint union of the two domains.  Each factor
     is closed from its own generators and the pairs (g, h) are listed
     g-major, which is lex order; a factor whose generators do not give its
-    claimed order raises ValueError, a product past 10**6 CapExceeded."""
+    claimed order raises ValueError, a product past 10**6 BudgetExceeded."""
     d1, d2, cap = G1.degree, G2.degree, 10 ** 6
     E1 = sorted(close(d1, G1.generators, cap))
     E2 = sorted(close(d2, G2.generators, cap))
     if len(E1) * len(E2) > cap:
-        raise CapExceeded(f"direct product of order {len(E1) * len(E2)} exceeds cap {cap}")
+        raise BudgetExceeded(f"direct product of order {len(E1) * len(E2)} exceeds cap {cap}")
     if len(E1) * len(E2) != G1.order * G2.order:
         raise ValueError(f"direct product has order {len(E1) * len(E2)}, "
                          f"not {G1.order} * {G2.order}")

@@ -12,6 +12,7 @@ from chambers import catalog, chamber, cli, covers, coxeter, groups, verify
 from chambers.chamber import HomogeneousSpec, TypedGallery
 from chambers.errors import (
     ActionNotFree,
+    BudgetExceeded,
     Disconnected,
     DuplicateChamber,
     InconsistentResidues,
@@ -48,7 +49,7 @@ def test_from_cosets_s3():
     f2 = groups.subgroup_generated(S3, [groups.perm_from_cycles(3, [(1, 2)])])
     C = chamber.from_cosets(HomogeneousSpec(S3, triv, {1: f1, 2: f2}))
     assert C.n == 6
-    assert chamber.is_isomorphic(C, coxeter.coxeter_complex(coxeter.A2))
+    assert chamber.isomorphism(C, coxeter.coxeter_complex(coxeter.A2)) is not None
     # panel sizes equal the face-group index over the principal subgroup
     for i in (1, 2):
         assert all(len(p) == 2 for p in C.panels[i])
@@ -509,7 +510,7 @@ def _fano_auto(fano, M):
 def test_quotient_trivial_and_collisions():
     fano = catalog.build_fano_flags()
     Q, proj = chamber.quotient(fano, [tuple(range(fano.n))])
-    assert Q.n == fano.n and chamber.is_isomorphic(Q, fano)
+    assert Q.n == fano.n and chamber.isomorphism(Q, fano) is not None
     # rank-2 systems admit no proper quotient: the whole system is one
     # rank-2 residue; the Singer cycle's generator is closed to its group
     with pytest.raises(ResidueCollision):
@@ -545,6 +546,105 @@ def test_quotient_singer():
             catalog.build_singer_quotient(order)
 
 
+def _quotient_by_element_scans(C, gens):
+    """The quotient by scanning every group element over every chamber:
+    the reference for `chamber.quotient`, which reads orbits.  Returns
+    (ActionNotFree, the chambers some g != 1 fixes, or None past C.n
+    elements), (ResidueCollision, (the first type pair with an invariant
+    residue, the chambers whose residue some g != 1 maps into itself)) or
+    (quotient, projection)."""
+    ident = groups.identity(C.n)
+    try:
+        autos = groups.group_from_generators(gens or [ident], cap=C.n).elements
+    except BudgetExceeded:
+        return ActionNotFree, None
+    moving = [a for a in autos if a != ident]
+    fixed = [c for c in range(C.n) if any(a[c] == c for a in moving)]
+    if fixed:
+        return ActionNotFree, fixed
+    for i, j in itertools.combinations(C.types, 2):
+        comp = C.component_map((i, j))
+        hit = [c for c in range(C.n) if any(comp[a[c]] == comp[c] for a in moving)]
+        if hit:
+            return ResidueCollision, ((i, j), hit)
+    orbit, reps = [None] * C.n, []
+    for c in range(C.n):
+        if orbit[c] is None:
+            for a in autos:
+                orbit[a[c]] = len(reps)
+            reps.append(c)
+    partitions = {i: sorted({tuple(sorted({orbit[c] for c in p})) for p in C.panels[i]})
+                  for i in C.types}
+    labels = None if C.labels is None else tuple(C.labels[r] for r in reps)
+    return chamber.ChamberSystem(len(reps), C.rank, partitions, labels), tuple(orbit)
+
+
+def _assert_quotient_matches_scans(C, gens):
+    """The same quotient as the element scans, or the same error; a
+    witness chamber is the least chamber of a shorter orbit (the least
+    with a stabilizer g != 1), or the least chamber sharing its residue
+    and its orbit with another, in the first type pair that has one."""
+    want, detail = _quotient_by_element_scans(C, gens)
+    try:
+        Q, proj = chamber.quotient(C, gens)
+    except (ActionNotFree, ResidueCollision) as exc:
+        assert type(exc) is want, (type(exc), want)
+        if detail is None:
+            assert str(exc) == f"the automorphisms generate more than {C.n} elements"
+        elif want is ActionNotFree:
+            assert str(exc) == f"automorphism fixes chamber {min(detail)}"
+        else:
+            (i, j), hit = detail
+            assert str(exc) == (f"automorphism maps the {{{i},{j}}}-residue of chamber "
+                                f"{min(hit)} into itself")
+        return type(exc)
+    assert isinstance(want, chamber.ChamberSystem), (want, detail)
+    assert (Q.n, Q.rank, Q.panels, Q.labels, proj) == (want.n, want.rank, want.panels,
+                                                       want.labels, detail)
+    return chamber.ChamberSystem
+
+
+def test_quotient_matches_element_scans():
+    outcomes = collections.Counter()
+    # the Singer subgroups of orders 1, 3, 5 and 15 on the PG(3,2) flags
+    a3 = catalog.build_a3_f2()
+    for order in (1, 3, 5, 15):
+        outcomes[_assert_quotient_matches_scans(
+            a3, [catalog.singer_flag_automorphism(15 // order)])] += 1
+    # left multiplication by each element of W on its thin complex: free,
+    # with an invariant residue exactly when w lies in a conjugate of some W_ij
+    for M in (coxeter.A3, coxeter.C3, coxeter.H3):
+        table, thin = coxeter.group_table(M), corpus.thin(M)
+        for w in range(table.order):
+            left = tuple(table.mult_id(w, e) for e in range(table.order))
+            outcomes[_assert_quotient_matches_scans(thin, [left])] += 1
+    # the cyclic group of each automorphism a pair (0, y) starts
+    for C in corpus.named_systems():
+        if C.n > 400:
+            continue
+        for y in range(C.n):
+            a = chamber.isomorphism(C, C, (0, y))
+            if a is not None:
+                outcomes[_assert_quotient_matches_scans(C, [a])] += 1
+    assert min(outcomes.values()) >= 3 and len(outcomes) == 3, outcomes
+    # the least collision: one residue of two chambers that g swaps
+    pair = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0,), (1,)]})
+    assert _assert_quotient_matches_scans(pair, [(1, 0)]) is ResidueCollision
+
+
+def test_quotient_refuses_a_group_that_fixes_a_component_pointwise():
+    # three hexagons; g fixes the first pointwise and swaps the other two,
+    # so no residue meets an orbit twice: only the orbit sizes show that
+    # the action is not free
+    hexagon = coxeter.coxeter_complex(coxeter.A2)
+    C = chamber.from_partitions(18, 2, {i: [tuple(c + off for c in p) for off in (0, 6, 12)
+                                            for p in hexagon.panels[i]] for i in (1, 2)})
+    g = tuple(range(6)) + tuple(range(12, 18)) + tuple(range(6, 12))
+    assert _assert_quotient_matches_scans(C, [g]) is ActionNotFree
+    with pytest.raises(ActionNotFree, match="fixes chamber 0$"):
+        chamber.quotient(C, [g])
+
+
 def test_sub_system_requires_panel_closure():
     fano = catalog.build_fano_flags()
     with pytest.raises(ValueError):
@@ -578,7 +678,8 @@ def test_isomorphism_of_disconnected_systems():
     loop = chamber.from_partitions(2, 2, {1: [(0, 1)], 2: [(0, 1)]})
     assert chamber.isomorphism(two_hexagons,
                                corpus.shuffled_union(rng, hexagon, digon, loop)) is None
-    assert chamber.is_isomorphic(two_hexagons, corpus.shuffled_union(rng, hexagon, hexagon))
+    assert chamber.isomorphism(two_hexagons,
+                               corpus.shuffled_union(rng, hexagon, hexagon)) is not None
     # more components than the interpreter's default recursion limit
     dust = chamber.from_partitions(1200, 1, {1: [(c,) for c in range(1200)]})
     assert chamber.isomorphism(dust, dust) == tuple(range(1200))

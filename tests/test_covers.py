@@ -266,7 +266,7 @@ def test_singer_round_trip():
     assert not res.truncated
     assert res.covering.cover.n == 315
     assert len(res.deck) == 5 and res.regular
-    assert chamber.is_isomorphic(res.covering.cover, base)
+    assert chamber.isomorphism(res.covering.cover, base) is not None
     # regular cover: all fibers have equal size
     fibers = {}
     for c in res.covering.chamber_map:
@@ -627,7 +627,7 @@ def test_universal_cover_of_s6_quotient():
     res = covers.universal_cover(Q120, 0, max_chambers=10 ** 4)
     assert res.covering.cover.n == 720
     assert len(res.deck) == 6 and res.regular
-    assert chamber.is_isomorphic(res.covering.cover, thin)
+    assert chamber.isomorphism(res.covering.cover, thin) is not None
     # the deck group is the nonabelian group of order 6
     compose = lambda f, g: tuple(f[g[c]] for c in range(720))
     assert any(compose(a, b) != compose(b, a)
@@ -1042,7 +1042,7 @@ def test_cover_from_lift_connected_double():
     assert cover.n == 8 and connected
     ok, diag = covers.is_covering(cmap)
     assert ok, diag
-    assert chamber.is_isomorphic(cover, corpus.thin(corpus.A1x3))
+    assert chamber.isomorphism(cover, corpus.thin(corpus.A1x3)) is not None
     deck, regular = covers.deck_transformations(cmap)
     assert len(deck) == 2 and regular
     # consistent with the universal cover of the base

@@ -9,7 +9,7 @@ import pytest
 import chambers
 import corpus
 from chambers import catalog, groups
-from chambers.errors import CapExceeded, DegreeMismatch, NotSubgroup
+from chambers.errors import BudgetExceeded, DegreeMismatch, NotSubgroup
 
 
 def test_perm_helpers():
@@ -27,7 +27,7 @@ def test_orbit():
     shift = groups.perm_from_cycles(5, [tuple(range(5))])
     assert groups.orbit(0, [shift], lambda g, x: g[x], 5) == set(range(5))
     assert groups.orbit(0, [], lambda g, x: g[x], 1) == {0}
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         groups.orbit(0, [shift], lambda g, x: g[x], 4)
 
 
@@ -39,7 +39,7 @@ def test_group_from_generators():
     assert groups.symmetric_group(4).order == 24
     with pytest.raises(DegreeMismatch):
         groups.group_from_generators([groups.identity(3), groups.identity(4)])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         groups.group_from_generators(
             [groups.perm_from_cycles(6, [(i, i + 1)]) for i in range(5)], cap=100)
 
@@ -97,7 +97,7 @@ def _random_perm(rng, degree):
 def test_closure_kernel_matches_left_multiplication_orbit():
     # the right-multiplication closure against the orbit of the identity
     # under left multiplication, on seeded generator sets of degree 0..9:
-    # the same element set, and CapExceeded at the same caps
+    # the same element set, and BudgetExceeded at the same caps
     rng = random.Random(1018)
 
     def left_orbit(degree, gens, cap):
@@ -114,8 +114,8 @@ def test_closure_kernel_matches_left_multiplication_orbit():
         for cap in (1, 2, 24, 720, 5040):
             try:
                 want = left_orbit(degree, gens, cap)
-            except CapExceeded:
-                with pytest.raises(CapExceeded):
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
                     groups.close(degree, gens, cap)
                 continue
             assert groups.close(degree, gens, cap) == want
@@ -195,7 +195,7 @@ def test_direct_product():
             G = groups.direct_product(X, Y)
             assert (G.degree, G.generators, G.elements) == (d1 + d2, want.generators, want.elements)
     S7 = groups.symmetric_group(7)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         groups.direct_product(S7, S7)
 
 

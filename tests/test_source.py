@@ -3,6 +3,7 @@ import pathlib
 import sys
 
 import chambers
+from chambers import errors
 
 SRC = pathlib.Path(chambers.__file__).parent
 
@@ -33,14 +34,15 @@ def test_library_imports_only_the_standard_library():
 
 
 def _references(tree, name, where):
-    """The dotted enclosing def of each use or import of `name` under tree."""
+    """The dotted enclosing def of each use or import of `name` under tree;
+    a dotted name such as `groups.orbit` matches that attribute only."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found += _references(node, name, f"{where}.{node.name}")
             continue
         if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Attribute) and name in (node.attr, ast.unparse(node))
                 or isinstance(node, ast.alias) and name in (node.name, node.asname)):
             found.append(where)
         found += _references(node, name, where)
@@ -155,3 +157,43 @@ def test_one_map_extension_engine():
         assert "_extend_commuting" not in path.read_text(), path.name
         found += _references(ast.parse(path.read_text(), str(path)), "_isomorphism", path.stem)
     assert found == ["chamber.isomorphism", "covers", "covers.deck_transformations"]
+
+
+def test_one_closure_routine():
+    # `groups.orbit` closes groups, and its orbits are the diagram
+    # components, the quotient orbits, the building check's automorphism
+    # orbits and the catalog's plane orbits; braid closure is the one
+    # closure left beside it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _references(ast.parse(path.read_text(), str(path)), "groups.orbit", path.stem)
+    assert sorted(set(found)) == ["catalog.a7_plane_orbit", "catalog.fano_planes_on_7",
+                                  "chamber.quotient", "coxeter.diagram_components",
+                                  "verify.is_building"]
+
+
+def test_one_error_for_every_cap():
+    # CapExceeded is only the old name of BudgetExceeded, kept for callers
+    # outside the library
+    assert errors.CapExceeded is errors.BudgetExceeded
+    named = [path.name for path in sorted(SRC.glob("*.py")) if "CapExceeded" in path.read_text()]
+    assert named == ["errors.py"]
+
+
+def test_every_module_level_import_is_used():
+    # the package's __init__ imports only to export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound, todo = [], list(tree.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                todo += ast.iter_child_nodes(node)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in bound if name not in used]
+    assert unused == []
