@@ -80,6 +80,30 @@ def pg42():
     return catalog.subspace_flags(5)
 
 
+def torus():
+    """The 3x3 triangulated torus: 18 chambers of the infinite type Ã2,
+    every m_ij = 3 and every rank-2 residue a thin hexagon.  Vertex (a, b)
+    of Z3 x Z3 has type (a - b) mod 3 + 1; the chambers are the triangles
+    {(a, b), (a+1, b), (a, b+1)} and {(a+1, b), (a, b+1), (a+1, b+1)},
+    labelled by their vertices in type order, and two triangles are
+    i-adjacent when they share their vertices of the other two types."""
+    triangles = set()
+    for a in range(3):
+        for b in range(3):
+            for tri in (((a, b), (a + 1, b), (a, b + 1)),
+                        ((a + 1, b), (a, b + 1), (a + 1, b + 1))):
+                by_type = {(x - y) % 3 + 1: (x % 3, y % 3) for x, y in tri}
+                triangles.add(tuple(by_type[t] for t in (1, 2, 3)))
+    labels = sorted(triangles)
+    partitions = {}
+    for i in (1, 2, 3):
+        panels = {}
+        for c, tri in enumerate(labels):
+            panels.setdefault(tri[:i - 1] + tri[i:], []).append(c)
+        partitions[i] = list(panels.values())
+    return chamber.from_partitions(len(labels), 3, partitions, labels=labels)
+
+
 def distances_from(C, x):
     """The chambers reachable from x in breadth-first order over
     `C.adjacency()`, and per chamber its gallery distance from x, None if
