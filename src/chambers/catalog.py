@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groups
-from .chamber import ChamberSystem, HomogeneousSpec, from_cosets, incidence_graph_stats, quotient
+from .chamber import (ChamberSystem, HomogeneousSpec, _chambers_by_key, from_cosets,
+                      incidence_graph_stats, quotient)
 from .covers import CoveringMap
 from .errors import CatalogMismatch
 
@@ -92,17 +93,11 @@ _A7_PARTS = (_point_img, _points_img, _plane_img)
 
 
 def _flag_system(flags, rank):
-    """Chamber system from maximal flags: chambers sorted by label, the
-    type-i panel collects flags equal away from position i-1."""
+    """Chamber system from distinct maximal flags: chambers sorted by
+    label, the type-i panel collects flags equal away from position i-1."""
     flags = sorted(flags)
-    index = {f: c for c, f in enumerate(flags)}
-    partitions = {}
-    for i in range(1, rank + 1):
-        buckets = {}
-        for f, c in index.items():
-            key = f[:i - 1] + f[i:]
-            buckets.setdefault(key, []).append(c)
-        partitions[i] = sorted(tuple(sorted(v)) for v in buckets.values())
+    partitions = {i: _chambers_by_key(f[:i - 1] + f[i:] for f in flags)
+                  for i in range(1, rank + 1)}
     return ChamberSystem(len(flags), rank, partitions, labels=tuple(flags))
 
 

@@ -37,6 +37,16 @@ _map_add = partial(map, operator.add)
 _first = operator.itemgetter(0)
 
 
+def _chambers_by_key(keys):
+    """The chamber ids 0..n-1 grouped by equal key, one key per chamber in
+    id order: tuples in order of least member, each ascending, the panel
+    order `ChamberSystem` keeps.  Every builder of derived panels groups here."""
+    groups_ = {}
+    for c, key in enumerate(keys):
+        groups_.setdefault(key, []).append(c)
+    return list(map(tuple, groups_.values()))
+
+
 class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
         self.n = _int(n)
@@ -166,11 +176,7 @@ class ChamberSystem:
     def residues(self, J):
         """All J-residues, the k-th being component k of component_map(J)."""
         J = self._types(J)
-        comp = self.component_map(J)
-        buckets = [[] for _ in range(max(comp) + 1)]
-        for c, k in enumerate(comp):
-            buckets[k].append(c)
-        return [Residue(J, tuple(v)) for v in buckets]
+        return [Residue(J, v) for v in _chambers_by_key(self.component_map(J))]
 
     def _residue_gonalities(self, i, j):
         """Per {i,j}-residue, ordered by least member, (least chamber, m)
@@ -596,10 +602,8 @@ def quotient(C, gens):
             c = min(compress(least, map(operator.ne, least, range(C.n))))
             raise ResidueCollision(
                 f"automorphism maps the {{{i},{j}}}-residue of chamber {c} into itself")
-    partitions = {}
-    for i in C.types:
-        panels = {tuple(sorted({orbit[c] for c in panel})) for panel in C.panels[i]}
-        partitions[i] = sorted(panels)
+    partitions = {i: _chambers_by_key(frozenset(map(orbit.__getitem__, C.panel_of(i, r)))
+                                      for r in reps) for i in C.types}
     labels = None
     if C.labels is not None:
         labels = tuple(C.labels[r] for r in reps)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import groups
-from .chamber import (ChamberSystem, HomogeneousSpec, TypedGallery, _isomorphism, from_cosets,
-                      validate_gallery)
+from .chamber import (ChamberSystem, HomogeneousSpec, TypedGallery, _chambers_by_key, _isomorphism,
+                      from_cosets, validate_gallery)
 from .errors import (
     BudgetExceeded,
     Disconnected,
@@ -131,7 +131,8 @@ class _Gluer:
     `parent`, `rank_`, `panels` (on roots, {type: shared panel dict}; None
     once merged away) and `done` (on roots, one bitmask of closed pairs, bit
     k for pairs[k]).  A task is the int node << len(pairs) | mask: close
-    the pairs in mask at that node's class, in order."""
+    the pairs in mask at that node's class, in order.  Between calls, the
+    roots that share a type-t panel dict are exactly its nodes' roots."""
 
     def __init__(self, base, c0, max_chambers):
         self.base = base
@@ -301,17 +302,10 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     find = g.find
     dense = {}                          # root -> cover chamber, by least member
     chamber_of = [dense.setdefault(find(nd), len(dense)) for nd in range(nodes)]
-    partitions = {}
-    for t in C.types:
-        read, panels = set(), []
-        for r in dense:
-            mp = g.panels[r].get(t)
-            if mp is None:
-                raise NotCovering(f"type-{t} panel missing after closure")
-            if id(mp) not in read:
-                read.add(id(mp))
-                panels.append([chamber_of[nd] for nd in mp.values()])
-        partitions[t] = panels
+    try:
+        partitions = {t: _chambers_by_key(id(g.panels[r][t]) for r in dense) for t in C.types}
+    except KeyError as exc:
+        raise NotCovering(f"type-{exc.args[0]} panel missing after closure") from None
     cover = ChamberSystem(len(dense), C.rank, partitions)
     chamber_map = tuple(g.proj[r] for r in dense)
     p = CoveringMap(cover, C, chamber_map)

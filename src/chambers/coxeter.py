@@ -430,19 +430,14 @@ def group_table(M):
 
 
 def complex_from_table(table):
-    """Thin chamber system on an enumerated W(M); chamber ids equal table ids."""
-    from .chamber import ChamberSystem
+    """Thin chamber system on an enumerated W(M); chamber ids equal table
+    ids, and the i-panel of e is {e, e * r_i}, keyed by its least member."""
+    from .chamber import ChamberSystem, _chambers_by_key
 
     M = table.matrix
-    n = table.order
-    partitions = {}
-    for i in range(1, M.rank + 1):
-        panels = set()
-        for e in range(n):
-            t = table.right[e][i - 1]
-            panels.add((min(e, t), max(e, t)))
-        partitions[i] = sorted(panels)
-    return ChamberSystem(n, M.rank, partitions, labels=table.elements)
+    partitions = {i: _chambers_by_key(min(e, r[i - 1]) for e, r in enumerate(table.right))
+                  for i in M.types}
+    return ChamberSystem(table.order, M.rank, partitions, labels=table.elements)
 
 
 def coxeter_complex(M):

@@ -251,6 +251,32 @@ def test_residues_match_per_chamber_scan_on_named_systems():
                     assert C.residue(J, c) == listing[comp[c]]
 
 
+def _sorted_buckets(keys):
+    """The grouping each builder wrote before `_chambers_by_key`: a list
+    per key, then every group and the list of groups sorted."""
+    buckets = {}
+    for c, key in enumerate(keys):
+        buckets.setdefault(key, []).append(c)
+    return sorted(tuple(sorted(v)) for v in buckets.values())
+
+
+def test_chambers_by_key_matches_sorted_buckets_on_random_keys():
+    # the builders' keys are ints (thin complexes, component ids), tuples
+    # (flags), frozensets (quotients) and object ids (covers); a generator
+    # of keys is read once, as the flag and cover builders pass it
+    rng = random.Random(36)
+    shapes = (lambda k: k, lambda k: (k % 3, (k // 3,)), lambda k: frozenset({k, k % 4}))
+    for trial in range(300):
+        n = rng.randint(1, 80)
+        pool = rng.randint(1, n)
+        keys = list(map(shapes[trial % 3], (rng.randrange(pool) for _ in range(n))))
+        want = _sorted_buckets(keys)
+        assert chamber._chambers_by_key(keys) == want, keys
+        assert chamber._chambers_by_key(iter(keys)) == want
+        assert all(type(g) is tuple for g in chamber._chambers_by_key(keys))
+    assert chamber._chambers_by_key([]) == []
+
+
 def test_min_gallery():
     a2 = coxeter.coxeter_complex(coxeter.A2)
     g = a2.min_gallery(0, 0)

@@ -172,6 +172,39 @@ def test_one_closure_routine():
                                   "verify.is_building"]
 
 
+def _defs(tree, where):
+    """Each def and class under tree by its dotted name."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{where}.{node.name}", node
+            yield from _defs(node, f"{where}.{node.name}")
+
+
+def test_one_grouping_routine_builds_derived_panels():
+    # flag systems, quotients, thin complexes, universal covers and residue
+    # lists group chamber ids by one key per chamber with _chambers_by_key,
+    # whose order is the one ChamberSystem keeps, and none of them sorts
+    # or deduplicates panels itself: the flag sort numbers the chambers,
+    # and the quotient's set is its residue test
+    builders = ["catalog._flag_system", "chamber.ChamberSystem.residues", "chamber.quotient",
+                "covers.universal_cover", "coxeter.complex_from_table"]
+    found, sorting = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += _references(tree, "_chambers_by_key", path.stem)
+        for name, node in _defs(tree, path.stem):
+            if name in builders:
+                sorting[name] = [ast.unparse(sub) for sub in ast.walk(node)
+                                 if isinstance(sub, ast.SetComp) or isinstance(sub, ast.Call) and (
+                                     ast.unparse(sub.func) in ("sorted", "set")
+                                     or isinstance(sub.func, ast.Attribute)
+                                     and sub.func.attr == "sort")]
+    assert sorted(set(found) - {"catalog", "covers"}) == builders
+    assert sorting == {"catalog._flag_system": ["sorted(flags)"],
+                       "chamber.ChamberSystem.residues": [], "chamber.quotient": ["set(keys)"],
+                       "covers.universal_cover": [], "coxeter.complex_from_table": []}
+
+
 def test_one_error_for_every_cap():
     # CapExceeded is only the old name of BudgetExceeded, kept for callers
     # outside the library
