@@ -8,6 +8,7 @@ a walk of that table.  No reflection representation; everything here is
 exact integer combinatorics.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,6 +59,13 @@ class CoxeterMatrix:
     def order(self, i, j):
         """Entry m_ij for 1-based types i, j."""
         return self.rows[i - 1][j - 1]
+
+    @functools.cached_property
+    def _diagram(self):
+        """Per diagram component, in order of least type, (component, its
+        `_component_type`): the one reading of the diagram that `is_finite`,
+        `matrix_name`, `group_table` and `verify.c3_roles` share."""
+        return tuple((comp, _component_type(self, comp)) for comp in diagram_components(self))
 
     @property
     def types(self):
@@ -160,17 +168,14 @@ def _component_type(M, comp):
 
 def is_finite(M):
     """Whether W(M) is finite: every diagram component has a finite type."""
-    return all(_component_type(M, c) is not None for c in diagram_components(M))
+    return all(t is not None for _, t in M._diagram)
 
 
 def matrix_name(M):
     """Human name of the diagram, e.g. 'C3' or 'A1 x A2'; an infinite
     component is 'I2(inf)' or 'rank<n>'."""
-    names = []
-    for comp in diagram_components(M):
-        t = _component_type(M, comp)
-        names.append(t[0] if t else "I2(inf)" if len(comp) == 2 else f"rank{len(comp)}")
-    return " x ".join(names)
+    return " x ".join(t[0] if t else "I2(inf)" if len(comp) == 2 else f"rank{len(comp)}"
+                      for comp, t in M._diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +421,7 @@ def group_table(M):
     if table is None:
         if not is_finite(M):
             raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
-        nodes = [v for t in sorted(_component_type(M, c) for c in diagram_components(M))
-                 for v in t[1]]
+        nodes = [v for t in sorted(t for _, t in M._diagram) for v in t[1]]
         key = tuple(tuple(M.order(a, b) for b in nodes) for a in nodes)
         if key in _TABLE_CACHE:
             table0, nodes0 = _TABLE_CACHE[key]

@@ -145,7 +145,8 @@ def is_building(C, M=None, budget=2000):
     From x, (c) fails iff the propagation of delta(x, .) has a local
     failure at some y; each is a violation {"kind": "no-such-w", "pair":
     [x, y], "closer": [[i, u, word of delta(x, u) r_i], ...]}, and a source
-    with one skips (d).
+    with one skips (d).  An infinite W(M) ends the check after (a) and (b)
+    with the violation {"kind": "infinite-type"}.
     """
     _check_rank(C, M)
     report = {"building": False, "violations": [], "pairs_checked": 0, "truncated": False}
@@ -177,6 +178,11 @@ def is_building(C, M=None, budget=2000):
                 add({"kind": "bad-residue", "types": [i, j], "chamber": least,
                      "expected": want, "got": m})
                 ok = False
+    if not coxeter.is_finite(M):
+        # a finite system of infinite type is no building: its apartments
+        # would be infinite Coxeter complexes (Abramenko-Brown, GTM 248)
+        add({"kind": "infinite-type"})
+        return False, report
     table = coxeter.group_table(M)
     lengths = [len(w) for w in table.elements]
     # automorphisms found so far; each search matches at most C.n * C.rank
@@ -257,7 +263,7 @@ def c3_roles(M):
     from the node off the 4-bond (its vertex residues are the 4-gons)."""
     if coxeter.matrix_name(M) != "C3":
         raise ValueError("matrix is not C3-shaped")
-    return coxeter._component_type(M, M.types)[1]
+    return M._diagram[0][1][1]     # the node order of its one component
 
 
 def check_star(spec, point_type, line_type, system=None):

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import corpus
 import chambers
 from chambers import catalog, chamber, cli
 
@@ -62,6 +63,17 @@ def test_build_and_check_building(capsys, tmp_path):
     assert code == 0
     verdict = json.loads(out)
     assert verdict["building"] is True
+
+
+def test_check_building_on_a_finite_system_of_infinite_type(capsys, tmp_path):
+    # the 3x3 torus has type Ã2: a verdict with exit 1, not an InfiniteGroup error
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(chamber.system_to_json(corpus.torus())))
+    code, out, err = run(capsys, "check", str(path), "--building")
+    assert (code, err) == (1, "")
+    verdict = json.loads(out)
+    assert verdict["building"] is False and verdict["type"] == "rank3"
+    assert verdict["violations"] == [{"kind": "infinite-type"}]
 
 
 def test_check_ll_neumaier(capsys, tmp_path):

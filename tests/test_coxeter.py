@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from itertools import permutations
@@ -102,6 +103,30 @@ def test_diagram_components_match_depth_first_search():
         assert comps == _components_by_depth_first_search(M), M
         sizes.add(len(comps))
     assert {0, 1, 2, 3} <= sizes
+
+
+def test_one_diagram_reading_per_matrix(monkeypatch, tmp_path, capsys):
+    # is_finite, matrix_name, group_table's node order, c3_roles and the C3
+    # check read one classification per CoxeterMatrix; an empty table memo
+    # stands for a fresh process, where group_table reads the node order
+    from chambers import catalog, chamber, cli, verify
+
+    calls = []
+    real = coxeter.diagram_components
+    monkeypatch.setattr(coxeter, "diagram_components", lambda M: calls.append(M) or real(M))
+    monkeypatch.setattr(coxeter, "_TABLE_CACHE", {})
+    M = corpus.relabelled(C3, (2, 3, 1))
+    assert coxeter.is_finite(M) and coxeter.matrix_name(M) == "C3"
+    assert coxeter.group_table(M).order == 48 and verify.c3_roles(M) == (3, 1, 2)
+    assert calls == [M]
+    # a fano check job reads its type matrix once, where the parent read
+    # the diagram four times (matrix_name, group_table and two is_finite)
+    calls.clear()
+    path = tmp_path / "fano.json"
+    path.write_text(json.dumps(chamber.system_to_json(catalog.build_fano_flags())))
+    assert cli.main(["check", str(path), "--building", "--c3", "--ll", "--simplicial"]) == 1
+    assert "error" not in capsys.readouterr().err
+    assert calls == [A2]
 
 
 def test_admissible_polar():

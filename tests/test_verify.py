@@ -475,6 +475,23 @@ def test_is_building_thin_panels_and_inferred_type():
     assert verify.is_building(fano)[1]["type_matrix"] == [[1, 3], [3, 1]]
 
 
+def test_finite_system_of_infinite_type_is_no_building():
+    # the 3x3 torus: every rank-2 residue a hexagon, every panel of two, so
+    # (a) and (b) hold for the affine type Ã2; a finite building's W is
+    # finite, so the verdict is False, where the check used to raise
+    C = corpus.torus()
+    M = chamber.infer_type_matrix(C)
+    assert M.rows == ((1, 3, 3), (3, 1, 3), (3, 3, 1)) and not coxeter.is_finite(M)
+    for given in (M, None):
+        ok, report = verify.is_building(C, given)
+        assert not ok and report["violations"] == [{"kind": "infinite-type"}]
+        assert report["pairs_checked"] == 0 and report["type_matrix"] == [list(r) for r in M.rows]
+    # the residue violations of another infinite type come first
+    ok, report = verify.is_building(C, coxeter.CoxeterMatrix([[1, 3, 0], [3, 1, 3], [0, 3, 1]]))
+    assert not ok and [v["kind"] for v in report["violations"]] == (
+        ["bad-residue"] * 3 + ["infinite-type"])
+
+
 def test_building_locality():
     # residues of a building are buildings of the restricted type
     a3 = catalog.build_a3_f2()
