@@ -41,10 +41,10 @@ def _chambers_by_key(keys):
     """The chamber ids 0..n-1 grouped by equal key, one key per chamber in
     id order: tuples in order of least member, each ascending, the panel
     order `ChamberSystem` keeps.  Every builder of derived panels groups here."""
-    groups_ = {}
+    by_key = {}
     for c, key in enumerate(keys):
-        groups_.setdefault(key, []).append(c)
-    return list(map(tuple, groups_.values()))
+        by_key.setdefault(key, []).append(c)
+    return list(map(tuple, by_key.values()))
 
 
 class ChamberSystem:
