@@ -299,21 +299,20 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     work = (nodes, nodes - g.live)      # each union retires one live node
     if g.truncated:
         return CoverResult(None, c0, True, (), False, -1, *work)
-    find = g.find
-    dense = {}                          # root -> cover chamber, by least member
-    chamber_of = [dense.setdefault(find(nd), len(dense)) for nd in range(nodes)]
+    # cover chamber k is roots[k], the roots in order of least member node
+    roots = list(dict.fromkeys(map(g.find, range(nodes))))
     try:
-        partitions = {t: _chambers_by_key(id(g.panels[r][t]) for r in dense) for t in C.types}
+        partitions = {t: _chambers_by_key(id(g.panels[r][t]) for r in roots) for t in C.types}
     except KeyError as exc:
         raise NotCovering(f"type-{exc.args[0]} panel missing after closure") from None
-    cover = ChamberSystem(len(dense), C.rank, partitions)
-    chamber_map = tuple(g.proj[r] for r in dense)
+    cover = ChamberSystem(len(roots), C.rank, partitions)
+    chamber_map = tuple(g.proj[r] for r in roots)
     p = CoveringMap(cover, C, chamber_map)
     ok, diag = is_covering(p)
     if not ok:
         raise NotCovering(f"universal cover failed its own covering check: {diag}")
     deck, regular = deck_transformations(p) if with_deck else ((), False)
-    return CoverResult(p, c0, False, tuple(deck), regular, chamber_of[g.root0], *work)
+    return CoverResult(p, c0, False, tuple(deck), regular, roots.index(g.find(g.root0)), *work)
 
 
 def deck_transformations(p):
