@@ -1,11 +1,11 @@
 """Coxeter matrices, group tables, and the word problem on them.
 
 Group elements are canonical (ShortLex-least) reduced words over the type
-set I = {1, ..., k}.  W(M) must be finite: `enumerate_group` builds its
-multiplication table level by level, naming each new element by the least
-word of its braid class, closed once per element, and the word problem is
-a walk of that table.  No reflection representation; everything here is
-exact integer combinatorics.
+set I = {1, ..., k}.  W(M) must be finite: one level loop builds its
+multiplication table, naming each new element by the least word of its
+braid class (`enumerate_group`) or by its id in the table of a relabelling
+(`group_table`), and the word problem is a walk of that table.  No
+reflection representation; everything here is exact integer combinatorics.
 """
 
 import functools
@@ -334,89 +334,73 @@ def _braid_class(M, word):
     return frozenset(seen)
 
 
+def _level_table(M, start, climb):
+    """The table of W(M), built one length level at a time from `start`, the
+    name of the identity.  Placing a level sets every edge from it to the
+    level below, so an entry still unset when its element's level is scanned
+    is a non-descent: e * r_i is one letter longer.  `climb` takes the
+    level's (name of e, i) pairs and returns one name per e * r_i, equal
+    exactly when the elements are.  The level is scanned in id order, so a
+    new element's first pair is its least: ids are ShortLex, and
+    word(e * r_i) = word(e) + (i,)."""
+    k = M.rank
+    elements, right, level = [()], [[None] * k], {start: 0}  # level: name -> id
+    while level:
+        pairs = [(u, e, i) for u, e in level.items() for i, t in enumerate(right[e], 1) if t is None]
+        level = {}  # the next level: name -> id
+        for (_, e, i), u in zip(pairs, climb([(u, i) for u, _, i in pairs])):
+            if u not in level:
+                level[u] = len(elements)
+                elements.append(elements[e] + (i,))
+                right.append([None] * k)
+            right[e][i - 1] = level[u]
+            right[level[u]][i - 1] = e
+    return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
+
+
 def enumerate_group(M, cap=10 ** 6):
     """Enumerate W(M) breadth-first by length.  Refuses infinite groups.
 
-    Placing a level sets every edge from it to the level below, so an entry
-    still unset when its element's level is scanned is a non-descent: the
-    candidate w + (i,) is a reduced word of an element one letter longer.
-    The first candidate of each new element is closed under braid moves;
-    that class is all the element's reduced words (Tits), so its least word
-    names every candidate in it, and each element costs one closure.  An
-    element past `cap` raises BudgetExceeded before its closure runs, and
-    so does an entry m_ij > cap/2 before any closure: W(M) holds the
-    dihedral group of order 2 m_ij."""
+    Each new element is named by the least word of its braid class: the
+    class of its first candidate w + (i,) is all its reduced words (Tits),
+    so one closure per element names every candidate in it.  An element
+    past `cap` raises BudgetExceeded before its closure runs, and so does
+    an entry m_ij > cap/2 before any closure: W(M) holds the dihedral
+    group of order 2 m_ij."""
     if not is_finite(M):
         raise InfiniteGroup("W(M) is infinite; enumerate requires finite type")
     if 2 * max((M.order(i, j) for i, j in combinations(M.types, 2)), default=0) > cap:
         raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
-    k = M.rank
-    elements = [()]
-    index = {(): 0}
-    right = [[None] * k]
-    level = [()]
-    while level:
-        pending = [(index[w], i, w + (i,)) for w in level for i in range(1, k + 1)
-                   if right[index[w]][i - 1] is None]
-        candidates = {word for _, _, word in pending}
-        target = {}  # candidate -> least word of its class
-        new = []
-        for _, _, word in pending:
-            if word not in target:
-                if len(elements) + len(new) >= cap:
+    made = 1  # elements named so far, the identity included
+
+    def climb(pairs):
+        nonlocal made
+        words = [w + (i,) for w, i in pairs]
+        candidates, least = set(words), {}  # candidate -> least word of its class
+        for word in words:
+            if word not in least:
+                if made >= cap:
                     raise BudgetExceeded(f"group enumeration exceeded cap {cap}")
+                made += 1
                 cls = _braid_class(M, word)
-                least = min(cls)
-                new.append(least)
-                for c in candidates & cls:
-                    target[c] = least
-        level = sorted(new)
-        for word in level:
-            index[word] = len(elements)
-            elements.append(word)
-            right.append([None] * k)
-        for e, i, word in pending:
-            t = index[target[word]]
-            right[e][i - 1] = t
-            right[t][i - 1] = e
-    return CoxeterGroupTable(M, tuple(elements), [tuple(r) for r in right])
+                least.update(dict.fromkeys(candidates & cls, min(cls)))
+        return [least[word] for word in words]
+
+    return _level_table(M, (), climb)
 
 
 # matrix -> its table, and diagram key -> (first table of that type, its node order)
 _TABLE_CACHE = {}
 
 
-def _relabelled_table(M, table0, phi):
-    """The table of W(M) read off table0, the table of a relabelling M0 of M:
-    e * r_i is e * r_phi(i) there.  Level by level, an element u of length
-    L + 1 takes the least key (new id of e, i) over u = e * r_i; sorting a
-    level by key gives ShortLex ids, and word(u) = word(e) + (i)."""
-    phis = [phi[i] for i in M.types]
-    new, order, elements = {0: 0}, [0], [()]
-    level = [0]
-    while level:
-        keys = {}
-        for e in level:  # in new-id order, so the first key of u is its least
-            for i, j in enumerate(phis, 1):
-                if j not in table0.descents[e]:
-                    keys.setdefault(table0.right[e][j - 1], (new[e], i))
-        level = sorted(keys, key=keys.get)
-        for u in level:
-            e, i = keys[u]
-            new[u] = len(order)
-            order.append(u)
-            elements.append(elements[e] + (i,))
-    right = [tuple(new[table0.right[u][j - 1]] for j in phis) for u in order]
-    return CoxeterGroupTable(M, tuple(elements), right)
-
-
 def group_table(M):
     """The table of W(M), shared by every caller.  W(M) is enumerated once
     per diagram type: the first matrix of a type is enumerated, and each
-    relabelling of it is read off that table through the type bijection
-    phi(n[a]) = n0[a] between the two canonical node orders, with no braid
-    closure.  A node order lists the diagram components by name, each in
-    the order of `_component_type`; the matrix read in it is the key."""
+    relabelling of it is read off that table with no braid closure: e * r_i
+    is named by its id x * r_phi(i) there, x being e's, through the type
+    bijection phi(n[a]) = n0[a] between the two canonical node orders.  A
+    node order lists the diagram components by name, each in the order of
+    `_component_type`; the matrix read in it is the key."""
     table = _TABLE_CACHE.get(M)
     if table is None:
         if not is_finite(M):
@@ -425,7 +409,8 @@ def group_table(M):
         key = tuple(tuple(M.order(a, b) for b in nodes) for a in nodes)
         if key in _TABLE_CACHE:
             table0, nodes0 = _TABLE_CACHE[key]
-            table = _relabelled_table(M, table0, dict(zip(nodes, nodes0)))
+            phi = dict(zip(nodes, nodes0))
+            table = _level_table(M, 0, lambda pairs: [table0.right[x][phi[i] - 1] for x, i in pairs])
         else:
             table = enumerate_group(M)
             _TABLE_CACHE[key] = (table, nodes)

@@ -63,7 +63,17 @@ def test_braid_closure_serves_only_group_enumeration():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += _references(ast.parse(path.read_text(), str(path)), "_braid_class", path.stem)
-    assert found == ["coxeter.enumerate_group"]
+    assert found == ["coxeter.enumerate_group.climb"]
+
+
+def test_one_level_loop_builds_every_coxeter_table():
+    # enumeration and relabelling share the ShortLex level scan and differ
+    # only in how they name e * r_i; no second level loop is left
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _references(ast.parse(path.read_text(), str(path)), "_level_table", path.stem)
+        assert "_relabelled_table" not in path.read_text(), path.name
+    assert found == ["coxeter.enumerate_group", "coxeter.group_table"]
 
 
 def test_rank2_kernel_serves_residue_gonalities_and_incidence_stats():
