@@ -5,6 +5,7 @@ stdout), 2 usage or input error.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -14,10 +15,13 @@ from .errors import ChambersError
 
 
 def _load_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in the file `path`, or on stdin for "-".  Nesting too
+    deep for the decoder is an input error, not a crash."""
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to read") from None
 
 
 def _write(text, out=None):

@@ -283,10 +283,15 @@ class CoxeterGroupTable:
         e * r_i followed by i, over the right descents i of e.  `memo` maps
         the ids done so far to their words."""
         memo = {} if memo is None else memo
-        if e not in memo:
-            words = frozenset(w + (i,) for i in self.descents[e]
-                              for w in self.reduced_words(self.right[e][i - 1], memo))
-            memo[e] = words or frozenset({()})  # the identity: no descent, the empty word
+        below, stack = set(), [e]
+        while stack:  # the elements below e through descents that memo lacks
+            x = stack.pop()
+            if x not in memo and x not in below:
+                below.add(x)
+                stack += [self.right[x][i - 1] for i in self.descents[x]]
+        for x in sorted(below):  # ids are ShortLex: shorter elements first
+            words = frozenset(w + (i,) for i in self.descents[x] for w in memo[self.right[x][i - 1]])
+            memo[x] = words or frozenset({()})  # the identity: no descent, the empty word
         return memo[e]
 
 
@@ -344,7 +349,7 @@ def _level_table(M, start, climb):
     new element's first pair is its least: ids are ShortLex, and
     word(e * r_i) = word(e) + (i,)."""
     k = M.rank
-    elements, right, level = [()], [[None] * k], {start: 0}  # level: name -> id
+    elements, right, level = [()], [[None] * k], {start: 0}
     while level:
         pairs = [(u, e, i) for u, e in level.items() for i, t in enumerate(right[e], 1) if t is None]
         level = {}  # the next level: name -> id

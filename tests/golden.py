@@ -14,7 +14,8 @@ with every check, with all but `--ll`, and `--ll` with given roles,
 complexes of `corpus.THIN`, three disjoint hexagons and the Ã2 torus;
 `coxeter --order` and `--complex` on sixteen matrices; `quotient` of
 a3-f2 by its Singer subgroups; four commands on malformed or oddly
-labelled files; and a type-only `check` and `cover` on the PG(4,2) flags.
+labelled files, one of them with labels nested 10^5 deep; and a type-only
+`check` and `cover` on the PG(4,2) flags.
 B4 is left out of the matrices: a fresh table of it costs seconds.
 
 Where stderr is the interpreter's own text (a `TypeError` from `int()`,
@@ -70,7 +71,8 @@ def _three_hexagons():
 
 def _malformed(fano):
     """Files that the system commands must refuse or read oddly: variants
-    of the fano system's JSON, and raw bytes that are no JSON."""
+    of the fano system's JSON, and raw bytes: text that is no JSON, and
+    labels nested deeper than the decoder can recurse."""
     labels = fano["labels"]
 
     def with_(**changes):
@@ -90,6 +92,8 @@ def _malformed(fano):
         "top-list": [fano],
         "top-string": "fano",
         "not-json": b"{",
+        "nested-deep": json.dumps(with_(labels="deep")).replace(
+            '"deep"', "[" * 10 ** 5 + "]" * 10 ** 5).encode(),
         "panels-number": with_(panels=5),
         "panels-list": with_(panels=[panels["1"], panels["2"]]),
         "panel-out-of-range": with_(panels={**panels, "1": [[0, 99]] + panels["1"][1:]}),

@@ -345,6 +345,33 @@ def test_system_commands_echo_labels_as_parsed(capsys, tmp_path):
             assert code == 0 and json.loads(out) == expected
 
 
+def test_json_nested_past_the_recursion_limit_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # the decoder recurses once per nesting level: every command that reads
+    # a file, from a path or from stdin, refuses one nested 10^5 deep with
+    # the library's message and exit code 2, not a traceback and exit 1
+    deep = "[" * 10 ** 5 + "]" * 10 ** 5
+    fano = chamber.system_to_json(catalog.build_fano_flags())
+    system, good, auto, matrix = (tmp_path / f"{name}.json" for name in ("system", "good", "auto", "m"))
+    system.write_text(json.dumps({**fano, "labels": "deep"}).replace('"deep"', deep))
+    good.write_text(json.dumps(fano))
+    auto.write_text(f'{{"generators": {deep}}}')
+    matrix.write_text(f'{{"m": {deep}}}')
+    argvs = [(command, str(system), *flags) for command, *flags in LOADER_COMMANDS]
+    argvs += [("quotient", str(system), "--auto", str(auto)),
+              ("quotient", str(good), "--auto", str(auto)),
+              ("coxeter", "--matrix", str(matrix), "--order"), ("check", "-")]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(system.read_text()))
+    for argv in argvs:
+        assert run(capsys, *argv) == (2, "", "input error: JSON nested too deeply to read\n"), argv
+    # nesting the decoder can follow is read and written back as parsed
+    label = "x"
+    for _ in range(200):
+        label = [label]
+    good.write_text(json.dumps({**fano, "labels": [label] + fano["labels"][1:]}))
+    code, out, _ = run(capsys, "report", str(good))
+    assert code == 0 and json.loads(out)["labels"][0] == label
+
+
 def test_quotient_names_bad_panels_before_bad_labels(capsys, tmp_path):
     # quotient loads like the other system commands: the panels are judged
     # first, then the labels

@@ -516,6 +516,19 @@ def test_reduced_words_counts():
         reduced_words(A3, WElement((1, 1)))
 
 
+def test_reduced_words_of_an_element_longer_than_the_recursion_limit(monkeypatch):
+    # the longest element of I2(1200) has 1,200 letters, more than the
+    # interpreter's default recursion limit, and exactly two reduced words:
+    # the two alternating ones
+    monkeypatch.setattr(coxeter, "_TABLE_CACHE", {})
+    M = dihedral(1200)
+    table = coxeter.group_table(M)
+    w0 = table.element(table.order - 1)
+    assert table.order == 2400 and w0.length == 1200
+    assert reduced_words(M, w0) == {tuple(1 + t % 2 for t in range(1200)),
+                                    tuple(2 - t % 2 for t in range(1200))}
+
+
 def test_canonical_is_congruence():
     # the oracle's normal form is a congruence, and the table walk agrees
     rng = random.Random(3)
