@@ -47,6 +47,19 @@ def _chambers_by_key(keys):
     return list(map(tuple, by_key.values()))
 
 
+def _sorted_partition(part, n):
+    """The panels of `part`, each sorted, in sorted order, when `part` is a
+    list or tuple of non-empty lists or tuples of exact ints that together
+    hold each of 0..n-1 once; else None.  Whole-partition tests only."""
+    if type(part) not in (list, tuple) or not set(map(type, part)) <= {list, tuple} or not all(part):
+        return None
+    flat = list(chain.from_iterable(part))
+    if (len(flat) != n or set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) >= n
+            or len(set(flat)) != n):
+        return None
+    return sorted(map(tuple, map(sorted, part)))
+
+
 class ChamberSystem:
     def __init__(self, n, rank, partitions, labels=None):
         self.n = _int(n)
@@ -61,26 +74,29 @@ class ChamberSystem:
         for i in range(1, self.rank + 1):
             if i not in partitions:
                 raise PartitionNotCovering(f"no partition for type {i}")
-            seen = set()
-            panels = []
-            for panel in partitions[i]:
-                panel = sorted(panel)
-                if bool in map(type, panel):
-                    raise TypeError(f"a bool chamber id in a type-{i} panel")
-                panel = tuple(map(operator.index, panel))
-                if not panel:
-                    raise PartitionNotCovering(f"empty panel of type {i}")
-                for c in panel:
-                    if not 0 <= c < self.n:
-                        raise PartitionNotCovering(f"chamber id {c} out of range")
-                    if c in seen:
-                        raise DuplicateChamber(f"chamber {c} repeated in type-{i} partition")
-                    seen.add(c)
-                panels.append(panel)
-            if len(seen) != self.n:
-                missing = next(c for c in range(self.n) if c not in seen)
-                raise PartitionNotCovering(f"chamber {missing} missing from type-{i} partition")
-            panels.sort()
+            panels = _sorted_partition(partitions[i], self.n)
+            if panels is None:
+                # the per-panel scan converts other ids or raises the first fault
+                seen = set()
+                panels = []
+                for panel in partitions[i]:
+                    panel = sorted(panel)
+                    if bool in map(type, panel):
+                        raise TypeError(f"a bool chamber id in a type-{i} panel")
+                    panel = tuple(map(operator.index, panel))
+                    if not panel:
+                        raise PartitionNotCovering(f"empty panel of type {i}")
+                    for c in panel:
+                        if not 0 <= c < self.n:
+                            raise PartitionNotCovering(f"chamber id {c} out of range")
+                        if c in seen:
+                            raise DuplicateChamber(f"chamber {c} repeated in type-{i} partition")
+                        seen.add(c)
+                    panels.append(panel)
+                if len(seen) != self.n:
+                    missing = next(c for c in range(self.n) if c not in seen)
+                    raise PartitionNotCovering(f"chamber {missing} missing from type-{i} partition")
+                panels.sort()
             pans[i] = tuple(panels)
         self.panels = pans
         self.labels = tuple(labels) if labels is not None else None

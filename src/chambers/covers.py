@@ -11,7 +11,11 @@ a rank-2 residue walks the base residue from one node, placing one node
 per base chamber and reading each base panel's cover panel once: a panel
 opened on the walk takes the nodes already placed, and two nodes placed
 over one base chamber are merged, exactly as the covering axioms force.
-A walk that merged nothing closes the residue for every chamber it placed.
+Closedness belongs to the residue and a union only joins classes, so a
+merge keeps the closed pairs of both roots, and a walk closes its residue
+for every chamber it placed: each residue is walked once.  The deck search
+takes the identity at its anchor and searches only the anchor's other
+fiber points.
 """
 
 import weakref
@@ -53,12 +57,15 @@ class CoverResult:
     root: int                   # cover chamber of the trivial gallery class
     nodes: int = 0              # union-find nodes the gluer made
     unions: int = 0             # unions the gluer made
+    walks: int = 0              # rank-2 residue walks the gluer made
 
 
 def is_covering(p):
     """Verify the three 2-covering conditions exhaustively.
 
     Returns (ok, diagnostic); the diagnostic names the first violation.
+    A type pair whose panels keep their sizes is read off the cover alone;
+    the base's residues are walked only to name a violation.
     """
     cover, base, mp = p.cover, p.base, p.chamber_map
     if cover.rank != base.rank:
@@ -67,6 +74,9 @@ def is_covering(p):
         return False, "map not into base chamber set"
     for i in cover.types:
         pid = base._panel_idx[i]
+        # as many (panel, base panel) pairs as panels: each maps into one
+        if len(set(zip(cover._panel_idx[i], map(pid.__getitem__, mp)))) == len(cover.panels[i]):
+            continue
         for panel in cover.panels[i]:
             ids = {pid[mp[c]] for c in panel}
             if len(ids) > 1:
@@ -81,6 +91,11 @@ def is_covering(p):
                if any(len(panel) != len(base.panel_of(i, mp[panel[0]]))
                       for panel in cover.panels[i])}
     for P in combinations(cover.types, 2):
+        # each P-panel lies in a base panel of its own size, so a P-residue
+        # one-to-one on its image maps panels onto panels: the image is
+        # closed under P-adjacency and connected, a whole base residue
+        if resized.isdisjoint(P) and len(set(zip(cover.component_map(P), mp))) == cover.n:
+            continue
         base_comp = base.component_map(P)
         base_size = Counter(base_comp)      # chambers per base P-residue
         for res in cover.residues(P):
@@ -132,7 +147,13 @@ class _Gluer:
     once merged away) and `done` (on roots, one bitmask of closed pairs, bit
     k for pairs[k]).  A task is the int node << len(pairs) | mask: close
     the pairs in mask at that node's class, in order.  Between calls, the
-    roots that share a type-t panel dict are exactly its nodes' roots."""
+    roots that share a type-t panel dict are exactly its nodes' roots.
+
+    A closed bit is a fact about a residue, which a union only enlarges by
+    joining classes: a residue closed at either root is closed at the
+    merged root, so a union ORs the bits.  Every node a walk places lies in
+    the residue it walked, so the walk marks all their roots, unions or
+    not, and no residue is walked twice."""
 
     def __init__(self, base, c0, max_chambers):
         self.base = base
@@ -148,6 +169,7 @@ class _Gluer:
         self.live = 0
         self.peak = 0               # most live nodes at once; over max truncates
         self.unions = 0
+        self.walks = 0
         self.tasks = deque()
         self.root0 = self._new_node(c0)
 
@@ -204,7 +226,7 @@ class _Gluer:
                     if find(mp_x[bch]) != find(nd):
                         pend.append((mp_x[bch], nd))
             panels[ry] = None
-            merged = done[rx] = done[rx] & done[ry]
+            merged = done[rx] = done[rx] | done[ry]
             if merged != self.all_pairs:
                 self.tasks.append(rx << len(self.pairs) | self.all_pairs & ~merged)
 
@@ -228,7 +250,7 @@ class _Gluer:
         chamber.  Each base panel's cover panel is read once: a second read
         would meet only nodes placed already, or merged with them."""
         find, parent, panels = self.find, self.parent, self.panels
-        unions = self.unions
+        self.walks += 1
         b0 = self.proj[rx]
         slot = {b0: rx}
         queue = [b0]
@@ -252,9 +274,9 @@ class _Gluer:
                         queue.append(z)
                     elif sz != nz and find(sz) != find(nz):
                         self.union(sz, nz)
-        # a walk without unions found the residue closed, from any of its chambers
+        # the walk closed the residue, so at every chamber it placed
         done, bit = self.done, 1 << k
-        for nd in (slot.values() if self.unions == unions else (rx,)):
+        for nd in slot.values():
             if parent[nd] != nd:
                 nd = find(nd)
             done[nd] |= bit
@@ -281,11 +303,17 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
 
     The gluer keeps its nodes in flat lists over dense ids with a bitmask
     of closed pairs per root, and a residue walk reads each shared panel
-    dict once.  max_chambers bounds the gluer's live union-find nodes, not
-    the cover's chambers.  The nodes opened for panels are live until
-    residue walks merge them, so the peak can exceed the answer: the
-    315-chamber cover of neumaier-a7 truncates at 2,834 and finishes at
-    2,835.  The result counts the gluer's nodes and unions either way."""
+    dict once.  A walk closes its residue at every chamber it placed and a
+    union keeps the closed pairs of both roots, so no residue is walked
+    twice: thin A4 takes 150 walks for its 150 rank-2 residues, and
+    neumaier-a7 450 for 57, as unions glue walked copies together.
+    max_chambers bounds the gluer's live union-find nodes, not the cover's
+    chambers.  The nodes opened for panels are live until residue walks
+    merge them, so the peak can exceed the answer: the 315-chamber cover of
+    neumaier-a7 truncates at 2,834 and finishes at 2,835.  The result
+    counts the gluer's nodes, unions and walks either way.  The deck search
+    takes the identity at its anchor chamber and searches only the anchor's
+    other fiber points."""
     c0 = C._chamber(c0, "base chamber")
     if max_chambers < 1:
         raise ValueError(f"chamber budget {max_chambers} is not positive")
@@ -296,7 +324,7 @@ def universal_cover(C, c0=0, max_chambers=10 ** 6, with_deck=True):
     g = _Gluer(C, c0, max_chambers)
     g.run()
     nodes = len(g.proj)
-    work = (nodes, nodes - g.live)      # each union retires one live node
+    work = (nodes, nodes - g.live, g.walks)     # each union retires one live node
     if g.truncated:
         return CoverResult(None, c0, True, (), False, -1, *work)
     # cover chamber k is roots[k], the roots in order of least member node
@@ -321,14 +349,18 @@ def deck_transformations(p):
     by its base chamber, from one anchor to each point of its fiber.  A
     2-covering maps each panel injectively into a base panel, so the
     colours force every match and no search branches.  Requires a
-    connected cover.  Returns (list, regular)."""
+    connected cover.  The anchor's own fiber point needs no search: a deck
+    transformation that fixes a chamber of a connected cover is the
+    identity.  Returns (list, regular)."""
     cover, mp = p.cover, p.chamber_map
     if not cover.is_connected():
         raise ValueError("deck search requires a connected cover")
     anchor = 0
     fiber = [x for x in range(cover.n) if mp[x] == mp[anchor]]
-    autos = [phi for f in fiber
-             if (phi := _isomorphism(cover, cover, mp, mp, (anchor, f))) is not None]
+    # a deck transformation of a connected cover fixing a chamber is the identity
+    autos = [tuple(range(cover.n))]
+    autos += [phi for f in fiber[1:]
+              if (phi := _isomorphism(cover, cover, mp, mp, (anchor, f))) is not None]
     return autos, len(autos) == len(fiber)
 
 

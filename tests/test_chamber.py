@@ -42,6 +42,36 @@ def test_from_partitions_validation():
             chamber.from_partitions(n, rank, {1: [panel]})
 
 
+def test_partition_faults_keep_their_errors():
+    # a partition that fails a whole-partition test is scanned panel by
+    # panel, which raises the first fault with its own type and message;
+    # each fault sits after a valid panel, in either type, in lists or tuples
+    valid = {1: [(0, 1), (2, 3)], 2: [(0, 2), (1, 3)]}
+    faults = [([(0, 1), (2, True)], TypeError, "a bool chamber id in a type-{t} panel"),
+              ([(0, 1), (2, 4)], PartitionNotCovering, "chamber id 4 out of range"),
+              ([(0, 1), (-1, 2, 3)], PartitionNotCovering, "chamber id -1 out of range"),
+              ([(0, 1), (1, 2, 3)], DuplicateChamber, "chamber 1 repeated in type-{t} partition"),
+              ([(0, 1), (), (2, 3)], PartitionNotCovering, "empty panel of type {t}"),
+              ([(0, 1), (3,)], PartitionNotCovering, "chamber 2 missing from type-{t} partition"),
+              ([(0, 1), (2, 3), (4,)], PartitionNotCovering, "chamber id 4 out of range"),
+              ([(0, 1), (2, 3.0)], TypeError, None)]
+    for t in (1, 2):
+        for panels, error, message in faults:
+            for shape in (tuple, list):
+                parts = {**valid, t: shape(map(shape, panels))}
+                with pytest.raises(error) as info:
+                    chamber.ChamberSystem(4, 2, parts)
+                if message is not None:
+                    assert str(info.value) == message.format(t=t)
+    # ids that are integers but not exact ints take the scan and convert
+    C = chamber.ChamberSystem(4, 2, valid)
+    assert C.panels == {1: ((0, 1), (2, 3)), 2: ((0, 2), (1, 3))}
+    Id = type("Id", (int,), {})
+    odd = {1: [(Id(3), 2), [1, 0]], 2: iter([(0, 2), (3, 1)])}
+    D = chamber.ChamberSystem(4, 2, odd)
+    assert D.panels == C.panels and type(D.panels[1][0][0]) is int
+
+
 def test_from_cosets_s3():
     S3 = groups.symmetric_group(3)
     triv = groups.Subgroup(S3, [groups.identity(3)])

@@ -155,6 +155,25 @@ def test_is_covering_matches_reference():
     assert {None, "adjacency", "image", "panel", "fiber"} <= set(kinds), kinds
 
 
+def test_is_covering_reads_only_the_cover_when_panel_sizes_agree(monkeypatch):
+    # a covering whose panels keep their sizes is accepted from the cover's
+    # residues alone: the base's residues are walked only to name a fault.
+    # A base may be another map's cover, so each refusal is undone after use
+    maps = [covers.universal_cover(C, 0).covering for C in corpus.named_systems()]
+    maps.append(catalog.build("singer-quotient-z5")["projection"])
+
+    def refuse(J):
+        raise AssertionError(f"base component map of {sorted(J)} read")
+
+    for p in maps:
+        assert p.cover is not p.base
+        assert all(len(panel) == len(p.base.panel_of(i, p.chamber_map[panel[0]]))
+                   for i in p.cover.types for panel in p.cover.panels[i])
+        with monkeypatch.context() as m:
+            m.setattr(p.base, "component_map", refuse)
+            assert covers.is_covering(p) == (True, None)
+
+
 def test_is_covering_of_rank_1_ignores_panel_sizes():
     # with no rank-2 residues there is nothing to compare panel sizes in, so
     # a split panel still covers, as it always did
@@ -392,6 +411,7 @@ class _ReferenceGluer:
         self.panels = []
         self.done = []
         self.live = 0
+        self.walks = 0
         self.truncated = False
         self.tasks = collections.deque()
         self.root0 = self._new_node(c0)
@@ -464,6 +484,7 @@ class _ReferenceGluer:
         rx = self.find(x)
         if P in self.done[rx]:
             return
+        self.walks += 1
         b0 = self.proj[rx]
         slot = {b0: rx}
         queue = [b0]
@@ -533,21 +554,27 @@ def test_gluer_matches_reference_on_named_systems(monkeypatch):
 
 
 # the gluer's work per corpus.named_systems() entry, the same from chambers
-# 0, n // 2 and n - 1: (nodes made, unions, peak live nodes).  Catalog
-# fano, gq22, a3-f2, neumaier-a7 and singer-quotient-z5; thin A3, C3, H3, A4
-# and D4; central quotients of C3, H3, D4 and A1x3.
-GLUER_WORK = [(21, 0, 21), (45, 0, 45), (427, 112, 319), (2835, 2520, 2835), (427, 112, 319),
-              (27, 3, 25), (48, 0, 48), (130, 10, 120), (152, 32, 121), (230, 38, 192),
-              (48, 0, 48), (130, 10, 120), (230, 38, 192), (8, 0, 8)]
+# 0, n // 2 and n - 1: (nodes made, unions, peak live nodes, residue
+# walks).  Catalog fano, gq22, a3-f2, neumaier-a7 and singer-quotient-z5;
+# thin A3, C3, H3, A4 and D4; central quotients of C3, H3, D4 and A1x3.
+GLUER_WORK = [(21, 0, 21, 1), (45, 0, 45, 1), (427, 112, 319, 65), (2835, 2520, 2835, 450),
+              (427, 112, 319, 65), (27, 3, 25, 14), (48, 0, 48, 26), (130, 10, 120, 62),
+              (152, 32, 121, 150), (230, 38, 192, 240), (48, 0, 48, 26), (130, 10, 120, 62),
+              (230, 38, 192, 240), (8, 0, 8, 6)]
 
 
 def test_gluer_work_is_pinned(monkeypatch):
     for C, work in zip(corpus.named_systems(), GLUER_WORK, strict=True):
         for c0 in sorted({0, C.n // 2, C.n - 1}):
             _, gluer = _cover_by(monkeypatch, _GLUER, C, c0)
-            assert (len(gluer.proj), gluer.unions, gluer.peak) == work, (C, c0)
+            assert (len(gluer.proj), gluer.unions, gluer.peak, gluer.walks) == work, (C, c0)
             res = covers.universal_cover(C, c0, with_deck=False)
-            assert (res.nodes, res.unions) == work[:2]
+            assert (res.nodes, res.unions, res.walks) == work[:2] + work[3:]
+        # each residue is walked once; on neumaier-a7 walks also close
+        # copies of residues that later unions glue into one
+        cover = res.covering.cover
+        residues = sum(len(cover.residues(P)) for P in itertools.combinations(cover.types, 2))
+        assert work[3] == residues or (work[3], residues) == (450, 57), C
 
 
 def test_gluer_matches_reference_on_random_systems(monkeypatch):
@@ -572,7 +599,7 @@ def test_universal_cover_pg42(monkeypatch):
     assert not truncated and len(chamber_map) == C.n == 9765
     assert sorted(chamber_map) == list(range(C.n))
     assert len(deck) == 1 and regular
-    assert (len(gluer.proj), gluer.unions, gluer.peak) == (15237, 5472, 9773)
+    assert (len(gluer.proj), gluer.unions, gluer.peak, gluer.walks) == (15237, 5472, 9773, 4650)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +610,31 @@ def test_deck_identity():
     fano = catalog.build_fano_flags()
     deck, regular = covers.deck_transformations(identity_cover(fano))
     assert deck == [tuple(range(fano.n))] and regular
+
+
+def test_deck_search_skips_the_anchor(monkeypatch):
+    # the identity is the one deck transformation fixing the anchor, so the
+    # isomorphism search runs once per other point of the anchor's fiber
+    coverings = [covers.universal_cover(C, 0, with_deck=False).covering
+                 for C in corpus.named_systems()]
+    coverings.append(catalog.build("singer-quotient-z5")["projection"])
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return isomorphism(*args)
+
+    isomorphism = covers._isomorphism
+    monkeypatch.setattr(covers, "_isomorphism", counted)
+    searched = 0
+    for p in coverings:
+        fiber = p.chamber_map.count(p.chamber_map[0])
+        calls.clear()
+        deck, regular = covers.deck_transformations(p)
+        assert (deck, regular) == _forced_deck(p), p.base
+        assert len(calls) == fiber - 1 and (0, 0) not in calls
+        searched += len(calls)
+    assert searched > 0
 
 
 def _s6_quotient_pair():
